@@ -239,8 +239,8 @@ def _space_label(space: str, dim: int) -> str:
 
 
 def _cmd_nc_index(args, params, report):
-    cutoff = int(params.pop("cutoff", 64))
     if "winding" in params:
+        cutoff = int(params.pop("cutoff", 64))
         wdg = int(params.pop("winding"))
         co = nctorus.winding_loop_coeffs(wdg)
         ti = nctorus.toeplitz_index(co, cutoff)
@@ -250,7 +250,10 @@ def _cmd_nc_index(args, params, report):
         return report
     mass = float(params.pop("mass", -2.0))
     co = nctorus.lattice_degree_one_coeffs(mass)
-    pr = nctorus.nc_index_pairing_3d(co, min(cutoff, 8), residue_tol=1.0)
+    cutoff = int(params.pop("cutoff", 8))  # fields take 0.8 GB at 8
+    if not 1 <= cutoff <= 8:
+        raise InvalidParams(f"3D pairing cutoff must lie in [1, 8], got {cutoff}")
+    pr = nctorus.nc_index_pairing_3d(co, cutoff, residue_tol=1.0)
     report.invariants = {"pairing_3d": pr.to_json()}
     return report
 

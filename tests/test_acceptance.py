@@ -280,12 +280,17 @@ def test_criterion_12_toeplitz_index_and_pairing():
                f"residues < 1e-6, in {elapsed:.1f}s")
 
 
+# raw traces recorded with the per-triangle reference summation
+RAW_3D_TREND = {4: -7.639181978324269, 6: -7.730971026345477, 8: -7.761913653527545}
+
+
 def test_criterion_13_nc_pairing_3d_trend():
     start = time.time()
     co = nctorus.lattice_degree_one_coeffs(-2.0)
     values = []
     for cutoff in (4, 6, 8):
         pr = nctorus.nc_index_pairing_3d(co, cutoff, residue_tol=0.25)
+        assert abs(pr.raw.real - RAW_3D_TREND[cutoff]) < 1e-10
         values.append(abs(pr.calibrated))
     assert values[0] < values[1] < values[2] < 1.0 + 1e-9
     assert abs(values[-1] - 1.0) < 0.25

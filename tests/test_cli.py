@@ -94,6 +94,32 @@ def test_nc_index_1d():
     assert inv["agree"]
 
 
+@pytest.mark.parametrize("cutoff", ["9", "12", "0"])
+def test_nc_index_3d_cutoff_out_of_range_exits_2(cutoff):
+    code, inv = invariants(["nc-index", "--mass", "-2", "--cutoff", cutoff])
+    assert code == 2
+    assert inv["error"]["type"] == "InvalidParams"
+    assert "8" in inv["error"]["message"]
+
+
+def test_nc_index_3d_default_cutoff(monkeypatch):
+    from topoindex import nctorus
+
+    seen = []
+
+    def fake(co, cutoff, residue_tol):
+        seen.append(cutoff)
+        return nctorus.PairingResult(raw=-8.0 + 0j, calibrated=1.0, rounded=1,
+                                     residue=0.0, cutoff=cutoff)
+
+    monkeypatch.setattr(nctorus, "nc_index_pairing_3d", fake)
+    for argv, cutoff in ((["nc-index", "--mass", "-2"], 8),
+                         (["nc-index", "--mass", "-2", "--cutoff", "3"], 3)):
+        code, inv = invariants(argv)
+        assert code == 0 and inv["pairing_3d"]["cutoff"] == cutoff
+    assert seen == [8, 3]
+
+
 def test_unknown_model_exits_2():
     code, inv = invariants(["z2", "--model", "not-a-model"])
     assert code == 2

@@ -9,6 +9,8 @@ from topoindex.errors import InvalidParams
 from topoindex.nctorus import (
     ClockShiftRep,
     NCElement,
+    _toeplitz_matrix,
+    _trace_of_triple,
     clock_shift,
     fixed_point_generators,
     generator_u,
@@ -34,6 +36,17 @@ def test_clock_shift_commutation_exact(theta):
 def test_clock_shift_rejects_non_coprime():
     with pytest.raises(InvalidParams):
         clock_shift(2, 4)
+
+
+@pytest.mark.parametrize("p, q", [(0, 4), (4, 4), (-8, 4), (6, 9)])
+def test_clock_shift_rep_rejects_unreduced_fraction(p, q):
+    with pytest.raises(InvalidParams):
+        ClockShiftRep(p, q)
+
+
+@pytest.mark.parametrize("p, q", [(0, 1), (3, 1), (1, 4), (-3, 4), (7, 4)])
+def test_clock_shift_rep_accepts_reduced_fraction(p, q):
+    assert ClockShiftRep(p, q).q == q
 
 
 @pytest.mark.parametrize("theta", THETAS)
@@ -135,6 +148,26 @@ def test_pairing_1d_calibrated_matches_winding(winding):
     assert pr.residue < 1e-6
 
 
+@pytest.mark.parametrize("winding", range(-3, 4))
+def test_pairing_1d_raw_exact_at_large_cutoff(winding):
+    pr = nc_index_pairing_1d(winding_loop_coeffs(winding), 512)
+    assert pr.raw == complex(2 * winding)
+    assert pr.rounded == winding and pr.residue == 0.0
+
+
+@pytest.mark.parametrize("modes", [-np.arange(1, 8), np.arange(-5, 6)])
+def test_toeplitz_matrix_block_symbol(modes):
+    rng = np.random.default_rng(3)
+    blocks = {(d,): rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+              for d in (-2, 0, 1)}
+    ref = np.zeros((2 * len(modes), 2 * len(modes)), dtype=complex)
+    for i, mi in enumerate(modes):
+        for j, mj in enumerate(modes):
+            if (mi - mj,) in blocks:
+                ref[2 * i:2 * i + 2, 2 * j:2 * j + 2] = blocks[(mi - mj,)]
+    assert np.array_equal(_toeplitz_matrix(blocks, modes), ref)
+
+
 def test_pairing_1d_additive_for_products():
     # e^{i t} * e^{i t} = e^{2 i t}
     pr = nc_index_pairing_1d(winding_loop_coeffs(2), 64)
@@ -154,6 +187,47 @@ def test_pairing_3d_degree_one_symbol():
     pr = nc_index_pairing_3d(co, 4, residue_tol=0.3)
     assert pr.rounded == 1
     assert 0.7 < pr.calibrated < 1.1
+
+
+def test_trace_of_triple_matches_dense_operator():
+    # A_{m, m - r} = a_r(m) on a 3^3 box, assembled densely; offsets of
+    # length 2 leave some triangles with partial or empty boxes
+    rng = np.random.default_rng(11)
+    L, b = 3, 3
+    offsets = np.unique(rng.integers(-2, 3, size=(14, 3)), axis=0)
+    offsets = np.unique(np.vstack([offsets, -offsets[:4], [[0, 0, 0]]]), axis=0)
+    fields = (rng.normal(size=(len(offsets), L, L, L, b, b))
+              + 1j * rng.normal(size=(len(offsets), L, L, L, b, b)))
+    sites = [tuple(s) for s in np.ndindex(L, L, L)]
+    dense = np.zeros((len(sites) * b, len(sites) * b), dtype=complex)
+    for row, m in enumerate(sites):
+        for col, x in enumerate(sites):
+            hits = np.nonzero((offsets == np.subtract(m, x)).all(axis=1))[0]
+            if len(hits):
+                dense[row * b:(row + 1) * b, col * b:(col + 1) * b] = fields[hits[0]][m]
+    expected = np.trace(dense @ dense @ dense)
+    assert abs(_trace_of_triple(offsets, fields, prune=0.0) - expected) < 1e-9 * abs(expected)
+
+
+# Raw 3D traces Tr[(w^{-1}[F, w])^3] of the degree-one lattice symbol, recorded
+# with the per-triangle reference summation; the summation order may move
+# them only at rounding level.
+RAW_3D = {
+    (2, -2.5): -6.228167332579542,
+    (2, -2.0): -7.040363513170287,
+    (2, -1.5): -6.132088099016178,
+    (2, 0.5): 12.604082738368978,
+    (2, 2.0): -7.0403635131702895,
+    (3, -2.0): -7.507073690373331,
+    (4, -2.0): -7.639181978324269,
+}
+
+
+@pytest.mark.parametrize("cutoff, mass", sorted(RAW_3D))
+def test_pairing_3d_raw_trace_pinned(cutoff, mass):
+    pr = nc_index_pairing_3d(lattice_degree_one_coeffs(mass), cutoff, residue_tol=10.0)
+    assert abs(pr.raw.real - RAW_3D[cutoff, mass]) < 1e-10
+    assert abs(pr.raw.imag) < 1e-10
 
 
 def test_pairing_3d_band_limit_guard():
