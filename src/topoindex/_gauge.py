@@ -18,17 +18,20 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GaugeConstructionFailed
+from .model import _smoothstep
 
 OVERLAP_MIN = 1e-3
 
 
 def lowdin(frame: np.ndarray) -> tuple[np.ndarray, float]:
-    """Orthonormalize columns; returns (frame, smallest singular value)."""
+    """Orthonormalize the columns of a frame or a stack (..., n, m) of
+    frames; returns (frames, smallest singular value over the stack)."""
     u, s, vh = np.linalg.svd(frame, full_matrices=False)
-    return u @ vh, float(s[-1])
+    return u @ vh, float(np.min(s[..., -1]))
 
 
 def polar_unitary(m: np.ndarray) -> np.ndarray:
+    """Unitary polar factor of a matrix or of a stack (..., m, m)."""
     u, _, vh = np.linalg.svd(m)
     return u @ vh
 
@@ -53,7 +56,8 @@ def unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def transport(frame: np.ndarray, projector: np.ndarray) -> np.ndarray:
-    """Parallel transport a frame onto the range of the next projector."""
+    """Parallel transport a frame (or a stack of frames) onto the range of
+    the next projector(s); the overlap guard holds for every frame."""
     out, smin = lowdin(projector @ frame)
     if smin < OVERLAP_MIN:
         raise GaugeConstructionFailed(
@@ -342,11 +346,6 @@ class LoopContraction:
         return self.general.at(t)
 
 
-def _smoothstep(x: float) -> float:
-    x = min(max(x, 0.0), 1.0)
-    return x * x * x * (x * (6.0 * x - 15.0) + 10.0)
-
-
 def smooth_frames_2d(frames_raw: np.ndarray) -> np.ndarray:
     """Smooth periodic gauge for a 2D frame field (N1, N2, n, m).
 
@@ -354,20 +353,16 @@ def smooth_frames_2d(frames_raw: np.ndarray) -> np.ndarray:
     otherwise the wrap mismatch has a winding determinant and the
     contraction fails loudly.
     """
-    n1, n2 = frames_raw.shape[:2]
+    n2 = frames_raw.shape[1]
     proj = frame_projectors(frames_raw)
     out = np.empty_like(frames_raw)
 
     out[:, 0] = circle_transport(proj[:, 0], frames_raw[0, 0])
-    for i1 in range(n1):
-        for i2 in range(1, n2):
-            out[i1, i2] = transport(out[i1, i2 - 1], proj[i1, i2])
+    for i2 in range(1, n2):
+        out[:, i2] = transport(out[:, i2 - 1], proj[:, i2])
 
-    m = frames_raw.shape[-1]
-    mismatch = np.empty((n1, m, m), dtype=complex)
-    for i1 in range(n1):
-        arrived = transport(out[i1, n2 - 1], proj[i1, 0])
-        mismatch[i1] = polar_unitary(np.conj(out[i1, 0]).T @ arrived)
+    arrived = transport(out[:, n2 - 1], proj[:, 0])
+    mismatch = polar_unitary(np.conj(np.swapaxes(out[:, 0], -1, -2)) @ arrived)
 
     homotopy = LoopContraction(np.conj(np.swapaxes(mismatch, -1, -2)))  # to M^dagger
     for i2 in range(n2):
@@ -378,22 +373,16 @@ def smooth_frames_2d(frames_raw: np.ndarray) -> np.ndarray:
 
 def smooth_frames_3d(frames_raw: np.ndarray) -> np.ndarray:
     """Smooth periodic gauge for a 3D frame field (N1, N2, N3, n, m)."""
-    n1, n2, n3 = frames_raw.shape[:3]
+    n3 = frames_raw.shape[2]
     proj = frame_projectors(frames_raw)
     out = np.empty_like(frames_raw)
 
     out[:, :, 0] = smooth_frames_2d(frames_raw[:, :, 0])
     for i3 in range(1, n3):
-        for i1 in range(n1):
-            for i2 in range(n2):
-                out[i1, i2, i3] = transport(out[i1, i2, i3 - 1], proj[i1, i2, i3])
+        out[:, :, i3] = transport(out[:, :, i3 - 1], proj[:, :, i3])
 
-    m = frames_raw.shape[-1]
-    mismatch = np.empty((n1, n2, m, m), dtype=complex)
-    for i1 in range(n1):
-        for i2 in range(n2):
-            arrived = transport(out[i1, i2, n3 - 1], proj[i1, i2, 0])
-            mismatch[i1, i2] = polar_unitary(np.conj(out[i1, i2, 0]).T @ arrived)
+    arrived = transport(out[:, :, n3 - 1], proj[:, :, 0])
+    mismatch = polar_unitary(np.conj(np.swapaxes(out[:, :, 0], -1, -2)) @ arrived)
 
     homotopy = LoopContraction(np.conj(np.swapaxes(mismatch, -1, -2)))
     for i3 in range(n3):

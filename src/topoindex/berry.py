@@ -16,7 +16,7 @@ import numpy as np
 
 from ._gauge import smooth_frames_2d, smooth_frames_3d, smoothness_report
 from ._stencil import central_diff
-from .errors import GapClosed, GridTooCoarse, InvalidParams
+from .errors import GapClosed, GridTooCoarse, InvalidParams, NonHermitian
 from .linalg import eigh
 from .model import BlochFamily, MomentumGrid
 
@@ -37,19 +37,38 @@ class OccupiedFrame:
         return self.frames.shape[-1]
 
 
+def _require_gap(values: np.ndarray, ks: np.ndarray, tol: float) -> None:
+    """GapClosed at the first momentum (C order) whose min |E| <= tol."""
+    gaps = np.min(np.abs(values), axis=-1).ravel()
+    closed = np.flatnonzero(gaps <= tol)
+    if closed.size:
+        k = ks.reshape(-1, ks.shape[-1])[closed[0]]
+        raise GapClosed(k, float(gaps[closed[0]]))
+
+
 def occupied_frame(model: BlochFamily, grid: MomentumGrid) -> OccupiedFrame:
-    """Occupied frames from eigh with its deterministic phase convention."""
+    """Occupied frames from eigh with its deterministic phase convention.
+
+    Evaluated one slab of the leading grid axis at a time (a 1D grid is one
+    slab); errors name the first failing momentum in C order.
+    """
     if grid.dim != model.dim:
         raise InvalidParams("grid dimension does not match the model")
-    shape = grid.sizes + (model.bands, model.occupied)
-    frames = np.empty(shape, dtype=complex)
-    for idx in grid.indices():
-        k = grid.point(idx)
-        es = eigh(model.h(k))
-        m = float(np.min(np.abs(es.values)))
-        if m <= model.gap_tol:
-            raise GapClosed(k, m)
-        frames[idx] = es.vectors[:, : model.occupied]
+    frames = np.empty(grid.sizes + (model.bands, model.occupied), dtype=complex)
+    slabs, out = grid.points(), frames
+    if grid.dim == 1:
+        slabs, out = slabs[None], frames[None]
+    for ks, dest in zip(slabs, out):
+        h = model.h(ks)
+        try:
+            es = eigh(h)
+        except NonHermitian as exc:
+            if exc.index:  # a gap closing earlier in C order is reported first
+                head = h.reshape((-1,) + h.shape[-2:])[: exc.index]
+                _require_gap(eigh(head).values, ks, model.gap_tol)
+            raise
+        _require_gap(es.values, ks, model.gap_tol)
+        dest[...] = es.vectors[..., : model.occupied]
     return OccupiedFrame(grid=grid, frames=frames, model=model)
 
 

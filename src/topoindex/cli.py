@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import berry, ktable, nctorus, spectral, windex, z2
-from .errors import AdequacyError, InvalidParams, TopoIndexError, ValidationError
+from .errors import AdequacyError, InvalidParams, SchemaError, ValidationError
 from .model import MomentumGrid, builtin, check_trs, load_model, ribbonize
 
 REPORT_VERSION = 1
@@ -69,10 +69,17 @@ def _parse_params(pairs: list[str], extras: list[str]) -> dict:
     return params
 
 
+def _read_config(path: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise SchemaError(path, f"cannot read a JSON document: {exc}") from None
+
+
 def _build_model(args, params):
     if args.config:
-        with open(args.config) as fh:
-            doc = json.load(fh)
+        doc = _read_config(args.config)
         for k, v in params.items():
             doc[k] = v
         return load_model(doc)
@@ -135,7 +142,7 @@ def _cmd_z2(args, params, report):
     report.grid = list(grid.sizes)
     sf = z2.sewing_field(model, grid)
     nu = z2.kane_mele_nu(sf)
-    flow = z2.wannier_center_flow(model, grid)
+    flow = z2.wannier_center_flow(model, grid, frames=sf.frames)
     report.invariants = {"nu": nu, "wannier_verdict": flow.verdict,
                          "wannier_crossings": flow.crossings,
                          "oracles_agree": bool(nu == flow.verdict)}
@@ -149,8 +156,9 @@ def _cmd_z2_3d(args, params, report):
     grid = _grid_from_arg(args.grid, 3)
     report.model = _model_descriptor(model)
     report.grid = list(grid.sizes)
-    idx = z2.strong_and_weak_indices_3d(model, grid)
-    sf = z2.sewing_field(model, grid)
+    frames = berry.occupied_frame(model, grid).frames
+    idx = z2.strong_and_weak_indices_3d(model, grid, frames=frames)
+    sf = z2.sewing_field(model, grid, frames=frames)
     report.invariants = {"nu0": idx.strong, "weak": list(idx.weak)}
     report.checks = [_trs_check(model, grid)] + _sewing_checks(sf)
     return report
@@ -161,10 +169,10 @@ def _cmd_cs_index(args, params, report):
     grid = _grid_from_arg(args.grid, 3)
     report.model = _model_descriptor(model)
     report.grid = list(grid.sizes)
-    sf = z2.smooth_sewing_field(model, grid)
-    fieldv = windex.UnitaryField(grid, sf.w)
-    res = windex.winding3d(fieldv)
-    nu = z2.kane_mele_nu(z2.sewing_field(model, grid))
+    frames = berry.occupied_frame(model, grid).frames
+    sf = z2.smooth_sewing_field(model, grid, frames=frames)
+    res = windex.winding3d(windex.UnitaryField(grid, sf.w))
+    nu = z2.kane_mele_nu(z2.sewing_field(model, grid, frames=frames))
     report.invariants = {
         "winding": res.value, "rounded": res.rounded, "residue": res.residue,
         "nu": nu, "parity_matches_nu": bool((-1) ** res.rounded == nu),
@@ -185,8 +193,8 @@ def _cmd_boundary_index(args, params, report):
 
 
 def _cmd_edge_parity(args, params, report):
-    model = _build_model(args, params)
     width = int(params.pop("width", 24))
+    model = _build_model(args, params)
     report.model = _model_descriptor(model)
     ribbon = ribbonize(model, open_axis=0, width=width)
     parity = spectral.edge_crossing_parity(ribbon)
@@ -198,8 +206,7 @@ def _cmd_edge_parity(args, params, report):
 def _cmd_spectral_flow(args, params, report):
     if not args.config:
         raise InvalidParams("spectral-flow needs --config FILE with Hermitian samples")
-    with open(args.config) as fh:
-        doc = json.load(fh)
+    doc = _read_config(args.config)
     samples = [np.array([[complex(re, im) for re, im in row] for row in s])
                for s in doc["samples"]]
     path = spectral.SpectralPath(
@@ -259,9 +266,12 @@ def _cmd_nc_index(args, params, report):
 
 
 def _sweep_values(spec: str):
-    name, rng = spec.split("=", 1)
-    a, b, n = rng.split(":")
-    return name, np.linspace(float(a), float(b), int(n))
+    try:
+        name, rng = spec.split("=", 1)
+        a, b, n = rng.split(":")
+        return name, np.linspace(float(a), float(b), int(n))
+    except ValueError:
+        raise InvalidParams(f"--sweep must be name=a:b:n, got {spec!r}") from None
 
 
 def _cmd_audit(args, params, report):
@@ -284,7 +294,7 @@ def _cmd_audit(args, params, report):
             nu = z2.kane_mele_nu(sf)
             entry["nu"] = nu
             if model.dim == 2:
-                flow = z2.wannier_center_flow(model, grid)
+                flow = z2.wannier_center_flow(model, grid, frames=sf.frames)
                 boundary = windex.boundary_index_2d(sf)
                 parity = spectral.edge_crossing_parity(ribbonize(model, 0, width))
                 entry.update({
@@ -295,7 +305,7 @@ def _cmd_audit(args, params, report):
                                   and (parity == 1) == (nu == -1)),
                 })
             else:
-                ssf = z2.smooth_sewing_field(model, grid)
+                ssf = z2.smooth_sewing_field(model, grid, frames=sf.frames)
                 res = windex.winding3d(windex.UnitaryField(grid, ssf.w))
                 entry.update({
                     "winding": res.value, "winding_residue": res.residue,
@@ -306,7 +316,6 @@ def _cmd_audit(args, params, report):
             entry["skipped"] = str(exc)
         points.append(entry)
     report.model = {"name": args.model or args.config}
-    report.grid = None if not points else report.grid
     report.invariants = {"points": points, "all_agree": all_ok}
     if not all_ok:
         raise AdequacyError("audit found disagreeing invariants")

@@ -21,8 +21,9 @@ class AdequacyError(TopoIndexError):
 # --- linear algebra ---
 
 class NonHermitian(ValidationError):
-    def __init__(self, deviation):
+    def __init__(self, deviation, index=0):
         self.deviation = deviation
+        self.index = index  # flat position of the first failing matrix in a stack
         super().__init__(f"matrix is not Hermitian (deviation {deviation:.3e})")
 
 

@@ -102,7 +102,3 @@ def strong_summand(j: int, d: int) -> AbelianGroupExpr:
     """The top-codimension (k = d) summand KO^{d-j}(pt) of the torus
     decomposition, the receptacle of the strong invariant."""
     return ko_point(j - d)
-
-
-def format_group(label: str, expr: AbelianGroupExpr) -> str:
-    return f"{label} = {expr}"

@@ -14,18 +14,20 @@ from .errors import NonHermitian, NotSkewSymmetric, OddDimension, PfaffianNearZe
 STRUCT_TOL = 1e-9
 
 
-def _tol(a: np.ndarray, tol: float | None) -> float:
+def _tol(a: np.ndarray, tol: float | None):
+    """Structure tolerance, per matrix of a stack (..., n, n)."""
     if tol is not None:
         return tol
-    return STRUCT_TOL * max(1.0, float(np.linalg.norm(a)))
+    return STRUCT_TOL * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
 
 
-def hermitian_deviation(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a - a.conj().T))
+def hermitian_deviation(a: np.ndarray):
+    """Frobenius norm of a - a^dagger, per matrix of a stack (..., n, n)."""
+    return np.linalg.norm(a - np.conj(np.swapaxes(a, -1, -2)), axis=(-2, -1))
 
 
 def is_hermitian(a: np.ndarray, tol: float | None = None) -> bool:
-    return hermitian_deviation(a) <= _tol(a, tol)
+    return bool(hermitian_deviation(a) <= _tol(a, tol))
 
 
 def unitary_deviation(a: np.ndarray) -> float:
@@ -34,7 +36,7 @@ def unitary_deviation(a: np.ndarray) -> float:
 
 
 def is_unitary(a: np.ndarray, tol: float | None = None) -> bool:
-    return unitary_deviation(a) <= _tol(a, tol)
+    return bool(unitary_deviation(a) <= _tol(a, tol))
 
 
 def skew_deviation(a: np.ndarray) -> float:
@@ -42,12 +44,13 @@ def skew_deviation(a: np.ndarray) -> float:
 
 
 def is_skew_symmetric(a: np.ndarray, tol: float | None = None) -> bool:
-    return skew_deviation(a) <= _tol(a, tol)
+    return bool(skew_deviation(a) <= _tol(a, tol))
 
 
 @dataclass
 class EigenSystem:
-    """Ascending eigenvalues and orthonormal eigenvector columns."""
+    """Ascending eigenvalues (..., n) and orthonormal eigenvector columns
+    (..., n, n)."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -56,30 +59,33 @@ class EigenSystem:
 def fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-modulus entry is real positive.
 
-    Makes repeated decompositions of identical input comparable; the
-    remaining gauge freedom inside degenerate subspaces is handled by the
-    consumers that care (sewing-matrix and smooth-gauge construction).
+    Works on one matrix (n, m) or a stack (..., n, m).  Makes repeated
+    decompositions of identical input comparable; the remaining gauge
+    freedom inside degenerate subspaces is handled by the consumers that
+    care (sewing-matrix and smooth-gauge construction).
     """
     out = np.array(vectors, dtype=complex, copy=True)
-    for j in range(out.shape[1]):
-        i = int(np.argmax(np.abs(out[:, j])))
-        z = out[i, j]
-        if abs(z) > 0.0:
-            out[:, j] *= np.conj(z) / abs(z)
+    top = np.argmax(np.abs(out), axis=-2)[..., None, :]
+    z = np.take_along_axis(out, top, axis=-2)
+    size = np.abs(z)
+    out *= np.where(size > 0.0, np.conj(z) / np.where(size > 0.0, size, 1.0), 1.0)
     return out
 
 
 def eigh(h: np.ndarray, tol: float | None = None) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix with fixed phases.
+    """Eigendecomposition of a Hermitian matrix, or of a stack (..., n, n)
+    of them, with fixed phases.
 
-    Raises NonHermitian if the symmetry check fails at tolerance.
+    Every matrix is checked on its own; NonHermitian reports the first
+    failing one in C order, whose flat position is ``index``.
     """
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise NonHermitian(float("inf"))
     dev = hermitian_deviation(h)
-    if dev > _tol(h, tol):
-        raise NonHermitian(dev)
+    bad = np.flatnonzero(dev > _tol(h, tol))
+    if bad.size:
+        raise NonHermitian(float(dev.flat[bad[0]]), index=int(bad[0]))
     values, vectors = np.linalg.eigh(h)
     return EigenSystem(values=values, vectors=fix_phases(vectors))
 

@@ -15,7 +15,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    GapClosed,
     HoppingRangeTooLong,
     InvalidParams,
     NonHermitianInput,
@@ -60,6 +59,11 @@ class MomentumGrid:
 
     def point(self, idx: tuple[int, ...]) -> np.ndarray:
         return np.array([self.axis(i)[m] for i, m in enumerate(idx)])
+
+    def points(self) -> np.ndarray:
+        """Every grid momentum at once, shape (*sizes, dim), C order."""
+        axes = np.meshgrid(*(self.axis(i) for i in range(self.dim)), indexing="ij")
+        return np.stack(axes, axis=-1)
 
     def indices(self):
         return itertools.product(*(range(n) for n in self.sizes))
@@ -115,7 +119,11 @@ def standard_theta(bands: int) -> TimeReversal:
 
 @dataclass
 class BlochFamily:
-    """A map k -> H(k) with band bookkeeping and optional time reversal."""
+    """A map k -> H(k) with band bookkeeping and optional time reversal.
+
+    ``evaluate`` takes momenta of shape (..., dim) and returns Hamiltonians
+    of shape (..., bands, bands); a single momentum (dim,) gives one matrix.
+    """
 
     dim: int
     bands: int
@@ -137,46 +145,7 @@ class BlochFamily:
         return self.evaluate(np.asarray(k, dtype=float))
 
     def min_gap(self, grid: MomentumGrid) -> float:
-        best = np.inf
-        for idx in grid.indices():
-            ev = np.linalg.eigvalsh(self.h(grid.point(idx)))
-            best = min(best, float(np.min(np.abs(ev))))
-        return best
-
-    def require_gapped(self, grid: MomentumGrid) -> float:
-        for idx in grid.indices():
-            k = grid.point(idx)
-            ev = np.linalg.eigvalsh(self.h(k))
-            m = float(np.min(np.abs(ev)))
-            if m <= self.gap_tol:
-                raise GapClosed(k, m)
-        return self.min_gap(grid)
-
-    def slice_fixed(self, axis: int, value: float) -> "BlochFamily":
-        """Lower-dimensional family with one momentum frozen.
-
-        Keeps time reversal only when the frozen value is TRS-invariant
-        (0 or pi), where the slice is itself a TRS family.
-        """
-        if not 0 <= axis < self.dim:
-            raise InvalidParams("slice axis out of range")
-        invariant = min(abs(value % (2 * np.pi)), abs(value % (2 * np.pi) - np.pi),
-                        abs(value % (2 * np.pi) - 2 * np.pi)) < 1e-12
-
-        def ev(k, _axis=axis, _v=value):
-            full = np.insert(np.asarray(k, dtype=float), _axis, _v)
-            return self.evaluate(full)
-
-        return BlochFamily(
-            dim=self.dim - 1,
-            bands=self.bands,
-            occupied=self.occupied,
-            evaluate=ev,
-            time_reversal=self.time_reversal if invariant else None,
-            hopping_range=self.hopping_range,
-            name=f"{self.name}[k{axis + 1}={value:.3f}]",
-            params=dict(self.params),
-        )
+        return float(np.min(np.abs(np.linalg.eigvalsh(self.h(grid.points())))))
 
 
 @dataclass
@@ -190,12 +159,9 @@ def check_trs(model: BlochFamily, grid: MomentumGrid, tol: float = 1e-10) -> Trs
     if model.time_reversal is None:
         raise InvalidParams("model carries no time reversal operator")
     u = model.time_reversal.unitary
-    worst = 0.0
-    for idx in grid.indices():
-        k = grid.point(idx)
-        lhs = u @ np.conj(model.h(k)) @ u.conj().T
-        rhs = model.h(-k)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    k = grid.points()
+    lhs = u @ np.conj(model.h(k)) @ u.conj().T
+    worst = float(np.max(np.linalg.norm(lhs - model.h(-k), axis=(-2, -1))))
     return TrsReport(max_deviation=worst, passed=worst <= tol)
 
 
@@ -206,9 +172,10 @@ def direct_sum(a: BlochFamily, b: BlochFamily, name: str | None = None) -> Bloch
 
     def ev(k):
         ha, hb = a.h(k), b.h(k)
-        out = np.zeros((a.bands + b.bands, a.bands + b.bands), dtype=complex)
-        out[: a.bands, : a.bands] = ha
-        out[a.bands:, a.bands:] = hb
+        n = a.bands + b.bands
+        out = np.zeros(ha.shape[:-2] + (n, n), dtype=complex)
+        out[..., : a.bands, : a.bands] = ha
+        out[..., a.bands:, a.bands:] = hb
         return out
 
     tr = None
@@ -228,6 +195,12 @@ def direct_sum(a: BlochFamily, b: BlochFamily, name: str | None = None) -> Bloch
 
 
 # --- builtin models ---
+# Every evaluate broadcasts: momenta (..., dim) -> Hamiltonians (..., n, n).
+
+def _pauli(c1, c2, c3) -> np.ndarray:
+    """c1 sigma_1 + c2 sigma_2 + c3 sigma_3 for coefficient arrays."""
+    return sum(np.asarray(c)[..., None, None] * s for c, s in zip((c1, c2, c3), SIGMA[1:]))
+
 
 def _smoothstep(x: np.ndarray | float) -> np.ndarray | float:
     x = np.clip(x, 0.0, 1.0)
@@ -241,17 +214,12 @@ def _hopf_two_band(params) -> BlochFamily:
     if params:
         raise InvalidParams(f"hopf-two-band takes no parameters, got {params}")
 
-    def nvec(k):
-        r = float(np.hypot(k[0], k[1]))
-        theta = np.pi * _smoothstep(r / np.pi)
-        if r < 1e-12:
-            return np.array([0.0, 0.0, 1.0])
-        return np.array([np.sin(theta) * k[0] / r, np.sin(theta) * k[1] / r,
-                         np.cos(theta)])
-
     def ev(k):
-        n = nvec(k)
-        return -(n[0] * SIGMA[1] + n[1] * SIGMA[2] + n[2] * SIGMA[3])
+        r = np.hypot(k[..., 0], k[..., 1])
+        theta = np.pi * _smoothstep(r / np.pi)
+        pole = r < 1e-12
+        s, r = np.where(pole, 0.0, np.sin(theta)), np.where(pole, 1.0, r)
+        return -_pauli(s * k[..., 0] / r, s * k[..., 1] / r, np.where(pole, 1.0, np.cos(theta)))
 
     return BlochFamily(dim=2, bands=2, occupied=1, evaluate=ev,
                        time_reversal=None, hopping_range=None,
@@ -268,16 +236,16 @@ def _kane_mele(params) -> BlochFamily:
         raise InvalidParams("kane-mele hopping t must be positive")
 
     def ev(k):
-        k1, k2 = float(k[0]), float(k[1])
+        k1, k2 = k[..., 0], k[..., 1]
         f = t * (1.0 + np.exp(-1j * k1) + np.exp(-1j * k2))
         g = 2.0 * lso * (np.sin(k1) - np.sin(k2) - np.sin(k1 - k2))
-        out = np.zeros((4, 4), dtype=complex)
+        out = np.zeros(k.shape[:-1] + (4, 4), dtype=complex)
         for s, sgn in ((0, +1.0), (1, -1.0)):  # spin-major blocks
             b = 2 * s
-            out[b, b] = lv + sgn * g
-            out[b + 1, b + 1] = -lv - sgn * g
-            out[b, b + 1] = f
-            out[b + 1, b] = np.conj(f)
+            out[..., b, b] = lv + sgn * g
+            out[..., b + 1, b + 1] = -lv - sgn * g
+            out[..., b, b + 1] = f
+            out[..., b + 1, b] = np.conj(f)
         return out
 
     return BlochFamily(dim=2, bands=4, occupied=2, evaluate=ev,
@@ -293,14 +261,12 @@ def _bhz(params) -> BlochFamily:
         raise InvalidParams(f"unknown bhz parameters {sorted(params)}")
 
     def ev(k):
-        k1, k2 = float(k[0]), float(k[1])
+        k1, k2 = k[..., 0], k[..., 1]
         d = (a * np.sin(k1), a * np.sin(k2),
              m - 2.0 * b * (2.0 - np.cos(k1) - np.cos(k2)))
-        h = d[0] * SIGMA[1] + d[1] * SIGMA[2] + d[2] * SIGMA[3]
-        hc = -d[0] * SIGMA[1] + d[1] * SIGMA[2] + d[2] * SIGMA[3]  # conj(h(-k))
-        out = np.zeros((4, 4), dtype=complex)
-        out[:2, :2] = h
-        out[2:, 2:] = hc
+        out = np.zeros(k.shape[:-1] + (4, 4), dtype=complex)
+        out[..., :2, :2] = _pauli(d[0], d[1], d[2])
+        out[..., 2:, 2:] = _pauli(-d[0], d[1], d[2])  # conj(h(-k))
         return out
 
     return BlochFamily(dim=2, bands=4, occupied=2, evaluate=ev,
@@ -320,9 +286,9 @@ def _fkm3d(params) -> BlochFamily:
     beta = np.kron(SIGMA[0], tau3)
 
     def ev(k):
-        out = sum(t * np.sin(float(k[i])) * alphas[i] for i in range(3))
-        out = out + (m + t * sum(np.cos(float(k[i])) for i in range(3))) * beta
-        return out
+        out = sum((t * np.sin(k[..., i]))[..., None, None] * alphas[i] for i in range(3))
+        mass = m + t * sum(np.cos(k[..., i]) for i in range(3))
+        return out + mass[..., None, None] * beta
 
     return BlochFamily(dim=3, bands=4, occupied=2, evaluate=ev,
                        time_reversal=standard_theta(4), hopping_range=1,
@@ -339,9 +305,12 @@ def _kitaev_chain(params) -> BlochFamily:
         raise InvalidParams("kitaev-chain needs a nonzero pairing delta")
 
     def ev(k):
-        k1 = float(k[0])
-        h = (-2.0 * t * np.cos(k1) - mu) * SIGMA[3] + 2.0 * delta * np.sin(k1) * SIGMA[2]
-        return np.kron(SIGMA[0], h)  # time-reversal-doubled BdG chain
+        k1 = k[..., 0]
+        h = _pauli(0.0, 2.0 * delta * np.sin(k1), -2.0 * t * np.cos(k1) - mu)
+        out = np.zeros(k.shape[:-1] + (4, 4), dtype=complex)
+        out[..., :2, :2] = h  # time-reversal-doubled BdG chain
+        out[..., 2:, 2:] = h
+        return out
 
     return BlochFamily(dim=1, bands=4, occupied=2, evaluate=ev,
                        time_reversal=standard_theta(4), hopping_range=1,
@@ -362,7 +331,7 @@ def _atomic_limit(params) -> BlochFamily:
     h0 = np.kron(SIGMA[0], np.diag(energies)).astype(complex)
 
     def ev(k):
-        return h0.copy()
+        return np.broadcast_to(h0, k.shape[:-1] + h0.shape).copy()
 
     return BlochFamily(dim=dim, bands=n, occupied=n // 2, evaluate=ev,
                        time_reversal=standard_theta(n), hopping_range=0,
@@ -446,11 +415,7 @@ def ribbonize(model: BlochFamily, open_axis: int = 0, width: int = 24,
 
     def hoppings(k_perp: np.ndarray) -> list[np.ndarray]:
         ks = -np.pi + 2.0 * np.pi * np.arange(nf) / nf
-        hs = []
-        for kappa in ks:
-            full = np.insert(k_perp, open_axis, kappa)
-            hs.append(model.h(full))
-        hs = np.array(hs)
+        hs = model.h(np.insert(np.tile(k_perp, (nf, 1)), open_axis, ks, axis=1))
         blocks = []
         for d in range(-R, R + 1):
             phase = np.exp(-1j * ks * d)
@@ -526,15 +491,17 @@ def load_model(doc: dict) -> BlochFamily:
             raise SchemaError("$.time_reversal", f"expected {bands}x{bands}")
         tr = TimeReversal(u)
 
+    # hopping R carries e^{i k.R} term(R); its conjugate partner e^{-i k.R} term(R)^dagger
+    hops = [R for R in terms if R != zero]
+    shifts = np.array(hops, dtype=float).reshape(len(hops), dim)
+    blocks = np.array([terms[R] for R in hops], dtype=complex).reshape(-1, bands, bands)
+    blocks = np.concatenate([blocks, np.conj(np.swapaxes(blocks, -1, -2))])
+    onsite = terms.get(zero, np.zeros((bands, bands), dtype=complex))
+
     def ev(k):
-        out = np.zeros((bands, bands), dtype=complex)
-        for R, mat in terms.items():
-            if all(x == 0 for x in R):
-                out += mat
-            else:
-                ph = np.exp(1j * float(np.dot(k, R)))
-                out += ph * mat + np.conj(ph) * mat.conj().T
-        return out
+        ph = np.exp(1j * (k @ shifts.T))
+        ph = np.concatenate([ph, np.conj(ph)], axis=-1)
+        return onsite + np.einsum("...t,tij->...ij", ph, blocks)
 
     return BlochFamily(dim=dim, bands=bands, occupied=occupied, evaluate=ev,
                        time_reversal=tr, hopping_range=max_r,
@@ -553,8 +520,8 @@ def to_json(model: BlochFamily, fourier_samples: int | None = None) -> dict:
     R = model.hopping_range
     nf = fourier_samples or max(8, 4 * (R + 1))
     ks = -np.pi + 2.0 * np.pi * np.arange(nf) / nf
-    mesh = list(itertools.product(ks, repeat=model.dim))
-    hs = np.array([model.h(np.array(k)) for k in mesh])
+    mesh = np.array(list(itertools.product(ks, repeat=model.dim)))
+    hs = model.h(mesh)
 
     terms = []
     for offs in itertools.product(range(-R, R + 1), repeat=model.dim):
@@ -562,7 +529,7 @@ def to_json(model: BlochFamily, fourier_samples: int | None = None) -> dict:
             first = next(o for o in offs if o != 0)
             if first < 0:
                 continue  # the conjugate partner is implied
-        phases = np.array([np.exp(-1j * np.dot(k, offs)) for k in mesh])
+        phases = np.exp(-1j * (mesh @ np.array(offs, dtype=float)))
         block = np.tensordot(phases, hs, axes=(0, 0)) / len(mesh)
         if all(o == 0 for o in offs):
             block = 0.5 * (block + block.conj().T)

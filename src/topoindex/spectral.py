@@ -96,22 +96,17 @@ class EffectiveHamiltonian:
             raise InvalidParams("effective Hamiltonian needs time reversal")
         h = self.model.h(k)
         u = self.model.time_reversal.unitary
-        th = u @ np.conj(h) @ u.conj().T
-        n = h.shape[0]
-        out = np.zeros((2 * n, 2 * n), dtype=complex)
-        out[:n, n:] = th
-        out[n:, :n] = h
+        n = h.shape[-1]
+        out = np.zeros(h.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+        out[..., :n, n:] = u @ np.conj(h) @ u.conj().T
+        out[..., n:, :n] = h
         return out
 
     def adjoint_relation_deviation(self, grid: MomentumGrid) -> float:
         """max over the grid of || Htilde(k)^dagger - Htilde(-k) ||."""
-        worst = 0.0
-        for idx in grid.indices():
-            k = grid.point(idx)
-            lhs = self.evaluate(k).conj().T
-            rhs = self.evaluate(-k)
-            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-        return worst
+        k = grid.points()
+        lhs = np.conj(np.swapaxes(self.evaluate(k), -1, -2))
+        return float(np.max(np.linalg.norm(lhs - self.evaluate(-k), axis=(-2, -1))))
 
 
 # --- edge-crossing parity ---

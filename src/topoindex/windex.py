@@ -14,7 +14,7 @@ import numpy as np
 
 from ._stencil import central_diff
 from .errors import BranchUnsafe, InvalidParams, NotUnitary, ResidueTooLarge, UnsupportedDegree
-from .model import MomentumGrid
+from .model import MomentumGrid, _smoothstep
 
 BRANCH_SAFE_DISTANCE = 1.9
 STEP_ARG_SAFE = 0.95 * np.pi
@@ -163,11 +163,6 @@ def boundary_index_2d(field) -> int:
 
 
 # --- reference maps ---
-
-def _smoothstep(x):
-    x = np.clip(x, 0.0, 1.0)
-    return x * x * x * (x * (6.0 * x - 15.0) + 10.0)
-
 
 def degree_one_map(k: np.ndarray) -> np.ndarray:
     """Periodized degree-one SU(2) map, constant (identity) outside the

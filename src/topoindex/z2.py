@@ -24,7 +24,7 @@ from ._gauge import (
     smooth_frames_2d,
     unitary_eig,
 )
-from .berry import occupied_frame
+from .berry import OccupiedFrame, occupied_frame, smooth_occupied_frames
 from .errors import (
     BranchTrackingFailed,
     InvalidParams,
@@ -101,11 +101,11 @@ def sewing_field(model: BlochFamily, grid: MomentumGrid,
                        relation_deviation=rel_dev, trim_skew_deviation=trim_dev)
 
 
-def smooth_sewing_field(model: BlochFamily, grid: MomentumGrid) -> SewingField:
-    """Sewing field in a smooth periodic gauge (for winding quadratures)."""
-    from .berry import smooth_occupied_frames
-
-    raw = occupied_frame(model, grid)
+def smooth_sewing_field(model: BlochFamily, grid: MomentumGrid,
+                        frames: np.ndarray | None = None) -> SewingField:
+    """Sewing field in a smooth periodic gauge (for winding quadratures),
+    re-gauged from the raw occupied ``frames`` when they are given."""
+    raw = occupied_frame(model, grid) if frames is None else OccupiedFrame(grid, frames)
     return sewing_field(model, grid, frames=smooth_occupied_frames(raw))
 
 
@@ -218,20 +218,22 @@ class Z2Indices3D:
     weak: tuple[int, int, int]
 
 
-def strong_and_weak_indices_3d(model: BlochFamily, grid: MomentumGrid) -> Z2Indices3D:
+def strong_and_weak_indices_3d(model: BlochFamily, grid: MomentumGrid,
+                               frames: np.ndarray | None = None) -> Z2Indices3D:
     """Strong invariant from all eight fixed points; weak index i from the
     four fixed points on the k_i = pi plane."""
     if grid.dim != 3:
         raise InvalidParams("need a 3D grid")
-    frames = occupied_frame(model, grid).frames
+    if model.time_reversal is None:
+        raise InvalidParams("Z2 indices need a time-reversal invariant model")
+    if frames is None:
+        frames = occupied_frame(model, grid).frames
     u = model.time_reversal.unitary
     n3 = grid.sizes[2]
-    strong = _nu_sheet(frames[:, :, n3 // 2], u) * _nu_sheet(frames[:, :, 0], u)
-    weak = (
-        _nu_sheet(frames[0, :, :], u),
-        _nu_sheet(frames[:, 0, :], u),
-        _nu_sheet(frames[:, :, 0], u),
-    )
+    nu_0 = _nu_sheet(frames[:, :, n3 // 2], u)
+    nu_pi = _nu_sheet(frames[:, :, 0], u)
+    strong = nu_0 * nu_pi
+    weak = (_nu_sheet(frames[0, :, :], u), _nu_sheet(frames[:, 0, :], u), nu_pi)
     return Z2Indices3D(strong=strong, weak=weak)
 
 
@@ -299,12 +301,14 @@ def _largest_gap_center(angles: np.ndarray) -> tuple[float, float]:
     return center, width
 
 
-def wannier_center_flow(model: BlochFamily, grid: MomentumGrid) -> WannierFlow:
+def wannier_center_flow(model: BlochFamily, grid: MomentumGrid,
+                        frames: np.ndarray | None = None) -> WannierFlow:
     """Wilson-loop eigenphases along axis 0 for pumping momenta k2 from 0
     to pi, with the largest-gap crossing count giving the Z2 verdict."""
     if grid.dim != 2:
         raise InvalidParams("Wannier flow needs a 2D grid")
-    frames = occupied_frame(model, grid).frames
+    if frames is None:
+        frames = occupied_frame(model, grid).frames
     n1, n2 = grid.sizes
     slice_indices = [(n2 // 2 + t) % n2 for t in range(n2 // 2 + 1)]
     momenta = np.array([t * 2.0 * np.pi / n2 for t in range(n2 // 2 + 1)])

@@ -10,8 +10,9 @@ from topoindex.berry import (
     occupied_frame,
     polarization_p3,
 )
-from topoindex.errors import GapClosed, InvalidParams
-from topoindex.model import MomentumGrid, builtin
+from topoindex.errors import GapClosed, InvalidParams, NonHermitian
+from topoindex.linalg import eigh, hermitian_deviation
+from topoindex.model import MomentumGrid, builtin, load_model, to_json
 from topoindex.windex import degree_one_field, winding3d
 
 
@@ -98,7 +99,7 @@ def test_kane_mele_spin_blocks_have_opposite_curvature():
 
     def block(offset):
         def ev(k, _off=offset):
-            return km.h(k)[_off:_off + 2, _off:_off + 2]
+            return km.h(k)[..., _off:_off + 2, _off:_off + 2]
         return BlochFamily(dim=2, bands=2, occupied=1, evaluate=ev,
                            time_reversal=None, hopping_range=1,
                            name=f"km-spin-{offset}")
@@ -173,3 +174,76 @@ def test_delta_p3_degree_one_gauge_matches_winding():
     want = winding3d(fld, residue_tol=0.5).value
     assert abs(got - want) < 2e-2
     assert abs(round(got)) == 1
+
+
+def _first_failure_per_point(model, grid):
+    """Reference per-point loop: the first momentum (C order) whose matrix
+    is not Hermitian or whose min |E| is at most gap_tol."""
+    for idx in grid.indices():
+        k = grid.point(idx)
+        h = model.h(k)
+        dev = hermitian_deviation(h)
+        if dev > 1e-9 * max(1.0, float(np.linalg.norm(h))):
+            return "NonHermitian", k, dev
+        gap = float(np.min(np.abs(np.linalg.eigvalsh(h))))
+        if gap <= model.gap_tol:
+            return "GapClosed", k, gap
+    return None
+
+
+def test_occupied_frame_gap_closing_at_first_k_in_c_order():
+    fkm = builtin("fu-kane-mele-3d", m=-1.0)  # closes at (pi, 0, 0) and its images
+    grid = MomentumGrid((8, 8, 8))
+    kind, k, _ = _first_failure_per_point(fkm, grid)
+    assert kind == "GapClosed"
+    with pytest.raises(GapClosed) as info:
+        occupied_frame(fkm, grid)
+    assert np.array_equal(info.value.k, k)
+
+
+def _perturbed(model, where):
+    """The model plus an anti-Hermitian term on the momenta where ``where``
+    holds."""
+    from dataclasses import replace
+
+    bump = np.zeros((model.bands, model.bands), dtype=complex)
+    bump[0, 1] = 1e-3
+
+    def ev(k):
+        mask = np.asarray(where(k), dtype=float)[..., None, None]
+        return model.evaluate(k) + mask * bump
+
+    return replace(model, evaluate=ev)
+
+
+def test_occupied_frame_non_hermitian_load_model_input():
+    loaded = load_model(to_json(builtin("fu-kane-mele-3d", m=-2.0)))
+    model = _perturbed(loaded, lambda k: k[..., 1] > 0.5)
+    grid = MomentumGrid((6, 6, 6))
+    kind, _, dev = _first_failure_per_point(model, grid)
+    assert kind == "NonHermitian"
+    with pytest.raises(NonHermitian) as info:
+        occupied_frame(model, grid)
+    assert info.value.deviation == pytest.approx(dev, rel=1e-12)
+
+
+def test_occupied_frame_gap_closing_before_non_hermitian_in_one_slab():
+    # first slab k1 = -pi: the gap closes at k = (pi, 0, 0), flat index 36 of
+    # the slab; the perturbation starts later in the same slab
+    fkm = builtin("fu-kane-mele-3d", m=-1.0)
+    model = _perturbed(fkm, lambda k: k[..., 1] > 0.5)
+    grid = MomentumGrid((8, 8, 8))
+    kind, k, _ = _first_failure_per_point(model, grid)
+    assert kind == "GapClosed"
+    with pytest.raises(GapClosed) as info:
+        occupied_frame(model, grid)
+    assert np.array_equal(info.value.k, k)
+
+
+def test_occupied_frame_1d_grid():
+    chain = builtin("kitaev-chain")
+    grid = MomentumGrid((10,))
+    frame = occupied_frame(chain, grid)
+    for idx in grid.indices():
+        ref = eigh(chain.h(grid.point(idx))).vectors[:, :2]
+        assert np.max(np.abs(frame.frames[idx] - ref)) < 1e-12

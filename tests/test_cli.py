@@ -180,3 +180,66 @@ def test_csv_output_payloads():
     code, rep = _run(["z2", "--model", "kane-mele", "--grid", "8", "--out", "csv"])
     assert code == 0
     assert rep.csv.splitlines()[0].startswith("k2,center0")
+
+
+def test_readme_edge_parity_with_width():
+    code, inv = invariants(["edge-parity", "--model", "kane-mele", "--lv", "0.1",
+                            "--lso", "0.06", "--width", "24"])
+    assert code == 0
+    assert inv["ribbon_width"] == 24
+    assert inv["edge_parity"] == 1
+
+
+def test_z2_3d_without_time_reversal_exits_2(tmp_path):
+    from topoindex.model import builtin, to_json
+
+    doc = to_json(builtin("fu-kane-mele-3d", m=-2.0))
+    doc["time_reversal"] = None
+    cfg = tmp_path / "fkm-no-trs.json"
+    cfg.write_text(json.dumps(doc))
+    code, inv = invariants(["z2-3d", "--config", str(cfg), "--grid", "6"])
+    assert code == 2
+    assert inv["error"]["type"] == "InvalidParams"
+
+
+def test_missing_config_exits_2(tmp_path):
+    code, inv = invariants(["z2", "--config", str(tmp_path / "absent.json")])
+    assert code == 2
+    assert inv["error"]["type"] == "SchemaError"
+
+
+def test_malformed_config_exits_2(tmp_path):
+    cfg = tmp_path / "broken.json"
+    cfg.write_text('{"dim": 2, "bands": ')
+    code, inv = invariants(["z2", "--config", str(cfg)])
+    assert code == 2
+    assert inv["error"]["type"] == "SchemaError"
+
+
+def test_malformed_sweep_exits_2():
+    code, inv = invariants(["audit", "--model", "bhz", "--grid", "8", "--sweep", "m=1:3"])
+    assert code == 2
+    assert inv["error"]["type"] == "InvalidParams"
+
+
+@pytest.mark.parametrize("argv", [
+    ["z2", "--model", "kane-mele", "--grid", "8"],
+    ["z2-3d", "--model", "fu-kane-mele-3d", "--m", "-2.0", "--grid", "8"],
+    ["cs-index", "--model", "fu-kane-mele-3d", "--m", "-2.0", "--grid", "24"],
+    ["audit", "--model", "bhz", "--m", "2.0", "--grid", "10", "--width", "16"],
+], ids=lambda argv: argv[0])
+def test_command_builds_frames_once(monkeypatch, argv):
+    from topoindex import berry, z2
+
+    original = berry.occupied_frame
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(berry, "occupied_frame", counted)
+    monkeypatch.setattr(z2, "occupied_frame", counted)
+    code, _ = run(argv)
+    assert code == 0
+    assert len(calls) == 1

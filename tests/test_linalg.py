@@ -166,3 +166,44 @@ def test_structure_predicates():
     q, _ = np.linalg.qr(m)
     assert is_unitary(q)
     assert not is_hermitian(m - m.T + np.eye(4) * 1j)
+
+
+def random_hermitian_stack(rng, shape, n):
+    m = rng.normal(size=shape + (n, n)) + 1j * rng.normal(size=shape + (n, n))
+    return m + np.conj(np.swapaxes(m, -1, -2))
+
+
+def test_eigh_stack_matches_per_matrix_calls():
+    rng = np.random.default_rng(31)
+    hs = random_hermitian_stack(rng, (3, 4), 5)
+    stacked = eigh(hs)
+    assert stacked.values.shape == (3, 4, 5) and stacked.vectors.shape == (3, 4, 5, 5)
+    for idx in np.ndindex(3, 4):
+        single = eigh(hs[idx])
+        assert np.array_equal(stacked.values[idx], single.values)
+        assert np.max(np.abs(stacked.vectors[idx] - single.vectors)) < 1e-12
+    # phase convention: the largest-modulus entry of every column is real positive
+    top = np.argmax(np.abs(stacked.vectors), axis=-2)[..., None, :]
+    z = np.take_along_axis(stacked.vectors, top, axis=-2)
+    assert np.max(np.abs(z.imag)) < 1e-14 and np.min(z.real) > 0.0
+
+
+def test_eigh_stack_reports_first_non_hermitian_matrix():
+    rng = np.random.default_rng(32)
+    hs = random_hermitian_stack(rng, (2, 3), 4)
+    hs[1, 0, 0, 1] += 0.5
+    hs[1, 2, 2, 3] += 0.25
+    with pytest.raises(NonHermitian) as info:
+        eigh(hs)
+    assert info.value.index == 3
+    with pytest.raises(NonHermitian) as single:
+        eigh(hs[1, 0])
+    assert info.value.deviation == pytest.approx(single.value.deviation, rel=1e-12)
+
+
+def test_fix_phases_stack_matches_per_matrix():
+    rng = np.random.default_rng(33)
+    v = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+    stacked = fix_phases(v)
+    for i in range(4):
+        assert np.array_equal(stacked[i], fix_phases(v[i]))

@@ -238,3 +238,39 @@ def test_direct_sum_keeps_trs():
     doubled = direct_sum(km, km)
     assert doubled.bands == 8 and doubled.occupied == 4
     assert check_trs(doubled, MomentumGrid((6, 6))).passed
+
+
+def test_grid_points_match_point():
+    grid = MomentumGrid((4, 6, 8))
+    pts = grid.points()
+    assert pts.shape == (4, 6, 8, 3)
+    for idx in grid.indices():
+        assert np.array_equal(pts[idx], grid.point(idx))
+
+
+def _broadcast_families():
+    from topoindex.model import _BUILTINS
+
+    fams = [builtin(name) for name in _BUILTINS]
+    fams.append(builtin("atomic-limit", n=8, dim=3))
+    fams.append(direct_sum(builtin("kane-mele"), builtin("bhz", m=1.0)))
+    fams.append(load_model(to_json(builtin("fu-kane-mele-3d", m=-1.5))))
+    fams.append(load_model({
+        "dim": 2, "bands": 2, "occupied": 1,
+        "terms": [{"R": [0, 0], "matrix": [[[0.5, 0.0], [0.0, 0.2]], [[0.0, -0.2], [-0.5, 0.0]]]},
+                  {"R": [1, 0], "matrix": [[[0.0, 0.3], [1.0, 0.0]], [[0.2, 0.0], [0.0, 0.0]]]},
+                  {"R": [0, 2], "matrix": [[[0.1, 0.0], [0.0, 0.0]], [[0.0, 0.4], [0.3, 0.0]]]}],
+    }))
+    return fams
+
+
+@pytest.mark.parametrize("family", _broadcast_families(), ids=lambda f: f"{f.name}-{f.dim}d")
+def test_broadcast_evaluation_equals_pointwise(family):
+    rng = np.random.default_rng(7)
+    ks = rng.uniform(-np.pi, np.pi, size=(3, 5, family.dim))
+    ks[0, 0] = 0.0  # the hopf pole
+    ks[0, 1] = np.pi
+    stacked = family.h(ks)
+    assert stacked.shape == (3, 5, family.bands, family.bands)
+    for idx in np.ndindex(3, 5):
+        assert np.max(np.abs(stacked[idx] - family.h(ks[idx]))) < 1e-14

@@ -151,7 +151,7 @@ def test_stacked_layers_give_weak_index():
     km = builtin("kane-mele", **KM_TOPO)
 
     def ev(k, base=km.evaluate):
-        return base(np.asarray(k)[:2])
+        return base(np.asarray(k)[..., :2])
 
     from topoindex.model import BlochFamily
     stacked = BlochFamily(dim=3, bands=4, occupied=2, evaluate=ev,
