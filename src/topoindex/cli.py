@@ -17,7 +17,7 @@ import numpy as np
 
 from . import berry, ktable, nctorus, spectral, windex, z2
 from .errors import AdequacyError, InvalidParams, SchemaError, ValidationError
-from .model import MomentumGrid, builtin, check_trs, load_model, ribbonize
+from .model import MomentumGrid, _matrix_from_json, builtin, check_trs, load_model, ribbonize
 
 REPORT_VERSION = 1
 
@@ -55,7 +55,7 @@ def _parse_params(pairs: list[str], extras: list[str]) -> dict:
             if "=" not in item:
                 raise InvalidParams(f"--params entries must be key=value, got {item!r}")
             k, v = item.split("=", 1)
-            params[k.strip()] = float(v)
+            params[k.strip()] = _number(v, k.strip())
     i = 0
     while i < len(extras):
         tok = extras[i]
@@ -64,9 +64,19 @@ def _parse_params(pairs: list[str], extras: list[str]) -> dict:
         key = tok[2:].replace("-", "_")
         if i + 1 >= len(extras):
             raise InvalidParams(f"flag {tok} needs a value")
-        params[key] = float(extras[i + 1])
+        params[key] = _number(extras[i + 1], key)
         i += 2
     return params
+
+
+def _number(text: str, name: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise InvalidParams(f"{name} must be a number, got {text!r}") from None
+    if not np.isfinite(value):
+        raise InvalidParams(f"{name} must be finite, got {text!r}")
+    return value
 
 
 def _read_config(path: str):
@@ -91,7 +101,10 @@ def _build_model(args, params):
 def _grid_from_arg(arg: str | None, dim: int) -> MomentumGrid:
     if arg is None:
         return MomentumGrid(tuple([12] * dim))
-    sizes = tuple(int(x) for x in arg.split(","))
+    try:
+        sizes = tuple(int(x) for x in arg.split(","))
+    except ValueError:
+        raise InvalidParams(f"--grid must be N or N,N[,N], got {arg!r}") from None
     if len(sizes) == 1:
         sizes = sizes * dim
     return MomentumGrid(sizes)
@@ -131,7 +144,8 @@ def _cmd_chern(args, params, report):
     c1 = int(np.rint(total))
     report.invariants = {"c1": c1, "plaquette_sum_residue": abs(total - c1),
                          "max_plaquette_phase": float(np.max(np.abs(curvature.values)))}
-    report.csv = curvature.to_csv()
+    if args.out == "csv":
+        report.csv = curvature.to_csv()
     return report
 
 
@@ -147,7 +161,8 @@ def _cmd_z2(args, params, report):
                          "wannier_crossings": flow.crossings,
                          "oracles_agree": bool(nu == flow.verdict)}
     report.checks = [_trs_check(model, grid)] + _sewing_checks(sf)
-    report.csv = flow.to_csv()
+    if args.out == "csv":
+        report.csv = flow.to_csv()
     return report
 
 
@@ -199,7 +214,8 @@ def _cmd_edge_parity(args, params, report):
     ribbon = ribbonize(model, open_axis=0, width=width)
     parity = spectral.edge_crossing_parity(ribbon)
     report.invariants = {"edge_parity": parity, "ribbon_width": width}
-    report.csv = spectral.ribbon_spectrum_csv(ribbon)
+    if args.out == "csv":
+        report.csv = spectral.ribbon_spectrum_csv(ribbon)
     return report
 
 
@@ -207,12 +223,18 @@ def _cmd_spectral_flow(args, params, report):
     if not args.config:
         raise InvalidParams("spectral-flow needs --config FILE with Hermitian samples")
     doc = _read_config(args.config)
-    samples = [np.array([[complex(re, im) for re, im in row] for row in s])
-               for s in doc["samples"]]
+    if not isinstance(doc, dict) or "samples" not in doc:
+        raise SchemaError("$.samples", "missing required field")
+    if not isinstance(doc["samples"], list) or not doc["samples"]:
+        raise SchemaError("$.samples", "samples must be a nonempty list of matrices")
+    samples = [_matrix_from_json(s, f"$.samples[{i}]") for i, s in enumerate(doc["samples"])]
     path = spectral.SpectralPath(
         ts=np.linspace(0.0, 1.0, len(samples)), samples=samples,
         closed=bool(doc.get("closed", False)))
-    level = float(doc.get("level", 0.0))
+    try:
+        level = float(doc.get("level", 0.0))
+    except (TypeError, ValueError):
+        raise SchemaError("$.level", "level must be a number") from None
     report.invariants = {"spectral_flow": spectral.spectral_flow(path, level),
                          "level": level, "samples": len(samples)}
     return report

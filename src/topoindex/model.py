@@ -360,40 +360,44 @@ def builtin(name: str, **params) -> BlochFamily:
 @dataclass
 class RibbonFamily:
     """Open-boundary family: (L*n) x (L*n) Hermitian blocks over the
-    momenta of the remaining periodic directions."""
+    momenta of the remaining periodic directions.
+
+    ``hoppings`` maps momenta (..., dim) to the hopping blocks
+    (..., 2R+1, n, n) of offsets d = -R..R, offset d at index d + R;
+    ``evaluate`` and ``evaluate_periodic`` map momenta (..., dim) to
+    matrices (..., L*n, L*n), site-major.
+    """
 
     transverse_sites: int
     bands: int
     dim: int  # momentum dimension of the ribbon (bulk dim - 1)
-    hoppings: Callable[[np.ndarray], list[np.ndarray]]
+    hoppings: Callable[[np.ndarray], np.ndarray]
     hopping_range: int
     name: str = "ribbon"
 
-    def evaluate(self, k) -> np.ndarray:
-        k = np.atleast_1d(np.asarray(k, dtype=float))
-        blocks = self.hoppings(k)
+    def _assemble(self, k, periodic: bool) -> np.ndarray:
+        blocks = self.hoppings(np.atleast_1d(np.asarray(k, dtype=float)))
         L, n, R = self.transverse_sites, self.bands, self.hopping_range
-        out = np.zeros((L * n, L * n), dtype=complex)
-        for i in range(L):
-            for j in range(L):
-                d = j - i
-                if abs(d) <= R:
-                    out[i * n:(i + 1) * n, j * n:(j + 1) * n] = blocks[d + R]
-        return out
+        out = np.zeros(blocks.shape[:-3] + (L, n, L, n), dtype=complex)
+        sites = np.arange(L)
+        for d in range(-R, R + 1):
+            if periodic:
+                i, j = sites, (sites + d) % L
+            else:
+                i = sites[max(0, -d):L - max(0, d)]
+                j = i + d
+            # i -> j is one-to-one for a fixed d, so += never hits a pair twice
+            out[..., i, :, j, :] += blocks[..., d + R, :, :]
+        return out.reshape(blocks.shape[:-3] + (L * n, L * n))
+
+    def evaluate(self, k) -> np.ndarray:
+        return self._assemble(k, periodic=False)
 
     def evaluate_periodic(self, k) -> np.ndarray:
         """Same blocks with the hopping across the cut restored (indices
         mod L); its spectrum is the union of bulk spectra at the L
         commensurate momenta of the reperiodized direction."""
-        k = np.atleast_1d(np.asarray(k, dtype=float))
-        blocks = self.hoppings(k)
-        L, n, R = self.transverse_sites, self.bands, self.hopping_range
-        out = np.zeros((L * n, L * n), dtype=complex)
-        for i in range(L):
-            for d in range(-R, R + 1):
-                j = (i + d) % L
-                out[i * n:(i + 1) * n, j * n:(j + 1) * n] += blocks[d + R]
-        return out
+        return self._assemble(k, periodic=True)
 
 
 def ribbonize(model: BlochFamily, open_axis: int = 0, width: int = 24,
@@ -412,22 +416,21 @@ def ribbonize(model: BlochFamily, open_axis: int = 0, width: int = 24,
         raise HoppingRangeTooLong(open_axis, float("inf"))
     R = model.hopping_range
     nf = fourier_samples or max(8, 4 * (R + 1))
+    ks = -np.pi + 2.0 * np.pi * np.arange(nf) / nf
+    # offsets -R..R, then the beyond-range offsets checked for leakage
+    offsets = np.concatenate([np.arange(-R, R + 1), np.arange(R + 1, nf // 2)])
+    phases = np.exp(-1j * np.outer(offsets, ks)) / nf
 
-    def hoppings(k_perp: np.ndarray) -> list[np.ndarray]:
-        ks = -np.pi + 2.0 * np.pi * np.arange(nf) / nf
-        hs = model.h(np.insert(np.tile(k_perp, (nf, 1)), open_axis, ks, axis=1))
-        blocks = []
-        for d in range(-R, R + 1):
-            phase = np.exp(-1j * ks * d)
-            blocks.append(np.tensordot(phase, hs, axes=(0, 0)) / nf)
-        # beyond-range leakage check at the farthest representable offset
-        worst = 0.0
-        for d in range(R + 1, nf // 2):
-            phase = np.exp(-1j * ks * d)
-            worst = max(worst, float(np.linalg.norm(np.tensordot(phase, hs, axes=(0, 0)) / nf)))
+    def hoppings(k_perp: np.ndarray) -> np.ndarray:
+        k_perp = np.asarray(k_perp, dtype=float)
+        stack = np.broadcast_to(k_perp[..., None, :], k_perp.shape[:-1] + (nf, k_perp.shape[-1]))
+        hs = model.h(np.insert(stack, open_axis, ks, axis=-1))
+        coeffs = np.einsum("dj,...jab->...dab", phases, hs)
+        leak = np.linalg.norm(coeffs[..., 2 * R + 1:, :, :], axis=(-2, -1))
+        worst = float(np.max(leak, initial=0.0))
         if worst > 1e-10:
             raise HoppingRangeTooLong(open_axis, worst)
-        return blocks
+        return coeffs[..., :2 * R + 1, :, :]
 
     return RibbonFamily(transverse_sites=width, bands=model.bands,
                         dim=model.dim - 1, hoppings=hoppings, hopping_range=R,

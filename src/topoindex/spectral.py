@@ -112,25 +112,67 @@ class EffectiveHamiltonian:
 # --- edge-crossing parity ---
 
 def _ribbon_bulk_gap(ribbon: RibbonFamily, samples: int = 32) -> float:
-    """Bulk gap estimate from the reperiodized ribbon spectrum."""
-    gap = np.inf
-    for k in np.linspace(0.0, np.pi, samples):
-        kv = np.full(ribbon.dim, 0.0)
-        kv[0] = k
-        ev = np.linalg.eigvalsh(ribbon.evaluate_periodic(kv))
-        gap = min(gap, float(np.min(np.abs(ev))))
-    return gap
+    """Bulk gap estimate from the reperiodized ribbon spectrum.
+
+    The reperiodized ribbon is block circulant, so its spectrum is the
+    union over q = 2 pi m / L of the spectra of sum_d B_d e^{iqd}: L
+    blocks of size n per momentum instead of one (L*n)-row matrix.
+    """
+    kv = np.zeros((samples, ribbon.dim))
+    kv[:, 0] = np.linspace(0.0, np.pi, samples)
+    L, R = ribbon.transverse_sites, ribbon.hopping_range
+    q = 2.0 * np.pi * np.arange(L) / L
+    phase = np.exp(1j * np.outer(q, np.arange(-R, R + 1)))
+    bloch = np.einsum("md,sdab->smab", phase, ribbon.hoppings(kv))
+    return float(np.min(np.abs(np.linalg.eigvalsh(bloch))))
 
 
-def _edge_states(ribbon: RibbonFamily, k: np.ndarray, window: float,
-                 cluster_tol: float):
+def _ribbon_sectors(ribbon: RibbonFamily, ks: np.ndarray) -> list[np.ndarray]:
+    """Ribbon rows of the decoupled orbital sectors over the momenta ks.
+
+    Two orbitals share a sector when a hopping block couples them (an
+    exact nonzero entry at any offset and momentum); sectors are the
+    connected components, and every ribbon matrix on ks is block diagonal
+    over them.  S_z-conserving models split into two sectors.
+    """
+    blocks = ribbon.hoppings(ks)
+    coupled = np.any(blocks != 0, axis=tuple(range(blocks.ndim - 2)))
+    n = ribbon.bands
+    label = list(range(n))
+    for a, b in zip(*np.nonzero(coupled)):
+        la, lb = label[a], label[b]
+        if la != lb:
+            label = [la if x == lb else x for x in label]
+    label = np.array(label)
+    site_rows = n * np.arange(ribbon.transverse_sites)[:, None]
+    return [(site_rows + np.flatnonzero(label == lab)).ravel()
+            for lab in np.unique(label)]
+
+
+def _sector_eigh(ribbon: RibbonFamily, sectors: list[np.ndarray], k: np.ndarray):
+    """Eigenpairs of ribbon.evaluate(k), solved one sector at a time and
+    merged into ascending order in the ribbon basis."""
+    h = ribbon.evaluate(k)
+    ev = np.empty(h.shape[-1])
+    vec = np.zeros_like(h)
+    start = 0
+    for rows in sectors:
+        stop = start + len(rows)
+        ev[start:stop], vec[rows, start:stop] = np.linalg.eigh(h[np.ix_(rows, rows)])
+        start = stop
+    order = np.argsort(ev, kind="stable")
+    return ev[order], vec[:, order]
+
+
+def _edge_states(ribbon: RibbonFamily, sectors: list[np.ndarray], k: np.ndarray,
+                 window: float, cluster_tol: float):
     """In-window eigenstates with their energies and left-quarter weights.
 
     States degenerate within cluster_tol are rotated to diagonalize the
     left-quarter weight, which disentangles hybridized or symmetry-paired
     edge states living on opposite edges.
     """
-    ev, vec = np.linalg.eigh(ribbon.evaluate(k))
+    ev, vec = _sector_eigh(ribbon, sectors, k)
     L, n = ribbon.transverse_sites, ribbon.bands
     quarter = max(1, L // 4)
     keep = np.where(np.abs(ev) < window)[0]
@@ -173,7 +215,8 @@ def _crossing_parity_on_path(ribbon: RibbonFamily, path: list[np.ndarray]) -> in
     match_window = 0.6 * gap
     levels = (0.3 * gap, -0.3 * gap)
 
-    states = [_edge_states(ribbon, k, window, 0.02 * gap) for k in path]
+    sectors = _ribbon_sectors(ribbon, np.array(path))
+    states = [_edge_states(ribbon, sectors, k, window, 0.02 * gap) for k in path]
     counts = [0, 0]
     for i in range(len(path) - 1):
         cur, nxt = states[i], states[i + 1]
@@ -207,16 +250,16 @@ def ribbon_spectrum_csv(ribbon: RibbonFamily, samples: int = 81) -> str:
     edge weight on the outer quarter), ready for plotting."""
     L, n = ribbon.transverse_sites, ribbon.bands
     quarter = max(1, L // 4)
+    ks = np.linspace(-np.pi, np.pi, samples)
+    kv = np.zeros((samples, ribbon.dim))
+    kv[:, 0] = ks
+    sectors = _ribbon_sectors(ribbon, kv)
     lines = ["k,energy,edge_weight"]
-    for k in np.linspace(-np.pi, np.pi, samples):
-        kv = np.full(ribbon.dim, 0.0)
-        kv[0] = k
-        ev, vec = np.linalg.eigh(ribbon.evaluate(kv))
-        for i, e in enumerate(ev):
-            psi = vec[:, i].reshape(L, n)
-            w = float(np.sum(np.abs(psi[:quarter]) ** 2)
-                      + np.sum(np.abs(psi[-quarter:]) ** 2))
-            lines.append(f"{k:.12g},{e:.12g},{w:.12g}")
+    for k, kp in zip(ks, kv):
+        ev, vec = _sector_eigh(ribbon, sectors, kp)
+        dens = np.abs(vec.reshape(L, n, -1)) ** 2
+        weight = dens[:quarter].sum(axis=(0, 1)) + dens[-quarter:].sum(axis=(0, 1))
+        lines.extend(f"{k:.12g},{e:.12g},{w:.12g}" for e, w in zip(ev, weight))
     return "\n".join(lines) + "\n"
 
 

@@ -87,20 +87,9 @@ class WindingResult:
     residue: float
 
 
-def _antisymmetrized_trace_sum(ls: list[np.ndarray]) -> complex:
-    total = 0.0 + 0.0j
-    for perm in permutations((0, 1, 2)):
-        sign = 1.0 if perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1.0
-        a, b, c = (ls[p] for p in perm)
-        total += sign * np.sum(np.einsum("...ij,...jk,...ki->...", a, b, c))
-    return total
-
-
-def winding3d(field: UnitaryField, residue_tol: float = 0.1) -> WindingResult:
-    """(1/24 pi^2) Int tr(g^{-1} dg)^3 by central-difference quadrature,
-    antisymmetrized over the 3! axis orderings."""
-    if field.grid.dim != 3:
-        raise InvalidParams("winding3d needs a 3D field")
+def _cubic_trace_sum(field: UnitaryField) -> tuple[complex, tuple[float, ...]]:
+    """Sum over the grid of tr(g^{-1} dg)^3 by central differences,
+    antisymmetrized over the 3! axis orderings, with the grid steps."""
     field.check_branch_safety()
     g = field.values
     steps = tuple(2.0 * np.pi / n for n in field.grid.sizes)
@@ -108,7 +97,20 @@ def winding3d(field: UnitaryField, residue_tol: float = 0.1) -> WindingResult:
     for mu, h in enumerate(steps):
         d = central_diff(g, mu, h)
         ls.append(np.einsum("...ij,...ik->...jk", np.conj(g), d))
-    total = _antisymmetrized_trace_sum(ls)
+    total = 0.0 + 0.0j
+    for perm in permutations((0, 1, 2)):
+        sign = 1.0 if perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1.0
+        a, b, c = (ls[p] for p in perm)
+        total += sign * np.sum(np.einsum("...ij,...jk,...ki->...", a, b, c))
+    return total, steps
+
+
+def winding3d(field: UnitaryField, residue_tol: float = 0.1) -> WindingResult:
+    """(1/24 pi^2) Int tr(g^{-1} dg)^3 by central-difference quadrature,
+    antisymmetrized over the 3! axis orderings."""
+    if field.grid.dim != 3:
+        raise InvalidParams("winding3d needs a 3D field")
+    total, steps = _cubic_trace_sum(field)
     cell = float(np.prod(steps))
     value = float((total * cell / (24.0 * np.pi ** 2)).real)
     rounded = int(np.rint(value))
@@ -137,14 +139,7 @@ def odd_chern_character(field: UnitaryField, degree: int) -> float:
     if degree == 3:
         if field.grid.dim != 3:
             raise InvalidParams("degree-3 component needs a 3D field")
-        field.check_branch_safety()
-        g = field.values
-        steps = tuple(2.0 * np.pi / n for n in field.grid.sizes)
-        ls = []
-        for mu, h in enumerate(steps):
-            d = central_diff(g, mu, h)
-            ls.append(np.einsum("...ij,...ik->...jk", np.conj(g), d))
-        total = _antisymmetrized_trace_sum(ls)
+        total, steps = _cubic_trace_sum(field)
         return float((np.prod(steps) * total / 6.0).real)
     raise UnsupportedDegree(degree)
 

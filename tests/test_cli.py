@@ -243,3 +243,58 @@ def test_command_builds_frames_once(monkeypatch, argv):
     code, _ = run(argv)
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("doc", [
+    {"level": 0.0},
+    {"samples": 3},
+    {"samples": [[[1, 0]]]},
+], ids=["no-samples", "samples-not-a-list", "malformed-matrix"])
+def test_spectral_flow_bad_config_exits_2(tmp_path, doc):
+    cfg = tmp_path / "path.json"
+    cfg.write_text(json.dumps(doc))
+    code, inv = invariants(["spectral-flow", "--config", str(cfg)])
+    assert code == 2
+    assert inv["error"]["type"] == "SchemaError"
+    assert "$.samples" in inv["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["z2", "--model", "bhz", "--grid", "abc"],
+    ["z2", "--model", "bhz", "--m", "abc"],
+    ["z2", "--model", "bhz", "--params", "m=xyz"],
+    ["edge-parity", "--model", "bhz", "--width", "abc"],
+    ["edge-parity", "--model", "bhz", "--width", "nan"],
+    ["z2", "--model", "bhz", "--params", "m=inf"],
+], ids=["grid", "flag", "params", "width", "nan", "inf"])
+def test_non_numeric_or_non_finite_values_exit_2(argv):
+    code, inv = invariants(argv)
+    assert code == 2
+    assert inv["error"]["type"] == "InvalidParams"
+
+
+def test_edge_parity_csv_rows(capsys):
+    from topoindex.cli import main
+
+    assert main(["edge-parity", "--model", "bhz", "--m", "2.0", "--width", "16",
+                 "--out", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "k,energy,edge_weight"
+    assert len(lines) == 1 + 81 * 16 * 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["edge-parity", "--model", "kane-mele", "--width", "16"],
+    ["z2", "--model", "kane-mele", "--grid", "8"],
+    ["chern", "--model", "hopf-two-band", "--grid", "8"],
+    ["z2", "--model", "kane-mele", "--grid", "8", "--out", "json"],
+], ids=["edge-parity", "z2", "chern", "z2-out-json"])
+def test_csv_is_built_only_for_out_csv(monkeypatch, argv):
+    from topoindex import spectral
+
+    calls = []
+    monkeypatch.setattr(spectral, "ribbon_spectrum_csv", lambda *a, **k: calls.append(a))
+    code, rep = run(argv)
+    assert code == 0
+    assert rep.csv is None
+    assert calls == []

@@ -185,6 +185,70 @@ def test_ribbonize_rejects_undeclared_long_hopping():
         ribbonize(km, open_axis=0, width=10).hoppings(np.array([0.1]))
 
 
+def _rashba_kane_mele_doc():
+    """Kane-Mele with a time-reversal-even spin-mixing hopping along a1."""
+    doc = to_json(builtin("kane-mele", t=1.0, lso=0.06, lv=0.1))
+    mix = 0.05j * np.kron(np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]]))
+    for term in doc["terms"]:
+        if term["R"] == [1, 0]:
+            mat = np.array([[complex(*z) for z in row] for row in term["matrix"]]) + mix
+            term["matrix"] = [[[z.real, z.imag] for z in row] for row in mat]
+    return doc
+
+
+def _ribbon_cases():
+    km = builtin("kane-mele", t=1.0, lso=0.06, lv=0.1)
+    bhz = builtin("bhz", m=1.3)
+    return [
+        ("kane-mele", ribbonize(km, 0, 9)),
+        ("bhz", ribbonize(bhz, 1, 8)),
+        ("direct-sum", ribbonize(direct_sum(km, bhz), 0, 8)),
+        ("load-model", ribbonize(load_model(_rashba_kane_mele_doc()), 0, 10)),
+        ("fkm-3d", ribbonize(builtin("fu-kane-mele-3d", m=-2.0), 2, 8)),
+    ]
+
+
+@pytest.mark.parametrize("ribbon", [pytest.param(r, id=n) for n, r in _ribbon_cases()])
+def test_ribbon_evaluate_broadcasts_like_pointwise_calls(ribbon):
+    rng = np.random.default_rng(7)
+    ks = rng.uniform(-np.pi, np.pi, size=(3, 2, ribbon.dim))
+    size = ribbon.transverse_sites * ribbon.bands
+    for method in (ribbon.evaluate, ribbon.evaluate_periodic):
+        stack = method(ks)
+        assert stack.shape == (3, 2, size, size)
+        for idx in np.ndindex(3, 2):
+            assert np.allclose(stack[idx], method(ks[idx]), atol=1e-14, rtol=0)
+    assert ribbon.hoppings(ks).shape == (3, 2, 2 * ribbon.hopping_range + 1,
+                                         ribbon.bands, ribbon.bands)
+
+
+def test_ribbon_blocks_sit_on_their_offsets():
+    km = builtin("kane-mele", t=1.0, lso=0.06, lv=0.1)
+    ribbon = ribbonize(km, open_axis=0, width=9)
+    k = np.array([0.4])
+    blocks = ribbon.hoppings(k)
+    h = ribbon.evaluate(k).reshape(9, 4, 9, 4)
+    hp = ribbon.evaluate_periodic(k).reshape(9, 4, 9, 4)
+    for i in range(9):
+        for j in range(9):
+            d = j - i
+            open_block = blocks[d + 1] if abs(d) <= 1 else 0.0
+            assert np.array_equal(h[i, :, j, :], np.broadcast_to(open_block, (4, 4)))
+            dp = (d + 1) % 9 - 1
+            ring_block = blocks[dp + 1] if abs(dp) <= 1 else 0.0
+            assert np.array_equal(hp[i, :, j, :], np.broadcast_to(ring_block, (4, 4)))
+
+
+def test_ribbon_stack_rejects_undeclared_long_hopping():
+    km = builtin("kane-mele")
+    km.hopping_range = 0  # misdeclared on purpose
+    ribbon = ribbonize(km, open_axis=0, width=10)
+    with pytest.raises(HoppingRangeTooLong):
+        ribbon.hoppings(np.linspace(0.0, np.pi, 5)[:, None])
+    with pytest.raises(HoppingRangeTooLong):
+        ribbon.evaluate([[0.1], [0.2]])
+
+
 def test_load_constant_gapped_model():
     doc = {
         "dim": 1, "bands": 2, "occupied": 1,

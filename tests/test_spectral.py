@@ -3,13 +3,18 @@
 import numpy as np
 import pytest
 
-from topoindex.errors import EndpointGapless, InvalidParams
-from topoindex.model import MomentumGrid, builtin, direct_sum, ribbonize
+from test_model import _rashba_kane_mele_doc
+from topoindex.errors import EdgeBandIsolationFailed, EndpointGapless, InvalidParams
+from topoindex.model import MomentumGrid, builtin, direct_sum, load_model, ribbonize
 from topoindex.spectral import (
     EffectiveHamiltonian,
     SpectralPath,
+    _ribbon_bulk_gap,
+    _ribbon_sectors,
+    _sector_eigh,
     edge_crossing_parity,
     mod2_analytical_index,
+    ribbon_spectrum_csv,
     spectral_flow,
 )
 
@@ -145,10 +150,113 @@ def test_mod2_index_validates_trim():
 
 
 def test_ribbon_spectrum_csv_export():
-    from topoindex.spectral import ribbon_spectrum_csv
-
     km = builtin("kane-mele", t=1.0, lso=0.06, lv=0.1)
     csv = ribbon_spectrum_csv(ribbonize(km, 0, 12), samples=11)
     lines = csv.splitlines()
     assert lines[0] == "k,energy,edge_weight"
     assert len(lines) == 1 + 11 * 48
+
+
+def _staircase(dim: int, samples: int = 9) -> np.ndarray:
+    """Ribbon momenta from 0 to (pi, .., pi), one axis at a time."""
+    legs = []
+    for axis in range(dim):
+        leg = np.zeros((samples, dim))
+        leg[:, :axis] = np.pi
+        leg[:, axis] = np.linspace(0.0, np.pi, samples)
+        legs.append(leg)
+    return np.concatenate(legs)
+
+
+SECTOR_CASES = [
+    ("kane-mele", lambda: builtin("kane-mele", t=1.0, lso=0.06, lv=0.1), 2),
+    ("bhz", lambda: builtin("bhz", m=2.0), 2),
+    ("fkm-3d", lambda: builtin("fu-kane-mele-3d", m=-2.0), 1),
+    ("spin-mixing-json", lambda: load_model(_rashba_kane_mele_doc()), 1),
+    ("atomic", lambda: builtin("atomic-limit", n=4, dim=2), 4),
+]
+
+
+@pytest.mark.parametrize("make,count", [pytest.param(m, c, id=n) for n, m, c in SECTOR_CASES])
+def test_ribbon_sector_count(make, count):
+    ribbon = ribbonize(make(), 0, 12)
+    sectors = _ribbon_sectors(ribbon, _staircase(ribbon.dim))
+    assert len(sectors) == count
+    rows = np.sort(np.concatenate(sectors))
+    assert np.array_equal(rows, np.arange(12 * ribbon.bands))
+
+
+@pytest.mark.parametrize("make", [pytest.param(m, id=n) for n, m, _ in SECTOR_CASES])
+def test_sector_solve_matches_full_eigh(make):
+    ribbon = ribbonize(make(), 0, 16)
+    path = _staircase(ribbon.dim)
+    sectors = _ribbon_sectors(ribbon, path)
+    window = 0.9 * _ribbon_bulk_gap(ribbon)
+    for k in path:
+        ev, vec = _sector_eigh(ribbon, sectors, k)
+        ev_ref, vec_ref = np.linalg.eigh(ribbon.evaluate(k))
+        assert np.max(np.abs(ev - ev_ref)) < 1e-12
+        assert np.allclose(np.conj(vec.T) @ vec, np.eye(len(ev)), atol=1e-12)
+        keep = np.flatnonzero(np.abs(ev_ref) < window)
+        # projector onto each cluster of in-window levels, split at gaps > 1e-6
+        for cluster in np.split(keep, np.flatnonzero(np.diff(ev_ref[keep]) > 1e-6) + 1):
+            if len(cluster) == 0:
+                continue
+            p = vec[:, cluster] @ np.conj(vec[:, cluster].T)
+            p_ref = vec_ref[:, cluster] @ np.conj(vec_ref[:, cluster].T)
+            assert np.max(np.abs(p - p_ref)) < 1e-10
+
+
+@pytest.mark.parametrize("make", [pytest.param(m, id=n) for n, m, _ in SECTOR_CASES])
+def test_circulant_bulk_gap_matches_reperiodized_ribbon(make):
+    ribbon = ribbonize(make(), 0, 10)
+    gap = np.inf
+    for k in np.linspace(0.0, np.pi, 32):
+        kv = np.zeros(ribbon.dim)
+        kv[0] = k
+        gap = min(gap, np.min(np.abs(np.linalg.eigvalsh(ribbon.evaluate_periodic(kv)))))
+    assert abs(_ribbon_bulk_gap(ribbon) - gap) < 1e-12
+
+
+@pytest.mark.parametrize("model,width,reason", [
+    (("kane-mele", {"lso": 0.06, "lv": 0.9 * 3 * np.sqrt(3) * 0.06}), 24, "ambiguous weight 0.56"),
+    (("bhz", {"m": 0.1}), 16, "ambiguous weight 0.41"),
+    (("bhz", {"m": 4.0}), 24, "bulk spectrum is gapless"),
+], ids=["kane-mele-0.9-critical", "bhz-m0.1", "bhz-m4-gapless"])
+def test_near_critical_edge_bands_refuse_to_isolate(model, width, reason):
+    name, params = model
+    with pytest.raises(EdgeBandIsolationFailed, match=reason):
+        edge_crossing_parity(ribbonize(builtin(name, **params), 0, width))
+
+
+@pytest.mark.parametrize("params,width,expected", [
+    ({"lso": 0.06, "lv": 0.85 * 3 * np.sqrt(3) * 0.06}, 24, 1),
+    ({"lso": 0.06, "lv": 1.0 * 3 * np.sqrt(3) * 0.06}, 24, 0),
+])
+def test_near_critical_kane_mele_edge_parity(params, width, expected):
+    assert edge_crossing_parity(ribbonize(builtin("kane-mele", **params), 0, width)) == expected
+
+
+def test_ribbon_csv_matches_dense_solve():
+    km = builtin("kane-mele", t=1.0, lso=0.06, lv=0.1)
+    ribbon = ribbonize(km, 0, 8)
+    rows = np.array([[float(x) for x in line.split(",")]
+                     for line in ribbon_spectrum_csv(ribbon, samples=9).splitlines()[1:]])
+    assert rows.shape == (9 * 32, 3)
+    for i, k in enumerate(np.linspace(-np.pi, np.pi, 9)):
+        block = rows[32 * i:32 * (i + 1)]
+        ev, vec = np.linalg.eigh(ribbon.evaluate([k]))
+        psi = np.abs(vec.reshape(8, 4, 32)) ** 2
+        weight = psi[:2].sum(axis=(0, 1)) + psi[-2:].sum(axis=(0, 1))
+        assert np.allclose(block[:, 0], k, atol=1e-10, rtol=0)
+        assert np.allclose(block[:, 1], ev, atol=1e-10, rtol=0)
+        # the split of a degenerate pair depends on the basis: compare cluster sums
+        for cluster in np.split(np.arange(32), np.flatnonzero(np.diff(ev) > 1e-8) + 1):
+            assert abs(block[cluster, 2].sum() - weight[cluster].sum()) < 1e-10
+    # energies and cluster weights at k = 0, width 8, as recorded before the sector solve
+    at_zero = rows[4 * 32 + 12:4 * 32 + 20]
+    pinned = [(-1.3480440785, 0.655168914784), (-1.09967978678, 0.288725696911),
+              (1.09967978678, 0.288725696911), (1.3480440785, 0.655168914784)]
+    for pair, (energy, weight) in zip(at_zero.reshape(4, 2, 3), pinned):
+        assert np.allclose(pair[:, 1], energy, atol=1e-10, rtol=0)
+        assert abs(pair[:, 2].sum() - 2 * weight) < 1e-10
