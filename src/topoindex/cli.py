@@ -269,7 +269,9 @@ def _space_label(space: str, dim: int) -> str:
 
 def _cmd_nc_index(args, params, report):
     if "winding" in params:
-        cutoff = int(params.pop("cutoff", 64))
+        cutoff = int(params.pop("cutoff", 64))  # the dense pairing takes 30 MB at 1024
+        if cutoff > 1024:
+            raise InvalidParams(f"1D pairing cutoff must be at most 1024, got {cutoff}")
         wdg = int(params.pop("winding"))
         co = nctorus.winding_loop_coeffs(wdg)
         ti = nctorus.toeplitz_index(co, cutoff)

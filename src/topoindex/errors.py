@@ -156,8 +156,8 @@ class EdgeBandIsolationFailed(AdequacyError):
 # --- noncommutative torus ---
 
 class NumericallySingular(AdequacyError):
-    def __init__(self, sigma):
+    def __init__(self, sigma, upper):
         super().__init__(
-            f"singular value {sigma:.3e} in the ambiguous band [1e-8, 1e-4]; "
+            f"singular value {sigma:.3e} in the ambiguous band [1e-8, {upper:.1e}]; "
             "increase the cutoff"
         )

@@ -253,38 +253,51 @@ def toeplitz_index(coeffs: dict, cutoff: int) -> int:
     """Fredholm index of the compression P u P on the truncated
     negative-mode subspace, P = (1 - F)/2 with sign(0) = +1.
 
-    dim ker and dim coker are counted by singular values below 1e-8;
-    truncation artifacts at the far end of the mode window are separated
-    from physical kernel vectors by their localization: genuine kernel
-    and cokernel vectors of the half-infinite operator concentrate at the
-    physical edge (modes near -1).
+    Row i (mode -1-i) meets column j only where j - i is a symbol offset,
+    so rows and columns split into decoupled classes, the residues mod the
+    gcd g of the offset differences (row/column pairs for a monomial),
+    solved with one stacked SVD per class shape.  dim ker and dim coker
+    count singular values below 1e-8 and unpaired rows or columns whose
+    vectors concentrate at the physical edge (modes near -1), as genuine
+    kernel and cokernel vectors of the half-infinite operator do;
+    truncation artifacts sit at the far end of the mode window.  A
+    singular value in [1e-8, 1e-4], or in [1e-8, s/2) where s is the
+    smallest singular value of the symbol on the circle, is neither null
+    nor bulk and raises.
     """
     blocks, band = _coeff_blocks(coeffs)
     if any(len(k) != 1 for k in blocks):
         raise InvalidParams("toeplitz_index expects 1D Fourier data")
     if cutoff < 4 * max(1, band):
         raise InvalidParams("cutoff must be at least 4x the Fourier support")
-    modes = -np.arange(1, cutoff + 1)  # -1, -2, ..., -N
-    t = _toeplitz_matrix(blocks, modes)
-    u, s, vh = np.linalg.svd(t)
-    for sigma in s:
-        if 1e-8 <= sigma <= 1e-4:
-            raise NumericallySingular(float(sigma))
-    null = s < 1e-8
+    offsets = np.array([k[0] for k in blocks])
     b = next(iter(blocks.values())).shape[0]
-    top = np.repeat(np.abs(modes) <= cutoff // 2, b)
+    table = np.zeros((2 * band + 2, b, b), dtype=complex)  # last entry: no offset
+    table[offsets + band] = list(blocks.values())
+    theta = np.pi * np.arange(4 * cutoff) / (2 * cutoff)
+    symbol = np.einsum("te,eab->tab", np.exp(1j * np.outer(theta, offsets)), table[offsets + band])
+    floor = 0.5 * float(np.min(np.linalg.svd(symbol, compute_uv=False)))
+    g = int(np.gcd.reduce(offsets - offsets[0])) or 2 * cutoff  # 2N keeps monomial pairs apart
+    count = np.stack([np.bincount(np.arange(cutoff) % g, minlength=g),
+                      np.bincount((np.arange(cutoff) - offsets[0]) % g, minlength=g)], axis=1)
 
-    kernel = 0
-    for i in np.where(null)[0]:
-        vec = vh[i].conj()
-        if float(np.sum(np.abs(vec[top]) ** 2)) > 0.5:
-            kernel += 1
-    cokernel = 0
-    for i in np.where(null)[0]:
-        vec = u[:, i]
-        if float(np.sum(np.abs(vec[top]) ** 2)) > 0.5:
-            cokernel += 1
-    return kernel - cokernel
+    index = 0
+    for nr, nc in np.unique(count[count.sum(axis=1) > 0], axis=0):
+        key = np.nonzero(np.all(count == (nr, nc), axis=1))[0]
+        rows = key[:, None] + g * np.arange(nr)
+        cols = ((key + offsets[0]) % g)[:, None] + g * np.arange(nc)
+        e = cols[:, None, :] - rows[:, :, None]
+        t = table[np.where(np.abs(e) <= band, e + band, -1)].transpose(0, 1, 3, 2, 4)
+        u, s, vh = np.linalg.svd(t.reshape(len(key), nr * b, nc * b))
+        ambiguous = s[(s >= 1e-8) & ((s <= 1e-4) | (s < floor))]
+        if ambiguous.size:
+            raise NumericallySingular(float(ambiguous[0]), max(1e-4, floor))
+        null = np.pad(s < 1e-8, ((0, 0), (0, max(nr, nc) * b - s.shape[1])), constant_values=True)
+        top_rows, top_cols = (np.repeat(x < cutoff // 2, b, axis=1) for x in (rows, cols))
+        kernel = np.sum(np.abs(vh) ** 2 * top_cols[:, None, :], axis=2) > 0.5
+        cokernel = np.sum(np.abs(u) ** 2 * top_rows[:, :, None], axis=1) > 0.5
+        index += int(np.sum(kernel & null[:, :nc * b]) - np.sum(cokernel & null[:, :nr * b]))
+    return index
 
 
 def nc_index_pairing_1d(coeffs: dict, cutoff: int,
@@ -398,10 +411,11 @@ def _trace_of_triple(offsets: np.ndarray, fields: np.ndarray,
 
     strides = np.array([L * L, L, 1])
     total = 0.0 + 0.0j
-    for p in np.unique(i):
-        group = i == p
-        r1, r2s, r3s, w = offsets[p], j[group], offsets[k[group]], weight[group]
-        base3 = k[group] * sites + r3s @ strides
+    starts = np.unique(i, return_index=True)[1]  # nonzero keeps i sorted
+    for lo, hi in zip(starts, np.append(starts[1:], len(i))):
+        p = i[lo]
+        r1, r2s, r3s, w = offsets[p], j[lo:hi], offsets[k[lo:hi]], weight[lo:hi]
+        base3 = k[lo:hi] * sites + r3s @ strides
         m = np.indices(L - np.abs(r1)).reshape(3, -1).T + np.maximum(0, r1)
         mflat = m @ strides
         step = max(1, 4096 // len(r2s))  # gathered factors of about 1 MB each

@@ -117,14 +117,26 @@ def _ribbon_bulk_gap(ribbon: RibbonFamily, samples: int = 32) -> float:
     The reperiodized ribbon is block circulant, so its spectrum is the
     union over q = 2 pi m / L of the spectra of sum_d B_d e^{iqd}: L
     blocks of size n per momentum instead of one (L*n)-row matrix.
+    The ribbon resolves the gap only when it is wider than about half the
+    bulk correlation length v/gap; one transverse step 2 pi/L away from
+    the gap minimum then raises |E| by less than 4 pi times the gap.
     """
-    kv = np.zeros((samples, ribbon.dim))
-    kv[:, 0] = np.linspace(0.0, np.pi, samples)
+    kv = np.zeros((samples + 2, ribbon.dim))
+    # pi/3 and 2 pi/3 carry the Dirac points of honeycomb ribbons
+    kv[:, 0] = np.append(np.linspace(0.0, np.pi, samples), [np.pi / 3, 2 * np.pi / 3])
     L, R = ribbon.transverse_sites, ribbon.hopping_range
     q = 2.0 * np.pi * np.arange(L) / L
     phase = np.exp(1j * np.outer(q, np.arange(-R, R + 1)))
     bloch = np.einsum("md,sdab->smab", phase, ribbon.hoppings(kv))
-    return float(np.min(np.abs(np.linalg.eigvalsh(bloch))))
+    levels = np.min(np.abs(np.linalg.eigvalsh(bloch)), axis=-1)
+    s, m = np.unravel_index(np.argmin(levels), levels.shape)
+    gap = float(levels[s, m])
+    if gap < 1e-8:
+        raise EdgeBandIsolationFailed("bulk spectrum is gapless")
+    if min(levels[s, m - 1], levels[s, (m + 1) % L]) > 4.0 * np.pi * gap:
+        raise EdgeBandIsolationFailed(
+            f"width {L} is below half the bulk correlation length (gap {gap:.2e})")
+    return gap
 
 
 def _ribbon_sectors(ribbon: RibbonFamily, ks: np.ndarray) -> list[np.ndarray]:
@@ -209,8 +221,6 @@ def _crossing_parity_on_path(ribbon: RibbonFamily, path: list[np.ndarray]) -> in
     edge bands and each Kramers pair is met exactly once.
     """
     gap = _ribbon_bulk_gap(ribbon)
-    if gap < 1e-8:
-        raise EdgeBandIsolationFailed("bulk spectrum is gapless")
     window = 0.9 * gap
     match_window = 0.6 * gap
     levels = (0.3 * gap, -0.3 * gap)

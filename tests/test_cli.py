@@ -94,6 +94,40 @@ def test_nc_index_1d():
     assert inv["agree"]
 
 
+def test_nc_index_1d_solves_only_block_sized_matrices(monkeypatch):
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a)[-2:])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    code, inv = invariants(["nc-index", "--winding", "3", "--cutoff", "512"])
+    assert code == 0 and inv["toeplitz_index"] == 3 and inv["agree"]
+    assert shapes and max(max(s) for s in shapes) <= 1
+
+
+@pytest.mark.parametrize("cutoff", ["1025", "1000000"])
+def test_nc_index_1d_cutoff_above_bound_exits_2(monkeypatch, cutoff):
+    from topoindex import nctorus
+
+    def never(*args, **kwargs):
+        raise AssertionError("the rejected cutoff reached the pairing")
+
+    monkeypatch.setattr(nctorus, "toeplitz_index", never)
+    monkeypatch.setattr(nctorus, "nc_index_pairing_1d", never)
+    code, inv = invariants(["nc-index", "--winding", "1", "--cutoff", cutoff])
+    assert code == 2
+    assert inv["error"]["type"] == "InvalidParams"
+    assert "1024" in inv["error"]["message"]
+
+
+def test_nc_index_1d_cutoff_at_bound():
+    code, inv = invariants(["nc-index", "--winding", "-1", "--cutoff", "1024"])
+    assert code == 0 and inv["toeplitz_index"] == -1 and inv["agree"]
+
+
 @pytest.mark.parametrize("cutoff", ["9", "12", "0"])
 def test_nc_index_3d_cutoff_out_of_range_exits_2(cutoff):
     code, inv = invariants(["nc-index", "--mass", "-2", "--cutoff", cutoff])
@@ -188,6 +222,14 @@ def test_readme_edge_parity_with_width():
     assert code == 0
     assert inv["ribbon_width"] == 24
     assert inv["edge_parity"] == 1
+
+
+def test_edge_parity_at_kane_mele_dirac_point_exits_3():
+    # lv = 3 sqrt(3) lso closes the gap at k_perp = 2 pi/3
+    code, inv = invariants(["edge-parity", "--model", "kane-mele", "--lso", "0.06",
+                            "--lv", repr(float(3.0 * np.sqrt(3.0) * 0.06)), "--width", "24"])
+    assert code == 3
+    assert inv["error"]["message"].endswith("bulk spectrum is gapless")
 
 
 def test_z2_3d_without_time_reversal_exits_2(tmp_path):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from topoindex.errors import InvalidParams
+from topoindex.errors import InvalidParams, NumericallySingular
 from topoindex.nctorus import (
     ClockShiftRep,
     NCElement,
@@ -138,6 +138,82 @@ def test_toeplitz_index_stable_in_cutoff():
 def test_toeplitz_index_needs_headroom():
     with pytest.raises(InvalidParams):
         toeplitz_index(winding_loop_coeffs(3), 8)
+
+
+def _dense_toeplitz_index(coeffs, cutoff):
+    """Reference oracle: one SVD of the whole dense compression with the
+    same thresholds.  Returns the index (or the error type) and the
+    top-half weights of every null vector."""
+    blocks = {k: np.atleast_2d(np.asarray(v, dtype=complex)) for k, v in coeffs.items()}
+    b = next(iter(blocks.values())).shape[0]
+    modes = -np.arange(1, cutoff + 1)
+    theta = np.pi * np.arange(4 * cutoff) / (2 * cutoff)
+    symbol = sum(np.exp(1j * k[0] * theta)[:, None, None] * bl for k, bl in blocks.items())
+    floor = 0.5 * np.min(np.linalg.svd(symbol, compute_uv=False))
+    u, s, vh = np.linalg.svd(_toeplitz_matrix(blocks, modes))
+    if np.any((s >= 1e-8) & ((s <= 1e-4) | (s < floor))):
+        return NumericallySingular, []
+    top = np.repeat(np.abs(modes) <= cutoff // 2, b)
+    null = np.nonzero(s < 1e-8)[0]
+    kernel = [float(np.sum(np.abs(vh[i, top]) ** 2)) for i in null]
+    cokernel = [float(np.sum(np.abs(u[top, i]) ** 2)) for i in null]
+    return sum(w > 0.5 for w in kernel) - sum(w > 0.5 for w in cokernel), kernel + cokernel
+
+
+def _toeplitz_outcome(coeffs, cutoff):
+    try:
+        return toeplitz_index(coeffs, cutoff)
+    except NumericallySingular:
+        return NumericallySingular
+
+
+_BLOCK = np.array([[0.3, 1.2j], [0.7, -0.4]])
+_MONOMIALS = ([({(w,): [[1.0]]}, c) for w in range(-6, 7) for c in (16, 64, 128, 512)
+               if c >= 4 * max(1, abs(w))]
+              + [({(w,): _BLOCK}, c) for w in range(-6, 7) for c in (16, 64)
+                 if c >= 4 * max(1, abs(w))]
+              + [({(w,): _BLOCK}, 512) for w in (-6, 1, 5)])
+# offset differences with gcd 2 or 3: two or three decoupled classes
+_GCD_SYMBOLS = [
+    ({(0,): [[0.2]], (2,): [[1.0]]}, 64, 2),
+    ({(0,): [[0.2]], (-2,): [[1.0]]}, 64, -2),
+    ({(2,): [[0.25]], (-2,): [[1.0]], (0,): [[0.1]]}, 64, -2),
+    ({(0,): 0.2 * np.eye(2), (2,): _BLOCK}, 64, 4),
+    ({(-2,): [[0.1]], (0,): [[0.3]], (4,): [[1.0]]}, 64, NumericallySingular),
+    ({(0,): [[0.2]], (3,): [[1.0]]}, 48, 3),
+    ({(0,): [[0.2]], (-3,): [[1.0]]}, 48, -3),
+    ({(-3,): [[0.1]], (0,): [[0.2]], (3,): [[1.0]]}, 48, 3),
+    ({(-3,): _BLOCK, (0,): 0.1 * np.eye(2)}, 48, -6),
+]
+# every input of the toeplitz_index tests above and of criterion 12
+_EXISTING = ([({(0,): [[1.0]]}, 32), ({(0,): [[0.3]], (1,): [[1.0]]}, 64),
+              ({(0,): [[2.0]], (1,): [[1.0]]}, 64), ({(2,): [[1.0]]}, 16),
+              ({(2,): [[1.0]]}, 96), ({(1,): [[1.0]]}, 16)]
+             + [({(w,): [[1.0]]}, c) for w in range(-3, 4) for c in (64, 256)])
+
+
+@pytest.mark.parametrize("coeffs, cutoff", _MONOMIALS + _EXISTING)
+def test_toeplitz_index_matches_dense_reference(coeffs, cutoff):
+    expected, weights = _dense_toeplitz_index(coeffs, cutoff)
+    assert all(w < 0.1 or w > 0.9 for w in weights)  # unambiguous localization
+    assert _toeplitz_outcome(coeffs, cutoff) == expected
+
+
+@pytest.mark.parametrize("coeffs, cutoff, index", _GCD_SYMBOLS)
+def test_toeplitz_index_gcd_classes_match_dense_reference(coeffs, cutoff, index):
+    expected, weights = _dense_toeplitz_index(coeffs, cutoff)
+    assert expected == index
+    assert weights or index is NumericallySingular  # real null vectors to localize
+    assert all(w < 0.1 or w > 0.9 for w in weights)
+    assert _toeplitz_outcome(coeffs, cutoff) == index
+
+
+@pytest.mark.parametrize("const, cutoff", [(0.9, 64), (0.95, 64), (0.95, 128)])
+def test_toeplitz_index_unresolved_split_raises(const, cutoff):
+    # index 1; the split singular value (2.2e-4 for 0.9 at 64) sits above
+    # 1e-4 but far below half the symbol's smallest singular value
+    with pytest.raises(NumericallySingular):
+        toeplitz_index({(0,): [[const]], (1,): [[1.0]]}, cutoff)
 
 
 @pytest.mark.parametrize("winding", range(-3, 4))

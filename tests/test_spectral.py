@@ -211,7 +211,7 @@ def test_sector_solve_matches_full_eigh(make):
 def test_circulant_bulk_gap_matches_reperiodized_ribbon(make):
     ribbon = ribbonize(make(), 0, 10)
     gap = np.inf
-    for k in np.linspace(0.0, np.pi, 32):
+    for k in np.append(np.linspace(0.0, np.pi, 32), [np.pi / 3, 2 * np.pi / 3]):
         kv = np.zeros(ribbon.dim)
         kv[0] = k
         gap = min(gap, np.min(np.abs(np.linalg.eigvalsh(ribbon.evaluate_periodic(kv)))))
@@ -219,10 +219,19 @@ def test_circulant_bulk_gap_matches_reperiodized_ribbon(make):
 
 
 @pytest.mark.parametrize("model,width,reason", [
-    (("kane-mele", {"lso": 0.06, "lv": 0.9 * 3 * np.sqrt(3) * 0.06}), 24, "ambiguous weight 0.56"),
+    (("kane-mele", {"lso": 0.06, "lv": 0.9 * 3 * np.sqrt(3) * 0.06}), 24, "ambiguous weight 0.57"),
     (("bhz", {"m": 0.1}), 16, "ambiguous weight 0.41"),
     (("bhz", {"m": 4.0}), 24, "bulk spectrum is gapless"),
-], ids=["kane-mele-0.9-critical", "bhz-m0.1", "bhz-m4-gapless"])
+    (("kane-mele", {"lso": 0.06, "lv": 1.0 * 3 * np.sqrt(3) * 0.06}), 24,
+     "bulk spectrum is gapless"),
+    (("kane-mele", {"lso": 0.06, "lv": 0.95 * 3 * np.sqrt(3) * 0.06}), 24,
+     "below half the bulk correlation length"),
+    (("kane-mele", {"lso": 0.06, "lv": 0.996 * 3 * np.sqrt(3) * 0.06}), 24,
+     "below half the bulk correlation length"),
+    (("kane-mele", {"lso": 0.06, "lv": 1.05 * 3 * np.sqrt(3) * 0.06}), 24,
+     "below half the bulk correlation length"),
+], ids=["kane-mele-0.9-critical", "bhz-m0.1", "bhz-m4-gapless", "kane-mele-critical-gapless",
+        "kane-mele-0.95-narrow", "kane-mele-0.996-narrow", "kane-mele-1.05-narrow"])
 def test_near_critical_edge_bands_refuse_to_isolate(model, width, reason):
     name, params = model
     with pytest.raises(EdgeBandIsolationFailed, match=reason):
@@ -231,7 +240,8 @@ def test_near_critical_edge_bands_refuse_to_isolate(model, width, reason):
 
 @pytest.mark.parametrize("params,width,expected", [
     ({"lso": 0.06, "lv": 0.85 * 3 * np.sqrt(3) * 0.06}, 24, 1),
-    ({"lso": 0.06, "lv": 1.0 * 3 * np.sqrt(3) * 0.06}, 24, 0),
+    pytest.param({"lso": 0.06, "lv": 1.09 * 3 * np.sqrt(3) * 0.06}, 24, 0,
+                 id="kane-mele-1.09-resolved"),
 ])
 def test_near_critical_kane_mele_edge_parity(params, width, expected):
     assert edge_crossing_parity(ribbonize(builtin("kane-mele", **params), 0, width)) == expected
