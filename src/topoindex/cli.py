@@ -187,7 +187,7 @@ def _cmd_cs_index(args, params, report):
     frames = berry.occupied_frame(model, grid).frames
     sf = z2.smooth_sewing_field(model, grid, frames=frames)
     res = windex.winding3d(windex.UnitaryField(grid, sf.w))
-    nu = z2.kane_mele_nu(z2.sewing_field(model, grid, frames=frames))
+    nu = z2.kane_mele_nu(sf)
     report.invariants = {
         "winding": res.value, "rounded": res.rounded, "residue": res.residue,
         "nu": nu, "parity_matches_nu": bool((-1) ** res.rounded == nu),
@@ -269,7 +269,7 @@ def _space_label(space: str, dim: int) -> str:
 
 def _cmd_nc_index(args, params, report):
     if "winding" in params:
-        cutoff = int(params.pop("cutoff", 64))  # the dense pairing takes 30 MB at 1024
+        cutoff = int(params.pop("cutoff", 64))  # documented bound; caps the oracle's window
         if cutoff > 1024:
             raise InvalidParams(f"1D pairing cutoff must be at most 1024, got {cutoff}")
         wdg = int(params.pop("winding"))

@@ -238,17 +238,6 @@ def _coeff_blocks(coeffs: dict) -> tuple[dict, int]:
     return out, band
 
 
-def _toeplitz_matrix(blocks: dict, modes: np.ndarray) -> np.ndarray:
-    b = next(iter(blocks.values())).shape[0]
-    n = len(modes)
-    t = np.zeros((n, b, n, b), dtype=np.result_type(*blocks.values()))
-    for key, block in blocks.items():
-        if len(key) == 1:
-            rows, cols = np.nonzero(modes[:, None] == modes[None, :] + key[0])
-            t[rows, :, cols, :] = block
-    return t.reshape(n * b, n * b)
-
-
 def toeplitz_index(coeffs: dict, cutoff: int) -> int:
     """Fredholm index of the compression P u P on the truncated
     negative-mode subspace, P = (1 - F)/2 with sign(0) = +1.
@@ -304,19 +293,18 @@ def nc_index_pairing_1d(coeffs: dict, cutoff: int,
                         residue_tol: float = 0.1) -> PairingResult:
     """Tr(w^{-1} [F, w]) on modes |n| <= cutoff, calibrated by 1/2.
 
-    The unitary loop's inverse is its adjoint symbol; the commutator is
-    supported near the mode origin, so the trace is exact once the cutoff
+    The unitary loop's inverse is its adjoint symbol, so the trace is
+    sum_ij |w_ij|^2 (f_i - f_j) with f = sign(mode).  Offset e couples
+    exactly |e| mode pairs across the origin, each adding 2 sign(e)
+    ||w_e||_F^2, so the trace is 2 sum_e e ||w_e||_F^2 once the cutoff
     clears the Fourier support.
     """
     blocks, band = _coeff_blocks(coeffs)
+    if any(len(k) != 1 for k in blocks):
+        raise InvalidParams("nc_index_pairing_1d expects 1D Fourier data")
     if cutoff < 4 * max(1, band):
         raise InvalidParams("cutoff must be at least 4x the Fourier support")
-    modes = np.arange(-cutoff, cutoff + 1)
-    b = next(iter(blocks.values())).shape[0]
-    f = np.repeat(np.where(modes >= 0, 1.0, -1.0), b)
-    # Tr(w^* [F, w]) = sum_ij |w_ij|^2 (f_i - f_j), real by construction
-    weight = _toeplitz_matrix({k: np.abs(bl) ** 2 for k, bl in blocks.items()}, modes)
-    raw = complex(f @ weight.sum(axis=1) - weight.sum(axis=0) @ f)
+    raw = complex(2.0 * sum(k[0] * np.sum(np.abs(bl) ** 2) for k, bl in blocks.items()))
     calibrated = raw.real / 2.0
     rounded = int(np.rint(calibrated))
     residue = abs(calibrated - rounded)

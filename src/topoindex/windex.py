@@ -12,6 +12,7 @@ from itertools import permutations
 
 import numpy as np
 
+from . import z2
 from ._stencil import central_diff
 from .errors import BranchUnsafe, InvalidParams, NotUnitary, ResidueTooLarge, UnsupportedDegree
 from .model import MomentumGrid, _smoothstep
@@ -152,8 +153,6 @@ def boundary_index_2d(field) -> int:
     multiplied.  Evaluated in one globally smooth gauge so the two
     circles share their winding ambiguity.
     """
-    from . import z2  # local import; z2 builds on this module's grid types
-
     return z2.boundary_circle_product(field)
 
 

@@ -109,89 +109,63 @@ def smooth_sewing_field(model: BlochFamily, grid: MomentumGrid,
     return sewing_field(model, grid, frames=smooth_occupied_frames(raw))
 
 
-# --- pf / sqrt(det) with tracked branch ---
+# --- pf / sqrt(det w) along a tracked branch ---
 
-def _anchor_pf(w0: np.ndarray, label: str) -> complex:
-    pf = pfaffian(w0)
-    if abs(pf) < PF_MIN:
-        raise PfaffianNearZero(abs(pf), where=label)
-    return pf
+def _pf_walk(w: np.ndarray, anchor: tuple[int, ...], legs: list[tuple[int, int]],
+             label: str) -> int:
+    """Product of pf(w)/sqrt(det w) over the ends of axis legs walked from
+    ``anchor``, where the branch is fixed by sqrt(det w) = pf(w).
 
+    ``legs`` are (axis, steps) pairs walked in turn; each continues the
+    phase of det w over its own grid indices and must not jump by more
+    than pi/2 in one step."""
+    def pf_at(idx: tuple[int, ...]) -> complex:
+        pf = pfaffian(w[idx])
+        if abs(pf) < PF_MIN:
+            raise PfaffianNearZero(abs(pf), where=f"{label} {idx}")
+        return pf
 
-def _tracked_phase(dets: np.ndarray, path: list[tuple[int, ...]], label: str) -> float:
-    """Cumulative principal-branch phase of det w along a grid path."""
-    total = 0.0
-    for a, b in zip(path[:-1], path[1:]):
-        jump = float(np.angle(dets[b] / dets[a]))
-        if abs(jump) > 0.5 * np.pi:
-            raise BranchTrackingFailed(f"{label} near {b}", abs(jump))
-        total += jump
-    return total
-
-
-def _axis_path(start: tuple[int, ...], axis: int, steps: int, sizes) -> list[tuple[int, ...]]:
-    out = [start]
-    for _ in range(steps):
-        nxt = list(out[-1])
-        nxt[axis] = (nxt[axis] + 1) % sizes[axis]
-        out.append(tuple(nxt))
-    return out
-
-
-def _pf_factor(w_trim: np.ndarray, sqrt_val: complex, label: str) -> int:
-    r = _anchor_pf(w_trim, label) / sqrt_val
-    if abs(abs(r) - 1.0) > 1e-6 or abs(r.imag) > 1e-6:
-        raise BranchTrackingFailed(f"{label} (pf ratio {r:.6f})", abs(r.imag))
-    return 1 if r.real > 0 else -1
+    sqrt_det = pf_at(anchor)
+    point, product = list(anchor), 1
+    for axis, steps in legs:
+        line = np.repeat([point], steps + 1, axis=0)
+        line[:, axis] = (point[axis] + np.arange(steps + 1)) % w.shape[axis]
+        dets = np.linalg.det(w[tuple(line.T)])
+        jumps = np.angle(dets[1:] / dets[:-1])
+        bad = np.flatnonzero(np.abs(jumps) > 0.5 * np.pi)
+        if bad.size:
+            where = tuple(line[bad[0] + 1].tolist())
+            raise BranchTrackingFailed(f"{label} near {where}", abs(jumps[bad[0]]))
+        sqrt_det *= np.exp(0.5j * np.sum(jumps))
+        point = line[-1].tolist()
+        r = pf_at(tuple(point)) / sqrt_det
+        if abs(abs(r) - 1.0) > 1e-6 or abs(r.imag) > 1e-6:
+            raise BranchTrackingFailed(f"{label} {tuple(point)} (pf ratio {r:.6f})", abs(r.imag))
+        product *= 1 if r.real > 0 else -1
+    return product
 
 
 def _nu_sheet(frames2d: np.ndarray, theta_u: np.ndarray) -> int:
     """Kane-Mele invariant of one 2D frame sheet.
 
     Re-gauges the sheet smoothly, anchors the branch at k = (0, 0) and
-    tracks it along the staircase paths (0,0) -> (pi,0) -> (pi,pi) and
+    walks the staircase (0,0) -> (pi,0) -> (pi,pi) and the leg
     (0,0) -> (0,pi)."""
-    frames_s = smooth_frames_2d(frames2d)
-    w = _sewing_matrices(frames_s, theta_u, 2)
+    w = _sewing_matrices(smooth_frames_2d(frames2d), theta_u, 2)
     n1, n2 = w.shape[:2]
-    dets = np.linalg.det(w)
-
     origin = (n1 // 2, n2 // 2)     # k = (0, 0)
-    t_10 = (0, n2 // 2)             # k = (pi, 0)
-    t_11 = (0, 0)                   # k = (pi, pi)
-    t_01 = (n1 // 2, 0)             # k = (0, pi)
-
-    sqrt0 = _anchor_pf(w[origin], "anchor (0,0)")
-    nu = 1  # anchor factor pf/sqrt(det) = +1 by the branch choice
-
-    leg1 = _axis_path(origin, 0, n1 // 2, (n1, n2))
-    d1 = _tracked_phase(dets, leg1, "path (0,0)->(pi,0)")
-    nu *= _pf_factor(w[t_10], sqrt0 * np.exp(0.5j * d1), "(pi,0)")
-
-    leg2 = _axis_path(t_10, 1, n2 // 2, (n1, n2))
-    d2 = _tracked_phase(dets, leg2, "path (pi,0)->(pi,pi)")
-    nu *= _pf_factor(w[t_11], sqrt0 * np.exp(0.5j * (d1 + d2)), "(pi,pi)")
-
-    leg3 = _axis_path(origin, 1, n2 // 2, (n1, n2))
-    d3 = _tracked_phase(dets, leg3, "path (0,0)->(0,pi)")
-    nu *= _pf_factor(w[t_01], sqrt0 * np.exp(0.5j * d3), "(0,pi)")
-    return nu
+    return (_pf_walk(w, origin, [(0, n1 // 2), (1, n2 // 2)], "sheet")
+            * _pf_walk(w, origin, [(1, n2 // 2)], "sheet"))
 
 
 def _nu_circle(frames1d: np.ndarray, theta_u: np.ndarray) -> int:
     """Fixed-point Pfaffian product on a single circle (the 1D case),
-    evaluated in the transported periodic gauge."""
+    evaluated in the transported periodic gauge anchored at k = 0."""
     n = frames1d.shape[0]
-    proj = frame_projectors(frames1d)
     rows = (np.arange(n) + n // 2) % n
-    frames = circle_transport(proj[rows], frames1d[n // 2])
-    tf = np.einsum("ij,tjm->tim", theta_u, np.conj(frames))
-    neg = frames[(-np.arange(n)) % n]
-    w = np.einsum("tnm,tnk->tmk", np.conj(neg), tf)
-    dets = np.linalg.det(w)
-    sqrt0 = _anchor_pf(w[0], "circle anchor")
-    delta = _tracked_phase(dets, [(t,) for t in range(n // 2 + 1)], "half circle")
-    return _pf_factor(w[n // 2], sqrt0 * np.exp(0.5j * delta), "circle far point")
+    frames = circle_transport(frame_projectors(frames1d)[rows], frames1d[n // 2])
+    w = _sewing_matrices(frames, theta_u, 1)
+    return _pf_walk(w, (0,), [(0, n // 2)], "half circle")
 
 
 def kane_mele_nu(field: SewingField) -> int:
@@ -206,9 +180,7 @@ def kane_mele_nu(field: SewingField) -> int:
         return _nu_sheet(field.frames, u)
     if d == 3:
         n3 = field.grid.sizes[2]
-        nu_0 = _nu_sheet(field.frames[:, :, n3 // 2], u)
-        nu_pi = _nu_sheet(field.frames[:, :, 0], u)
-        return nu_0 * nu_pi
+        return _nu_sheet(field.frames[:, :, n3 // 2], u) * _nu_sheet(field.frames[:, :, 0], u)
     raise InvalidParams("kane_mele_nu supports dimensions 1-3")
 
 
@@ -229,12 +201,9 @@ def strong_and_weak_indices_3d(model: BlochFamily, grid: MomentumGrid,
     if frames is None:
         frames = occupied_frame(model, grid).frames
     u = model.time_reversal.unitary
-    n3 = grid.sizes[2]
-    nu_0 = _nu_sheet(frames[:, :, n3 // 2], u)
-    nu_pi = _nu_sheet(frames[:, :, 0], u)
-    strong = nu_0 * nu_pi
+    nu_0, nu_pi = (_nu_sheet(frames[:, :, c], u) for c in (grid.sizes[2] // 2, 0))
     weak = (_nu_sheet(frames[0, :, :], u), _nu_sheet(frames[:, 0, :], u), nu_pi)
-    return Z2Indices3D(strong=strong, weak=weak)
+    return Z2Indices3D(strong=nu_0 * nu_pi, weak=weak)
 
 
 def boundary_circle_product(field: SewingField) -> int:
@@ -247,19 +216,10 @@ def boundary_circle_product(field: SewingField) -> int:
     """
     if field.grid.dim != 2:
         raise InvalidParams("the boundary-circle index is a 2D construction")
-    u = field.theta.unitary
-    frames_s = smooth_frames_2d(field.frames)
-    w = _sewing_matrices(frames_s, u, 2)
+    w = _sewing_matrices(smooth_frames_2d(field.frames), field.theta.unitary, 2)
     n1, n2 = w.shape[:2]
-    dets = np.linalg.det(w)
-    product = 1
-    for c, label in ((n2 // 2, "circle k2=0"), (0, "circle k2=pi")):
-        start = (n1 // 2, c)
-        path = _axis_path(start, 0, n1 // 2, (n1, n2))
-        delta = _tracked_phase(dets, path, label)
-        sqrt0 = _anchor_pf(w[start], label + " anchor")
-        product *= _pf_factor(w[(0, c)], sqrt0 * np.exp(0.5j * delta), label)
-    return product
+    return (_pf_walk(w, (n1 // 2, n2 // 2), [(0, n1 // 2)], "circle k2=0")
+            * _pf_walk(w, (n1 // 2, 0), [(0, n1 // 2)], "circle k2=pi"))
 
 
 # --- Wannier-center-flow oracle ---

@@ -9,7 +9,6 @@ from topoindex.errors import InvalidParams, NumericallySingular
 from topoindex.nctorus import (
     ClockShiftRep,
     NCElement,
-    _toeplitz_matrix,
     _trace_of_triple,
     clock_shift,
     fixed_point_generators,
@@ -140,6 +139,18 @@ def test_toeplitz_index_needs_headroom():
         toeplitz_index(winding_loop_coeffs(3), 8)
 
 
+def _toeplitz_matrix(blocks, modes):
+    """Dense reference: the block Toeplitz matrix of ``blocks`` on ``modes``,
+    block (i, j) = blocks[(modes[i] - modes[j],)]."""
+    b = next(iter(blocks.values())).shape[0]
+    n = len(modes)
+    t = np.zeros((n, b, n, b), dtype=np.result_type(*blocks.values()))
+    for key, block in blocks.items():
+        rows, cols = np.nonzero(modes[:, None] == modes[None, :] + key[0])
+        t[rows, :, cols, :] = block
+    return t.reshape(n * b, n * b)
+
+
 def _dense_toeplitz_index(coeffs, cutoff):
     """Reference oracle: one SVD of the whole dense compression with the
     same thresholds.  Returns the index (or the error type) and the
@@ -242,6 +253,33 @@ def test_toeplitz_matrix_block_symbol(modes):
             if (mi - mj,) in blocks:
                 ref[2 * i:2 * i + 2, 2 * j:2 * j + 2] = blocks[(mi - mj,)]
     assert np.array_equal(_toeplitz_matrix(blocks, modes), ref)
+
+
+def _dense_pairing_raw(blocks, cutoff):
+    """Reference: sum_ij |w_ij|^2 (f_i - f_j) over the dense weight matrix."""
+    b = next(iter(blocks.values())).shape[0]
+    modes = np.arange(-cutoff, cutoff + 1)
+    f = np.repeat(np.where(modes >= 0, 1.0, -1.0), b)
+    weight = _toeplitz_matrix({k: np.abs(bl) ** 2 for k, bl in blocks.items()}, modes)
+    return f @ weight.sum(axis=1) - weight.sum(axis=0) @ f
+
+
+def test_pairing_1d_raw_matches_dense_sum_on_random_symbols():
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        b, band = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+        blocks = {(e,): rng.normal(size=(b, b)) + 1j * rng.normal(size=(b, b))
+                  for e in range(-band, band + 1)}
+        for cutoff in (4 * band, 64):
+            raw = nc_index_pairing_1d(blocks, cutoff, residue_tol=1.0).raw
+            ref = _dense_pairing_raw(blocks, cutoff)
+            assert raw.imag == 0.0
+            assert abs(raw.real - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_pairing_1d_rejects_multidimensional_data():
+    with pytest.raises(InvalidParams):
+        nc_index_pairing_1d({(1, 0): [[1.0]]}, 16)
 
 
 def test_pairing_1d_additive_for_products():

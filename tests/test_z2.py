@@ -1,12 +1,15 @@
 """Sewing field invariants, the Kane-Mele invariant and its oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
 from topoindex.berry import occupied_frame
-from topoindex.errors import InvalidParams
+from topoindex.errors import BranchTrackingFailed, InvalidParams, PfaffianNearZero
 from topoindex.model import MomentumGrid, builtin, direct_sum
 from topoindex.z2 import (
+    _pf_walk,
     boundary_circle_product,
     kane_mele_nu,
     sewing_field,
@@ -175,3 +178,57 @@ def test_smooth_sewing_field_is_smooth():
     sf = smooth_sewing_field(km, MomentumGrid((10, 10, 10)))
     assert smoothness_report(sf.frames) < 1.6
     assert sf.unitarity_deviation < 1e-8
+
+
+# --- guards of the fixed-point Pfaffian walk on synthetic skew fields ---
+
+def _skew_field(z):
+    """w = [[0, z], [-z, 0]] pointwise: pf w = z and det w = z^2."""
+    z = np.asarray(z, dtype=complex)
+    w = np.zeros(z.shape + (2, 2), dtype=complex)
+    w[..., 0, 1], w[..., 1, 0] = z, -z
+    return w
+
+
+STAIRCASE = [(0, 2), (1, 2)]   # (2,2) -> (3,2) -> (0,2) -> (0,3) -> (0,0)
+
+
+def test_pf_walk_constant_field_is_trivial():
+    assert _pf_walk(_skew_field(np.ones((4, 4))), (2, 2), STAIRCASE, "test") == 1
+
+
+@pytest.mark.parametrize("where", [(3, 2), (0, 3)])
+def test_pf_walk_branch_jump_raises_at_its_grid_index(where):
+    z = np.ones((4, 4), dtype=complex)
+    z[where] = np.exp(0.9j)     # det phase step 1.8 > pi/2
+    with pytest.raises(BranchTrackingFailed, match=re.escape(str(where))):
+        _pf_walk(_skew_field(z), (2, 2), STAIRCASE, "test")
+
+
+@pytest.mark.parametrize("where", [(2, 2), (0, 2), (0, 0)])
+def test_pf_walk_small_pfaffian_raises_at_anchor_and_leg_ends(where):
+    z = np.ones((4, 4))
+    z[where] = 1e-7
+    with pytest.raises(PfaffianNearZero):
+        _pf_walk(_skew_field(z), (2, 2), STAIRCASE, "test")
+
+
+def test_pf_walk_modulus_change_breaks_the_pf_ratio():
+    z = np.ones((4, 4))
+    z[3, 2], z[0, 2] = 1.5, 2.0    # det phase constant, |pf/sqrt(det)| = 2
+    with pytest.raises(BranchTrackingFailed, match="pf ratio"):
+        _pf_walk(_skew_field(z), (2, 2), STAIRCASE, "test")
+
+
+def test_pf_walk_sign_flip_gives_minus_one():
+    z = np.ones((4, 4))
+    z[0, 2] = -1.0                 # pf flips while det w = 1 stays put
+    w = _skew_field(z)
+    assert _pf_walk(w, (2, 2), [(0, 2)], "test") == -1
+    assert _pf_walk(w, (2, 2), STAIRCASE, "test") == -1
+
+
+def test_pf_walk_follows_a_smooth_phase_winding():
+    # pf winds from 1 to -1 in steps of pi/6; sqrt(det) follows, ratio +1
+    z = np.exp(1j * np.pi * ((np.arange(12) - 6) % 12) / 6)
+    assert _pf_walk(_skew_field(z), (6,), [(0, 6)], "test") == 1
