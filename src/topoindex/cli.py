@@ -20,6 +20,7 @@ from .errors import AdequacyError, InvalidParams, SchemaError, ValidationError
 from .model import MomentumGrid, _matrix_from_json, builtin, check_trs, load_model, ribbonize
 
 REPORT_VERSION = 1
+MAX_RIBBON_ROWS = 1024  # a ribbon matrix has width * bands rows: 16 MB at the cap
 
 
 @dataclass
@@ -207,9 +208,19 @@ def _cmd_boundary_index(args, params, report):
     return report
 
 
+def _ribbon_width(width: float, bands: int) -> int:
+    """The --width of a ribbon whose matrices have at most MAX_RIBBON_ROWS rows."""
+    cap = MAX_RIBBON_ROWS // bands
+    if width != int(width) or not 8 <= width <= cap:
+        raise InvalidParams(
+            f"--width must be an integer in [8, {cap}] for {bands} bands, got {width:g}")
+    return int(width)
+
+
 def _cmd_edge_parity(args, params, report):
-    width = int(params.pop("width", 24))
+    width = params.pop("width", 24)
     model = _build_model(args, params)
+    width = _ribbon_width(width, model.bands)
     report.model = _model_descriptor(model)
     ribbon = ribbonize(model, open_axis=0, width=width)
     parity = spectral.edge_crossing_parity(ribbon)
@@ -299,7 +310,7 @@ def _sweep_values(spec: str):
 
 
 def _cmd_audit(args, params, report):
-    width = int(params.pop("width", 24))
+    width = params.pop("width", 24)
     sweep = [(None, None)]
     if args.sweep:
         name, values = _sweep_values(args.sweep)
@@ -311,6 +322,7 @@ def _cmd_audit(args, params, report):
         if name is not None:
             pt_params[name] = value
         model = _build_model(args, pt_params)
+        width = _ribbon_width(width, model.bands)
         grid = _grid_from_arg(args.grid, model.dim)
         entry: dict = {"params": {k: float(v) for k, v in sorted(pt_params.items())}}
         try:

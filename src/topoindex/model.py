@@ -317,15 +317,19 @@ def _kitaev_chain(params) -> BlochFamily:
                        name="kitaev-chain", params={"t": t, "mu": mu, "delta": delta})
 
 
+MAX_ATOMIC_BANDS = 64
+
+
 def _atomic_limit(params) -> BlochFamily:
-    n = int(params.pop("n", 4))
-    dim = int(params.pop("dim", 2))
+    n, dim = params.pop("n", 4), params.pop("dim", 2)
     if params:
         raise InvalidParams(f"unknown atomic-limit parameters {sorted(params)}")
-    if n % 4:
-        raise InvalidParams("atomic-limit band count must be a multiple of 4")
+    if n % 4 or not 4 <= n <= MAX_ATOMIC_BANDS:
+        raise InvalidParams(
+            f"atomic-limit band count must be a multiple of 4 in [4, {MAX_ATOMIC_BANDS}]")
     if dim not in (1, 2, 3):
         raise InvalidParams("atomic-limit dim must be 1, 2 or 3")
+    n, dim = int(n), int(dim)
     orbitals = n // 2
     energies = np.array([-1.0] * (orbitals // 2) + [1.0] * (orbitals - orbitals // 2))
     h0 = np.kron(SIGMA[0], np.diag(energies)).astype(complex)

@@ -24,6 +24,7 @@ from .errors import (
 from .model import BlochFamily, MomentumGrid, RibbonFamily, ribbonize
 
 MAX_REFINE_DEPTH = 20
+_STACK_BYTES = 1 << 19  # a (chunk, N, N) matrix stack per ribbon solve, about 512 KB
 
 
 @dataclass
@@ -161,57 +162,78 @@ def _ribbon_sectors(ribbon: RibbonFamily, ks: np.ndarray) -> list[np.ndarray]:
             for lab in np.unique(label)]
 
 
-def _sector_eigh(ribbon: RibbonFamily, sectors: list[np.ndarray], k: np.ndarray):
-    """Eigenpairs of ribbon.evaluate(k), solved one sector at a time and
-    merged into ascending order in the ribbon basis."""
-    h = ribbon.evaluate(k)
-    ev = np.empty(h.shape[-1])
-    vec = np.zeros_like(h)
-    start = 0
+def _sector_eigenpairs(ribbon: RibbonFamily, ks: np.ndarray, window: float = np.inf):
+    """Yield, for each row k of ks, the eigenpairs (ev, vec) of
+    ribbon.evaluate(k) with |E| < window, ascending, in the ribbon basis.
+    Momenta are evaluated in chunks of about _STACK_BYTES of matrices,
+    freed before the chunk's eigenpairs are handed on."""
+    sectors = _ribbon_sectors(ribbon, ks)
+    size = ribbon.transverse_sites * ribbon.bands
+    chunk = max(1, _STACK_BYTES // (16 * size * size))
+    for start in range(0, len(ks), chunk):
+        yield from _chunk_eigenpairs(ribbon.evaluate(ks[start:start + chunk]), sectors, window)
+
+
+def _chunk_eigenpairs(h: np.ndarray, sectors: list[np.ndarray], window: float) -> list:
+    """In-window eigenpairs of a (chunk, N, N) ribbon stack.  Per sector,
+    one stacked eigvalsh screens for matrices with a level in the window
+    (widened by 1e-6, so no level eigh places in it is missed) and one
+    stacked eigh solves those; a stable sort of the sectors' in-window
+    levels keeps the order of a full stable argsort cut to the window."""
+    size = h.shape[-1]
+    found = [([np.empty(0)], [np.empty((size, 0))]) for _ in h]
     for rows in sectors:
-        stop = start + len(rows)
-        ev[start:stop], vec[rows, start:stop] = np.linalg.eigh(h[np.ix_(rows, rows)])
-        start = stop
-    order = np.argsort(ev, kind="stable")
-    return ev[order], vec[:, order]
+        hs = h[:, rows[:, None], rows]
+        hit = np.arange(len(hs))
+        if np.isfinite(window):
+            levels = np.abs(np.linalg.eigvalsh(hs))
+            hit = np.flatnonzero(np.any(levels < window * (1 + 1e-6), axis=-1))
+        for i, ev, vec in zip(hit, *np.linalg.eigh(hs[hit])):
+            keep = np.abs(ev) < window
+            full = np.zeros((size, np.count_nonzero(keep)), dtype=complex)
+            full[rows] = vec[:, keep]
+            found[i][0].append(ev[keep])
+            found[i][1].append(full)
+    pairs = []
+    for evs, vecs in found:
+        ev = np.concatenate(evs)
+        order = np.argsort(ev, kind="stable")
+        pairs.append((ev[order], np.hstack(vecs)[:, order]))
+    return pairs
 
 
-def _edge_states(ribbon: RibbonFamily, sectors: list[np.ndarray], k: np.ndarray,
-                 window: float, cluster_tol: float):
+def _edge_states(ribbon: RibbonFamily, ev: np.ndarray, vec: np.ndarray,
+                 cluster_tol: float):
     """In-window eigenstates with their energies and left-quarter weights.
 
     States degenerate within cluster_tol are rotated to diagonalize the
     left-quarter weight, which disentangles hybridized or symmetry-paired
     edge states living on opposite edges.
     """
-    ev, vec = _sector_eigh(ribbon, sectors, k)
     L, n = ribbon.transverse_sites, ribbon.bands
     quarter = max(1, L // 4)
-    keep = np.where(np.abs(ev) < window)[0]
     out = []
     i = 0
-    while i < len(keep):
+    while i < len(ev):
         j = i
-        while j + 1 < len(keep) and ev[keep[j + 1]] - ev[keep[j]] < cluster_tol:
+        while j + 1 < len(ev) and ev[j + 1] - ev[j] < cluster_tol:
             j += 1
-        cluster = keep[i:j + 1]
-        vs = vec[:, cluster]
-        if len(cluster) > 1:
-            blocks = vs.reshape(L, n, len(cluster))
+        vs = vec[:, i:j + 1]
+        if j > i:
+            blocks = vs.reshape(L, n, j + 1 - i)
             ql = np.einsum("sna,snb->ab", np.conj(blocks[:quarter]), blocks[:quarter])
             _, rot = np.linalg.eigh(ql)
             vs = vs @ rot
-        e_mean = float(np.mean(ev[cluster]))
+        e_mean = float(np.mean(ev[i:j + 1]))
         for a in range(vs.shape[1]):
             psi = vs[:, a].reshape(L, n)
             weight = float(np.sum(np.abs(psi[:quarter]) ** 2))
-            out.append((e_mean if len(cluster) > 1 else float(ev[cluster[a]]),
-                        vs[:, a], weight))
+            out.append((e_mean if j > i else float(ev[i + a]), vs[:, a], weight))
         i = j + 1
     return out
 
 
-def _crossing_parity_on_path(ribbon: RibbonFamily, path: list[np.ndarray]) -> int:
+def _crossing_parity_on_path(ribbon: RibbonFamily, path: np.ndarray) -> int:
     """Parity of left-edge band crossings of an in-gap probe level along a
     path of ribbon momenta.
 
@@ -225,8 +247,8 @@ def _crossing_parity_on_path(ribbon: RibbonFamily, path: list[np.ndarray]) -> in
     match_window = 0.6 * gap
     levels = (0.3 * gap, -0.3 * gap)
 
-    sectors = _ribbon_sectors(ribbon, np.array(path))
-    states = [_edge_states(ribbon, sectors, k, window, 0.02 * gap) for k in path]
+    states = [_edge_states(ribbon, ev, vec, 0.02 * gap)
+              for ev, vec in _sector_eigenpairs(ribbon, path, window)]
     counts = [0, 0]
     for i in range(len(path) - 1):
         cur, nxt = states[i], states[i + 1]
@@ -263,10 +285,8 @@ def ribbon_spectrum_csv(ribbon: RibbonFamily, samples: int = 81) -> str:
     ks = np.linspace(-np.pi, np.pi, samples)
     kv = np.zeros((samples, ribbon.dim))
     kv[:, 0] = ks
-    sectors = _ribbon_sectors(ribbon, kv)
     lines = ["k,energy,edge_weight"]
-    for k, kp in zip(ks, kv):
-        ev, vec = _sector_eigh(ribbon, sectors, kp)
+    for k, (ev, vec) in zip(ks, _sector_eigenpairs(ribbon, kv)):
         dens = np.abs(vec.reshape(L, n, -1)) ** 2
         weight = dens[:quarter].sum(axis=(0, 1)) + dens[-quarter:].sum(axis=(0, 1))
         lines.extend(f"{k:.12g},{e:.12g},{w:.12g}" for e, w in zip(ev, weight))
@@ -278,8 +298,7 @@ def edge_crossing_parity(ribbon: RibbonFamily, samples: int = 161) -> int:
     between the projected fixed points 0 and pi."""
     if ribbon.dim != 1:
         raise InvalidParams("edge_crossing_parity expects a 1D-momentum ribbon")
-    path = [np.array([k]) for k in np.linspace(0.0, np.pi, samples)]
-    return _crossing_parity_on_path(ribbon, path)
+    return _crossing_parity_on_path(ribbon, np.linspace(0.0, np.pi, samples)[:, None])
 
 
 def mod2_analytical_index(model: BlochFamily, grid: MomentumGrid, trim,
@@ -317,4 +336,4 @@ def mod2_analytical_index(model: BlochFamily, grid: MomentumGrid, trim,
         current[axis] = np.pi
     if len(path) < 2:
         return 0
-    return _crossing_parity_on_path(ribbon, path)
+    return _crossing_parity_on_path(ribbon, np.array(path))

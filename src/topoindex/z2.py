@@ -14,6 +14,7 @@ tracking over half the zone) cross-checks every verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +71,12 @@ class SewingField:
     @property
     def occupied(self) -> int:
         return self.w.shape[-1]
+
+    @cached_property
+    def smooth_w(self) -> np.ndarray:
+        """Sewing matrices of a 2D field in the smooth periodic gauge of its
+        frames, built once and shared by every index that walks them."""
+        return _sewing_matrices(smooth_frames_2d(self.frames), self.theta.unitary, 2)
 
 
 def sewing_field(model: BlochFamily, grid: MomentumGrid,
@@ -146,12 +153,14 @@ def _pf_walk(w: np.ndarray, anchor: tuple[int, ...], legs: list[tuple[int, int]]
 
 
 def _nu_sheet(frames2d: np.ndarray, theta_u: np.ndarray) -> int:
-    """Kane-Mele invariant of one 2D frame sheet.
+    """Kane-Mele invariant of one 2D frame sheet, re-gauged smoothly."""
+    return _nu_smooth_sheet(_sewing_matrices(smooth_frames_2d(frames2d), theta_u, 2))
 
-    Re-gauges the sheet smoothly, anchors the branch at k = (0, 0) and
-    walks the staircase (0,0) -> (pi,0) -> (pi,pi) and the leg
-    (0,0) -> (0,pi)."""
-    w = _sewing_matrices(smooth_frames_2d(frames2d), theta_u, 2)
+
+def _nu_smooth_sheet(w: np.ndarray) -> int:
+    """Kane-Mele invariant of smooth-gauge 2D sewing matrices: anchors the
+    branch at k = (0, 0) and walks the staircase (0,0) -> (pi,0) -> (pi,pi)
+    and the leg (0,0) -> (0,pi)."""
     n1, n2 = w.shape[:2]
     origin = (n1 // 2, n2 // 2)     # k = (0, 0)
     return (_pf_walk(w, origin, [(0, n1 // 2), (1, n2 // 2)], "sheet")
@@ -177,7 +186,7 @@ def kane_mele_nu(field: SewingField) -> int:
     if d == 1:
         return _nu_circle(field.frames, u)
     if d == 2:
-        return _nu_sheet(field.frames, u)
+        return _nu_smooth_sheet(field.smooth_w)
     if d == 3:
         n3 = field.grid.sizes[2]
         return _nu_sheet(field.frames[:, :, n3 // 2], u) * _nu_sheet(field.frames[:, :, 0], u)
@@ -216,7 +225,7 @@ def boundary_circle_product(field: SewingField) -> int:
     """
     if field.grid.dim != 2:
         raise InvalidParams("the boundary-circle index is a 2D construction")
-    w = _sewing_matrices(smooth_frames_2d(field.frames), field.theta.unitary, 2)
+    w = field.smooth_w
     n1, n2 = w.shape[:2]
     return (_pf_walk(w, (n1 // 2, n2 // 2), [(0, n1 // 2)], "circle k2=0")
             * _pf_walk(w, (n1 // 2, 0), [(0, n1 // 2)], "circle k2=pi"))

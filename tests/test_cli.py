@@ -386,3 +386,75 @@ def test_csv_is_built_only_for_out_csv(monkeypatch, argv):
     assert code == 0
     assert rep.csv is None
     assert calls == []
+
+
+@pytest.mark.parametrize("command", ["edge-parity", "audit"])
+@pytest.mark.parametrize("model,width", [
+    (["--model", "bhz"], w) for w in ("16.9", "257", "1e9", "-3", "7")] + [
+    (["--model", "atomic-limit", "--n", "64"], "17")])
+def test_ribbon_width_outside_cap_or_non_integer_exits_2(monkeypatch, command, model, width):
+    from topoindex import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the rejected width reached the ribbon")
+
+    monkeypatch.setattr(cli, "ribbonize", never)
+    code, inv = invariants([command] + model + ["--grid", "8", "--width", width])
+    assert code == 2
+    assert inv["error"]["type"] == "InvalidParams"
+    assert "--width" in inv["error"]["message"]
+
+
+@pytest.mark.parametrize("model,width,expected", [
+    (["--model", "bhz"], "256", 256), (["--model", "bhz"], "24.0", 24),
+    (["--model", "atomic-limit", "--n", "64"], "16", 16)])
+def test_ribbon_width_at_cap_or_integral_float_is_accepted(monkeypatch, model, width, expected):
+    from topoindex import spectral
+
+    monkeypatch.setattr(spectral, "edge_crossing_parity", lambda ribbon: 1)
+    code, inv = invariants(["edge-parity"] + model + ["--width", width])
+    assert code == 0 and inv["ribbon_width"] == expected
+
+
+def test_audit_builds_one_smooth_gauge_per_2d_point(monkeypatch):
+    from topoindex import z2
+
+    original = z2.smooth_frames_2d
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(z2, "smooth_frames_2d", counted)
+    code, inv = invariants(["audit", "--model", "bhz", "--grid", "10", "--width", "16",
+                            "--sweep", "m=1.5:2.5:2"])
+    assert code == 0 and all(p["boundary_index"] == p["nu"] == -1 for p in inv["points"])
+    assert len(calls) == 2
+
+
+def test_ribbon_commands_fuzz_exit_codes():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    widths = st.one_of(
+        st.integers(8, 24).map(str),
+        st.integers(-20, 7).map(str),
+        st.integers(257, 10**12).map(str),
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.sampled_from(["nan", "-inf", "1e400", "16.5", "abc", "8"]))
+    models = st.sampled_from([
+        ["--model", "bhz", "--m"], ["--model", "kane-mele", "--lv"],
+        ["--model", "atomic-limit", "--n"]])
+    values = st.one_of(st.floats(-12, 12).map(repr), st.sampled_from(["nan", "1e300", "x"]))
+
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True)
+    @hypothesis.given(st.sampled_from(["edge-parity", "audit"]), models, values, widths)
+    def check(command, model, value, width):
+        argv = [command] + model + [value, "--width", width]
+        if command == "audit":
+            argv += ["--grid", "8"]
+        code, _ = run(argv)
+        assert code in (0, 2, 3)
+
+    check()

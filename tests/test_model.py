@@ -123,6 +123,9 @@ def test_unknown_model_and_bad_params():
         builtin("kane-mele", bogus=1.0)
     with pytest.raises(InvalidParams):
         builtin("atomic-limit", n=6)
+    for n in (4.5, 0, -4, 68, 4194304):  # 4194304 bands would need a 32 TiB diagonal
+        with pytest.raises(InvalidParams):
+            builtin("atomic-limit", n=n)
 
 
 def test_hopf_model_occupied_projector_is_monopole_projector():

@@ -1,9 +1,12 @@
 """Spectral flow, the effective Hamiltonian and edge-crossing parities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from test_model import _rashba_kane_mele_doc
+from topoindex import spectral
 from topoindex.errors import EdgeBandIsolationFailed, EndpointGapless, InvalidParams
 from topoindex.model import MomentumGrid, builtin, direct_sum, load_model, ribbonize
 from topoindex.spectral import (
@@ -11,7 +14,7 @@ from topoindex.spectral import (
     SpectralPath,
     _ribbon_bulk_gap,
     _ribbon_sectors,
-    _sector_eigh,
+    _sector_eigenpairs,
     edge_crossing_parity,
     mod2_analytical_index,
     ribbon_spectrum_csv,
@@ -190,10 +193,9 @@ def test_ribbon_sector_count(make, count):
 def test_sector_solve_matches_full_eigh(make):
     ribbon = ribbonize(make(), 0, 16)
     path = _staircase(ribbon.dim)
-    sectors = _ribbon_sectors(ribbon, path)
     window = 0.9 * _ribbon_bulk_gap(ribbon)
-    for k in path:
-        ev, vec = _sector_eigh(ribbon, sectors, k)
+    screened = _sector_eigenpairs(ribbon, path, window)
+    for k, (ev, vec), (ev_in, vec_in) in zip(path, _sector_eigenpairs(ribbon, path), screened):
         ev_ref, vec_ref = np.linalg.eigh(ribbon.evaluate(k))
         assert np.max(np.abs(ev - ev_ref)) < 1e-12
         assert np.allclose(np.conj(vec.T) @ vec, np.eye(len(ev)), atol=1e-12)
@@ -205,6 +207,99 @@ def test_sector_solve_matches_full_eigh(make):
             p = vec[:, cluster] @ np.conj(vec[:, cluster].T)
             p_ref = vec_ref[:, cluster] @ np.conj(vec_ref[:, cluster].T)
             assert np.max(np.abs(p - p_ref)) < 1e-10
+        # the screened solve returns exactly the in-window part of the full one
+        inside = np.abs(ev) < window
+        assert np.array_equal(ev_in, ev[inside]) and np.array_equal(vec_in, vec[:, inside])
+
+
+def _per_point_eigenpairs(ribbon, ks, window=np.inf):
+    """Reference solver: one evaluate and one eigh per sector at each
+    momentum, levels merged by a stable argsort, then cut to the window."""
+    sectors = _ribbon_sectors(ribbon, ks)
+    for k in ks:
+        h = ribbon.evaluate(k)
+        ev = np.empty(h.shape[-1])
+        vec = np.zeros_like(h)
+        start = 0
+        for rows in sectors:
+            stop = start + len(rows)
+            ev[start:stop], vec[rows, start:stop] = np.linalg.eigh(h[np.ix_(rows, rows)])
+            start = stop
+        order = np.argsort(ev, kind="stable")
+        order = order[np.abs(ev[order]) < window]
+        yield ev[order], vec[:, order]
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except EdgeBandIsolationFailed as exc:
+        return type(exc).__name__
+
+
+def _against_reference(monkeypatch, fn, *args, **kwargs):
+    got = _outcome(fn, *args, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_sector_eigenpairs", _per_point_eigenpairs)
+        ref = _outcome(fn, *args, **kwargs)
+    return got, ref
+
+
+LV_C = 3 * np.sqrt(3) * 0.06
+
+
+@pytest.mark.parametrize("name,params,width,expected", [
+    ("kane-mele", {"lso": 0.06, "lv": 0.5 * LV_C}, 16, 1),
+    ("kane-mele", {"lso": 0.06, "lv": 0.8 * LV_C}, 16, "EdgeBandIsolationFailed"),
+    ("kane-mele", {"lso": 0.06, "lv": 0.3 * LV_C}, 25, 1),
+    ("kane-mele", {"lso": 0.06, "lv": 2.0 * LV_C}, 25, 0),
+    ("kane-mele", {"lso": 0.06, "lv": 0.1 * LV_C}, 32, 1),
+    ("bhz", {"m": 0.1}, 16, "EdgeBandIsolationFailed"),
+    ("bhz", {"m": 0.1}, 25, 1),
+    ("bhz", {"m": 7.9556}, 25, "EdgeBandIsolationFailed"),
+    ("bhz", {"m": 4.0}, 32, "EdgeBandIsolationFailed"),
+    ("bhz", {"m": 10.0}, 25, 0),
+])
+def test_edge_parity_matches_per_point_reference(monkeypatch, name, params, width, expected):
+    ribbon = ribbonize(builtin(name, **params), 0, width)
+    assert _against_reference(monkeypatch, edge_crossing_parity, ribbon) == (expected, expected)
+
+
+@pytest.mark.parametrize("mass,trim,expected", [
+    (-2.0, (np.pi, np.pi, np.pi), 1),
+    (-2.0, (np.pi, 0.0, 0.0), 0),
+    (-4.0, (0.0, np.pi, np.pi), 0),
+])
+def test_mod2_staircase_matches_per_point_reference(monkeypatch, mass, trim, expected):
+    got = _against_reference(monkeypatch, mod2_analytical_index,
+                             builtin("fu-kane-mele-3d", m=mass), MomentumGrid((8, 8, 8)),
+                             trim, width=16, samples_per_leg=81)
+    assert got == (expected, expected)
+
+
+@pytest.mark.parametrize("name,params,width,samples", [
+    ("kane-mele", {"lso": 0.06, "lv": 0.1}, 12, 81),
+    ("bhz", {"m": 2.0}, 17, 41),
+    ("atomic-limit", {"n": 4, "dim": 2}, 8, 9),
+])
+def test_ribbon_csv_is_byte_identical_to_per_point_reference(monkeypatch, name, params,
+                                                             width, samples):
+    ribbon = ribbonize(builtin(name, **params), 0, width)
+    got, ref = _against_reference(monkeypatch, ribbon_spectrum_csv, ribbon, samples)
+    assert got == ref
+
+
+def test_edge_parity_memory_does_not_grow_with_the_path():
+    # one width-32 kane-mele matrix is 256 KB; the whole 161-point path
+    # stacked at once would take about 84 MB
+    ribbon = ribbonize(builtin("kane-mele", t=1.0, lso=0.06, lv=0.1), 0, 32)
+    tracemalloc.start()
+    try:
+        assert edge_crossing_parity(ribbon) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("make", [pytest.param(m, id=n) for n, m, _ in SECTOR_CASES])
