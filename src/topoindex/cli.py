@@ -17,10 +17,10 @@ import numpy as np
 
 from . import berry, ktable, nctorus, spectral, windex, z2
 from .errors import AdequacyError, InvalidParams, SchemaError, ValidationError
-from .model import MomentumGrid, _matrix_from_json, builtin, check_trs, load_model, ribbonize
+from .model import (MAX_MATRIX_ROWS, MomentumGrid, _matrix_from_json, builtin, check_trs,
+                    load_model, ribbonize)
 
 REPORT_VERSION = 1
-MAX_RIBBON_ROWS = 1024  # a ribbon matrix has width * bands rows: 16 MB at the cap
 
 
 @dataclass
@@ -208,9 +208,18 @@ def _cmd_boundary_index(args, params, report):
     return report
 
 
-def _ribbon_width(width: float, bands: int) -> int:
-    """The --width of a ribbon whose matrices have at most MAX_RIBBON_ROWS rows."""
-    cap = MAX_RIBBON_ROWS // bands
+def _ribbon_width(width: float | None, bands: int) -> int:
+    """The --width (24 when not given) of a ribbon of bands-band cells: an
+    integer in [8, cap], cap = MAX_MATRIX_ROWS // bands, as a ribbon matrix
+    has width * bands rows."""
+    cap = MAX_MATRIX_ROWS // bands
+    if cap < 8:
+        raise InvalidParams(f"no ribbon width fits {bands} bands: a ribbon matrix has"
+                            f" width * bands rows, at most {MAX_MATRIX_ROWS}, and width >= 8")
+    if width is None and cap < 24:
+        raise InvalidParams(f"the default --width 24 exceeds {cap}, the widest ribbon for"
+                            f" {bands} bands; pass --width from 8 to {cap}")
+    width = 24 if width is None else width
     if width != int(width) or not 8 <= width <= cap:
         raise InvalidParams(
             f"--width must be an integer in [8, {cap}] for {bands} bands, got {width:g}")
@@ -218,7 +227,7 @@ def _ribbon_width(width: float, bands: int) -> int:
 
 
 def _cmd_edge_parity(args, params, report):
-    width = params.pop("width", 24)
+    width = params.pop("width", None)
     model = _build_model(args, params)
     width = _ribbon_width(width, model.bands)
     report.model = _model_descriptor(model)
@@ -310,7 +319,7 @@ def _sweep_values(spec: str):
 
 
 def _cmd_audit(args, params, report):
-    width = params.pop("width", 24)
+    width = params.pop("width", None)
     sweep = [(None, None)]
     if args.sweep:
         name, values = _sweep_values(args.sweep)
@@ -322,7 +331,7 @@ def _cmd_audit(args, params, report):
         if name is not None:
             pt_params[name] = value
         model = _build_model(args, pt_params)
-        width = _ribbon_width(width, model.bands)
+        ribbon_width = _ribbon_width(width, model.bands) if model.dim == 2 else None
         grid = _grid_from_arg(args.grid, model.dim)
         entry: dict = {"params": {k: float(v) for k, v in sorted(pt_params.items())}}
         try:
@@ -332,7 +341,7 @@ def _cmd_audit(args, params, report):
             if model.dim == 2:
                 flow = z2.wannier_center_flow(model, grid, frames=sf.frames)
                 boundary = windex.boundary_index_2d(sf)
-                parity = spectral.edge_crossing_parity(ribbonize(model, 0, width))
+                parity = spectral.edge_crossing_parity(ribbonize(model, 0, ribbon_width))
                 entry.update({
                     "wannier_verdict": flow.verdict,
                     "boundary_index": boundary,

@@ -31,6 +31,9 @@ SIGMA = [
 ]
 
 GAP_TOL = 1e-6
+# Rows of the largest Bloch or ribbon matrix a command builds: 16 MB of
+# complex entries.  Caps atomic-limit bands and ribbon width * bands.
+MAX_MATRIX_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -317,16 +320,13 @@ def _kitaev_chain(params) -> BlochFamily:
                        name="kitaev-chain", params={"t": t, "mu": mu, "delta": delta})
 
 
-MAX_ATOMIC_BANDS = 64
-
-
 def _atomic_limit(params) -> BlochFamily:
     n, dim = params.pop("n", 4), params.pop("dim", 2)
     if params:
         raise InvalidParams(f"unknown atomic-limit parameters {sorted(params)}")
-    if n % 4 or not 4 <= n <= MAX_ATOMIC_BANDS:
+    if n % 4 or not 4 <= n <= MAX_MATRIX_ROWS:
         raise InvalidParams(
-            f"atomic-limit band count must be a multiple of 4 in [4, {MAX_ATOMIC_BANDS}]")
+            f"atomic-limit band count must be a multiple of 4 in [4, {MAX_MATRIX_ROWS}]")
     if dim not in (1, 2, 3):
         raise InvalidParams("atomic-limit dim must be 1, 2 or 3")
     n, dim = int(n), int(dim)

@@ -416,6 +416,40 @@ def test_ribbon_width_at_cap_or_integral_float_is_accepted(monkeypatch, model, w
     assert code == 0 and inv["ribbon_width"] == expected
 
 
+@pytest.mark.parametrize("command", ["edge-parity", "audit"])
+def test_default_width_over_cap_names_the_default(monkeypatch, command):
+    from topoindex import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the rejected width reached the ribbon")
+
+    monkeypatch.setattr(cli, "ribbonize", never)
+    code, inv = invariants([command, "--model", "atomic-limit", "--n", "64", "--grid", "4"])
+    assert code == 2 and inv["error"]["type"] == "InvalidParams"
+    assert "default --width 24 exceeds 16" in inv["error"]["message"]
+    code, inv = invariants([command, "--model", "atomic-limit", "--n", "256", "--width", "8",
+                            "--grid", "4"])
+    assert code == 2 and "no ribbon width fits 256 bands" in inv["error"]["message"]
+
+
+def test_wide_atomic_limit_runs_bulk_commands():
+    code, inv = invariants(["chern", "--model", "atomic-limit", "--n", "128", "--grid", "4"])
+    assert code == 0 and inv["c1"] == 0
+
+
+@pytest.mark.parametrize("width", [[], ["--width", "100000"], ["--width", "16.9"]])
+def test_audit_3d_builds_no_ribbon_and_ignores_width(monkeypatch, width):
+    from topoindex import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("a 3D audit built a ribbon")
+
+    monkeypatch.setattr(cli, "ribbonize", never)
+    code, inv = invariants(["audit", "--model", "fu-kane-mele-3d", "--m", "-2.0",
+                            "--grid", "6"] + width)
+    assert code == 0 and inv["all_agree"] and inv["points"][0]["nu"] == -1
+
+
 def test_audit_builds_one_smooth_gauge_per_2d_point(monkeypatch):
     from topoindex import z2
 

@@ -123,9 +123,10 @@ def test_unknown_model_and_bad_params():
         builtin("kane-mele", bogus=1.0)
     with pytest.raises(InvalidParams):
         builtin("atomic-limit", n=6)
-    for n in (4.5, 0, -4, 68, 4194304):  # 4194304 bands would need a 32 TiB diagonal
+    for n in (4.5, 0, -4, 1028, 4194304):  # 4194304 bands would need a 32 TiB diagonal
         with pytest.raises(InvalidParams):
             builtin("atomic-limit", n=n)
+    assert builtin("atomic-limit", n=1024).bands == 1024  # one 16 MB Bloch matrix
 
 
 def test_hopf_model_occupied_projector_is_monopole_projector():
