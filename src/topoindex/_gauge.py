@@ -15,6 +15,8 @@ atomic-limit-like inputs.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import GaugeConstructionFailed
@@ -144,25 +146,45 @@ def _quat_to_su2(q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pick_avoid_point(q: np.ndarray) -> np.ndarray:
-    """A point on S^3 bounded away from the antipodes of a quaternion
-    family and from the antipode of the identity."""
-    rng = np.random.default_rng(20240831)
-    flat = q.reshape(-1, 4)
-    candidates = [np.array([1.0, 0.0, 0.0, 0.0])]
-    candidates += list(rng.normal(size=(256, 4)))
-    best, best_margin = None, -1.0
-    for c in candidates:
-        c = c / np.linalg.norm(c)
-        if c[0] < -0.6:
-            c = -c
-        margin = float(np.min(np.linalg.norm(flat + c, axis=1)))
-        if margin > best_margin:
-            best, best_margin = c, margin
-    if best_margin < 0.2:
+@functools.cache
+def _basepoint_candidates(kind: str, m: int) -> np.ndarray:
+    """The seeded unit candidates of a basepoint scan in scan order,
+    read-only: quaternions for "quaternion", complex m-vectors otherwise."""
+    if kind == "quaternion":
+        rng = np.random.default_rng(20240831)
+        raw = [np.array([1.0, 0.0, 0.0, 0.0])] + list(rng.normal(size=(256, 4)))
+    else:
+        rng = np.random.default_rng(46521)
+        raw = [rng.normal(size=m) + 1j * rng.normal(size=m) for _ in range(256)]
+    units = np.array([c / np.linalg.norm(c) for c in raw])
+    if kind == "quaternion":
+        units[units[:, 0] < -0.6] *= -1.0  # away from the antipode of the identity
+    units.setflags(write=False)
+    return units
+
+
+def _pick_basepoint(family: np.ndarray, kind: str) -> tuple[np.ndarray, float]:
+    """The first candidate c with the largest margin min_p |family_p + c|
+    (distance from the family's antipodes); returns (c, margin).
+
+    `kind` is "quaternion" (rank-2 contraction through S^3) or "complex"
+    (a column chain).  Candidates go in blocks of max(1, 16384 // N) for
+    N family points, so the (block, N, m) temporary holds about 16384
+    vectors (512 KB for quaternions).  A best margin below 0.2 raises
+    GaugeConstructionFailed.
+    """
+    flat = family.reshape(-1, family.shape[-1])
+    cands = _basepoint_candidates(kind, flat.shape[-1])
+    block = max(1, 16384 // len(flat))
+    margins = np.concatenate([
+        np.min(np.linalg.norm(flat + cands[i:i + block, None], axis=-1), axis=1)
+        for i in range(0, len(cands), block)])
+    best = int(np.argmax(margins))  # the first maximum, as a strict > scan keeps
+    if margins[best] < 0.2:
+        what = "contraction" if kind == "quaternion" else "column-contraction"
         raise GaugeConstructionFailed(
-            f"no contraction basepoint with margin > 0.2 (best {best_margin:.3f})")
-    return best
+            f"no {what} basepoint with margin > 0.2 (best {margins[best]:.3f})")
+    return cands[best].copy(), float(margins[best])
 
 
 def _chord(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
@@ -208,7 +230,7 @@ class _ColumnChain:
     def __init__(self, column: np.ndarray, steps: int = 48):
         self.c0 = column
         self.m = column.shape[-1]
-        self.rho = _pick_avoid_complex(column)
+        self.rho, self.basepoint_margin = _pick_basepoint(column, "complex")
         self.e0 = np.zeros(self.m)
         self.e0[0] = 1.0
         if np.linalg.norm(self.rho + self.e0) < 0.2:
@@ -236,23 +258,6 @@ class _ColumnChain:
             nxt = self._point(t)
             out = np.einsum("...ij,...jk->...ik", _minimal_rotation(prev, nxt), out)
         return out
-
-
-def _pick_avoid_complex(c: np.ndarray) -> np.ndarray:
-    """A unit complex vector bounded away from -c over all parameters."""
-    rng = np.random.default_rng(46521)
-    flat = c.reshape(-1, c.shape[-1])
-    best, best_margin = None, -1.0
-    for trial in range(256):
-        cand = rng.normal(size=c.shape[-1]) + 1j * rng.normal(size=c.shape[-1])
-        cand /= np.linalg.norm(cand)
-        margin = float(np.min(np.linalg.norm(flat + cand, axis=1)))
-        if margin > best_margin:
-            best, best_margin = cand, margin
-    if best_margin < 0.2:
-        raise GaugeConstructionFailed(
-            f"no column-contraction basepoint with margin > 0.2 (best {best_margin:.3f})")
-    return best
 
 
 class _GeneralContraction:
@@ -318,7 +323,7 @@ class LoopContraction:
             if residual > 1e-8:
                 raise GaugeConstructionFailed(
                     f"mismatch not special-unitary after det removal ({residual:.2e})")
-            self.rho = _pick_avoid_point(self.q)
+            self.rho, self.basepoint_margin = _pick_basepoint(self.q, "quaternion")
             self.identity_q = np.array([1.0, 0.0, 0.0, 0.0])
             self.mode = "quaternion"
         else:
@@ -346,6 +351,22 @@ class LoopContraction:
         return self.general.at(t)
 
 
+def _sweep_and_close(out: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """Transport the first sheet out[..., 0, :, :] along the last grid
+    axis, then spread the contraction of the wrap mismatch over that axis
+    so the gauge closes periodically; fills `out` in place."""
+    n = out.shape[-3]
+    for i in range(1, n):
+        out[..., i, :, :] = transport(out[..., i - 1, :, :], proj[..., i, :, :])
+    arrived = transport(out[..., n - 1, :, :], proj[..., 0, :, :])
+    mismatch = polar_unitary(np.conj(np.swapaxes(out[..., 0, :, :], -1, -2)) @ arrived)
+    homotopy = LoopContraction(np.conj(np.swapaxes(mismatch, -1, -2)))  # to M^dagger
+    for i in range(n):
+        h = homotopy.at(_smoothstep(i / n))
+        out[..., i, :, :] = np.einsum("...ij,...jk->...ik", out[..., i, :, :], h)
+    return out
+
+
 def smooth_frames_2d(frames_raw: np.ndarray) -> np.ndarray:
     """Smooth periodic gauge for a 2D frame field (N1, N2, n, m).
 
@@ -353,42 +374,18 @@ def smooth_frames_2d(frames_raw: np.ndarray) -> np.ndarray:
     otherwise the wrap mismatch has a winding determinant and the
     contraction fails loudly.
     """
-    n2 = frames_raw.shape[1]
     proj = frame_projectors(frames_raw)
     out = np.empty_like(frames_raw)
-
     out[:, 0] = circle_transport(proj[:, 0], frames_raw[0, 0])
-    for i2 in range(1, n2):
-        out[:, i2] = transport(out[:, i2 - 1], proj[:, i2])
-
-    arrived = transport(out[:, n2 - 1], proj[:, 0])
-    mismatch = polar_unitary(np.conj(np.swapaxes(out[:, 0], -1, -2)) @ arrived)
-
-    homotopy = LoopContraction(np.conj(np.swapaxes(mismatch, -1, -2)))  # to M^dagger
-    for i2 in range(n2):
-        h = homotopy.at(_smoothstep(i2 / n2))
-        out[:, i2] = np.einsum("aij,ajk->aik", out[:, i2], h)
-    return out
+    return _sweep_and_close(out, proj)
 
 
 def smooth_frames_3d(frames_raw: np.ndarray) -> np.ndarray:
     """Smooth periodic gauge for a 3D frame field (N1, N2, N3, n, m)."""
-    n3 = frames_raw.shape[2]
     proj = frame_projectors(frames_raw)
     out = np.empty_like(frames_raw)
-
     out[:, :, 0] = smooth_frames_2d(frames_raw[:, :, 0])
-    for i3 in range(1, n3):
-        out[:, :, i3] = transport(out[:, :, i3 - 1], proj[:, :, i3])
-
-    arrived = transport(out[:, :, n3 - 1], proj[:, :, 0])
-    mismatch = polar_unitary(np.conj(np.swapaxes(out[:, :, 0], -1, -2)) @ arrived)
-
-    homotopy = LoopContraction(np.conj(np.swapaxes(mismatch, -1, -2)))
-    for i3 in range(n3):
-        h = homotopy.at(_smoothstep(i3 / n3))
-        out[:, :, i3] = np.einsum("abij,abjk->abik", out[:, :, i3], h)
-    return out
+    return _sweep_and_close(out, proj)
 
 
 def smoothness_report(frames: np.ndarray) -> float:

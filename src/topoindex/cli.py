@@ -325,7 +325,6 @@ def _cmd_audit(args, params, report):
         name, values = _sweep_values(args.sweep)
         sweep = [(name, float(v)) for v in values]
     points = []
-    all_ok = True
     for name, value in sweep:
         pt_params = dict(params)
         if name is not None:
@@ -356,13 +355,15 @@ def _cmd_audit(args, params, report):
                     "winding": res.value, "winding_residue": res.residue,
                     "agree": bool((-1) ** res.rounded == nu),
                 })
-            all_ok = all_ok and entry["agree"]
         except AdequacyError as exc:
             entry["skipped"] = str(exc)
         points.append(entry)
     report.model = {"name": args.model or args.config}
-    report.invariants = {"points": points, "all_agree": all_ok}
-    if not all_ok:
+    checked = [p["agree"] for p in points if "agree" in p]
+    report.invariants = {"points": points, "all_agree": bool(checked) and all(checked)}
+    if not checked:
+        raise AdequacyError(f"audit checked no point: all {len(points)} sweep points were skipped")
+    if not all(checked):
         raise AdequacyError("audit found disagreeing invariants")
     return report
 

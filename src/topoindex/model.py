@@ -108,9 +108,6 @@ class TimeReversal:
         if np.linalg.norm(u @ u.conj() + np.eye(n)) > 1e-12:
             raise InvalidParams("time reversal must square to -1")
 
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        return self.unitary @ np.conj(psi)
-
 
 def standard_theta(bands: int) -> TimeReversal:
     """Theta = i sigma_2 (x) I on a spin-major basis."""

@@ -446,8 +446,24 @@ def test_audit_3d_builds_no_ribbon_and_ignores_width(monkeypatch, width):
 
     monkeypatch.setattr(cli, "ribbonize", never)
     code, inv = invariants(["audit", "--model", "fu-kane-mele-3d", "--m", "-2.0",
-                            "--grid", "6"] + width)
+                            "--grid", "20"] + width)
     assert code == 0 and inv["all_agree"] and inv["points"][0]["nu"] == -1
+
+
+def test_audit_that_checked_no_point_exits_3():
+    code, inv = invariants(["audit", "--model", "bhz", "--m", "1e-300", "--grid", "8",
+                            "--width", "16"])
+    assert code == 3 and inv["all_agree"] is False
+    assert "skipped" in inv["points"][0]
+    assert inv["error"] == {"type": "AdequacyError",
+                            "message": "audit checked no point: all 1 sweep points were skipped"}
+
+
+def test_audit_agreement_ignores_skipped_points():
+    code, inv = invariants(["audit", "--model", "bhz", "--grid", "8", "--width", "16",
+                            "--sweep", "m=-1e-300:2:2"])
+    assert code == 0 and inv["all_agree"] is True
+    assert "skipped" in inv["points"][0] and inv["points"][1]["agree"]
 
 
 def test_audit_builds_one_smooth_gauge_per_2d_point(monkeypatch):
