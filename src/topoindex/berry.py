@@ -216,28 +216,18 @@ def polarization_p3(frame: OccupiedFrame) -> float:
     return float(chern_simons_integral(frames_s, frame.grid) % 1.0)
 
 
-def _gauge_array(frame: OccupiedFrame, gauge) -> np.ndarray:
-    m = frame.occupied
-    if callable(gauge):
-        arr = np.empty(frame.grid.sizes + (m, m), dtype=complex)
-        for idx in frame.grid.indices():
-            arr[idx] = gauge(frame.grid.point(idx))
-    else:
-        arr = np.asarray(gauge, dtype=complex)
-        if arr.shape != frame.grid.sizes + (m, m):
-            raise InvalidParams("gauge array shape does not match grid/occupied count")
-    return arr
-
-
-def delta_p3(frame: OccupiedFrame, gauge) -> float:
-    """P3(a^g) - P3(a) for a smooth periodic gauge transformation g.
+def delta_p3(frame: OccupiedFrame, gauge: np.ndarray) -> float:
+    """P3(a^g) - P3(a) for a smooth periodic gauge transformation g, given
+    as an array (*sizes, m, m) on the frame's grid.
 
     Returns the raw real difference; for periodic g it is the integer
     winding number of g.
     """
     if frame.grid.dim != 3:
         raise InvalidParams("P3 is defined on 3D grids")
-    g = _gauge_array(frame, gauge)
+    g = np.asarray(gauge, dtype=complex)
+    if g.shape != frame.grid.sizes + (frame.occupied,) * 2:
+        raise InvalidParams("gauge array shape does not match grid/occupied count")
     step = smoothness_report(g)
     if step > 1.9:
         raise GridTooCoarse(f"gauge map varies by {step:.2f} per grid step")

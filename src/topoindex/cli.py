@@ -405,10 +405,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: parsing leaves no state in the parser (--params appends to a copy)
+_PARSER = _build_parser()
+
+
 def run(argv: list[str]) -> tuple[int, RunReport]:
     """Execute one CLI invocation; returns (exit code, report)."""
-    parser = _build_parser()
-    args, extras = parser.parse_known_args(argv)
+    args, extras = _PARSER.parse_known_args(argv)
     report = RunReport(command=list(argv))
     start = time.time()
     try:
@@ -431,12 +434,10 @@ def run(argv: list[str]) -> tuple[int, RunReport]:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     code, report = run(argv)
-    if code == 0 and "--out" in argv:
-        want = argv[argv.index("--out") + 1] if argv.index("--out") + 1 < len(argv) else "json"
-        if want == "csv" and report.csv is not None:
-            sys.stdout.write(report.csv)
-            return code
-    print(report.to_json())
+    if report.csv is not None:  # built only by a successful --out csv command
+        sys.stdout.write(report.csv)
+    else:
+        print(report.to_json())
     return code
 
 

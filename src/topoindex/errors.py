@@ -112,11 +112,6 @@ class BranchTrackingFailed(AdequacyError):
         )
 
 
-class WilsonLoopDegenerate(AdequacyError):
-    def __init__(self, detail):
-        super().__init__(f"Wilson-loop eigenphases degenerate: {detail}")
-
-
 class BranchUnsafe(AdequacyError):
     def __init__(self, where, detail=""):
         super().__init__(f"unitary field varies too fast at {where} {detail}")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonHermitian, NotSkewSymmetric, OddDimension, PfaffianNearZero
+from .errors import NonHermitian, NotSkewSymmetric, NotUnitary, OddDimension, PfaffianNearZero
 
 STRUCT_TOL = 1e-9
 
@@ -30,9 +30,27 @@ def is_hermitian(a: np.ndarray, tol: float | None = None) -> bool:
     return bool(hermitian_deviation(a) <= _tol(a, tol))
 
 
-def unitary_deviation(a: np.ndarray) -> float:
-    n = a.shape[0]
-    return float(np.linalg.norm(a.conj().T @ a - np.eye(n)))
+def unitary_deviation(a: np.ndarray):
+    """Frobenius norm of a^dagger a - 1, per matrix of a stack (..., n, n)."""
+    n = a.shape[-1]
+    return np.linalg.norm(
+        np.einsum("...ij,...ik->...jk", np.conj(a), a) - np.eye(n), axis=(-2, -1))
+
+
+def check_unitary(a: np.ndarray, tol: float = 1e-8, locate=None) -> float:
+    """The largest unitary_deviation over a stack (..., n, n).
+
+    NotUnitary names the worst matrix by its stack index, or by
+    ``locate(index)``, when its deviation exceeds tol or is not finite
+    (argmax lands on the first NaN).
+    """
+    dev = unitary_deviation(a)
+    worst = int(np.argmax(dev))
+    value = float(dev.flat[worst])
+    if not value <= tol:
+        where = np.unravel_index(worst, dev.shape)
+        raise NotUnitary(where if locate is None else locate(where), value)
+    return value
 
 
 def is_unitary(a: np.ndarray, tol: float | None = None) -> bool:

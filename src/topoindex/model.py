@@ -407,7 +407,8 @@ def ribbonize(model: BlochFamily, open_axis: int = 0, width: int = 24,
 
     Hopping matrices along the open axis are the Fourier coefficients of
     evaluate over that axis, truncated at the declared hopping range;
-    anything beyond it above 1e-10 raises HoppingRangeTooLong.
+    an entry beyond it above 1e-10 times the largest in-range entry raises
+    HoppingRangeTooLong, and non-finite coefficients raise InvalidParams.
     """
     if width < 8:
         raise InvalidParams("ribbon width must be at least 8")
@@ -427,9 +428,11 @@ def ribbonize(model: BlochFamily, open_axis: int = 0, width: int = 24,
         stack = np.broadcast_to(k_perp[..., None, :], k_perp.shape[:-1] + (nf, k_perp.shape[-1]))
         hs = model.h(np.insert(stack, open_axis, ks, axis=-1))
         coeffs = np.einsum("dj,...jab->...dab", phases, hs)
-        leak = np.linalg.norm(coeffs[..., 2 * R + 1:, :, :], axis=(-2, -1))
-        worst = float(np.max(leak, initial=0.0))
-        if worst > 1e-10:
+        if not np.all(np.isfinite(coeffs)):
+            raise InvalidParams("Hamiltonian entries overflow or are not finite")
+        size = np.abs(coeffs)
+        worst = float(np.max(size[..., 2 * R + 1:, :, :], initial=0.0))
+        if worst > 1e-10 * float(np.max(size[..., :2 * R + 1, :, :], initial=0.0)):
             raise HoppingRangeTooLong(open_axis, worst)
         return coeffs[..., :2 * R + 1, :, :]
 

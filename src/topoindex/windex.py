@@ -14,7 +14,8 @@ import numpy as np
 
 from . import z2
 from ._stencil import central_diff
-from .errors import BranchUnsafe, InvalidParams, NotUnitary, ResidueTooLarge, UnsupportedDegree
+from .errors import BranchUnsafe, InvalidParams, ResidueTooLarge, UnsupportedDegree
+from .linalg import check_unitary
 from .model import MomentumGrid, _smoothstep
 
 BRANCH_SAFE_DISTANCE = 1.9
@@ -33,13 +34,7 @@ class UnitaryField:
         object.__setattr__(self, "values", v)
         if v.shape[: self.grid.dim] != self.grid.sizes:
             raise InvalidParams("field shape does not match the grid")
-        n = v.shape[-1]
-        dev = np.linalg.norm(
-            np.einsum("...ij,...ik->...jk", np.conj(v), v) - np.eye(n), axis=(-2, -1))
-        worst = int(np.argmax(dev))
-        if dev.flat[worst] > 1e-8:
-            where = np.unravel_index(worst, dev.shape)
-            raise NotUnitary(where, float(dev.flat[worst]))
+        check_unitary(v)
 
     def check_branch_safety(self):
         """Neighboring overlaps must stay within spectral distance 1.9 of
@@ -61,11 +56,9 @@ class UnitaryField:
 
 
 def field_from_map(grid: MomentumGrid, fn) -> UnitaryField:
-    probe = np.asarray(fn(grid.point(tuple(0 for _ in grid.sizes))), dtype=complex)
-    arr = np.empty(grid.sizes + probe.shape, dtype=complex)
-    for idx in grid.indices():
-        arr[idx] = fn(grid.point(idx))
-    return UnitaryField(grid=grid, values=arr)
+    """The field of ``fn``, which maps the momenta (*sizes, d) of
+    ``grid.points()`` to unitary matrices (*sizes, n, n) in one call."""
+    return UnitaryField(grid, fn(grid.points()))
 
 
 def winding1d(field: UnitaryField) -> int:
@@ -164,32 +157,25 @@ def boundary_index_2d(field) -> int:
 # --- reference maps ---
 
 def degree_one_map(k: np.ndarray) -> np.ndarray:
-    """Periodized degree-one SU(2) map, constant (identity) outside the
-    ball |k| < pi, wrapping the 3-sphere once through the suspension
-    coordinates (cos chi, sin chi * k_hat)."""
+    """Periodized degree-one SU(2) map of momenta (..., 3), giving
+    (..., 2, 2): constant (identity) outside the ball |k| < pi, minus the
+    identity at the pole k = 0, wrapping the 3-sphere once through the
+    suspension coordinates (cos chi, sin chi * k_hat)."""
     k = np.asarray(k, dtype=float)
-    r = float(np.linalg.norm(k))
+    r = np.linalg.norm(k, axis=-1)
     chi = np.pi * (1.0 - _smoothstep(r / np.pi))
-    if r < 1e-12:
-        return -np.eye(2, dtype=complex)
-    khat = k / r
-    s = np.sin(chi)
-    alpha = s * (khat[1] + 1j * khat[0])
-    beta = np.cos(chi) + 1j * s * khat[2]
-    return np.array([[beta, alpha], [-np.conj(alpha), np.conj(beta)]])
+    pole = r < 1e-12
+    s, r = np.where(pole, 0.0, np.sin(chi)), np.where(pole, 1.0, r)
+    khat = k / r[..., None]
+    alpha = s * (khat[..., 1] + 1j * khat[..., 0])
+    beta = np.where(pole, -1.0, np.cos(chi)) + 1j * s * khat[..., 2]
+    return np.stack([np.stack([beta, alpha], axis=-1),
+                     np.stack([-np.conj(alpha), np.conj(beta)], axis=-1)], axis=-2)
 
 
 def degree_one_field(grid: MomentumGrid, power: int = 1) -> UnitaryField:
     """The degree-one map (or its pointwise integer power) on a grid."""
-    def fn(k):
-        g = degree_one_map(k)
-        if power == 1:
-            return g
-        if power == -1:
-            return g.conj().T
-        out = np.eye(2, dtype=complex)
-        for _ in range(abs(power)):
-            out = out @ (g if power > 0 else g.conj().T)
-        return out
-
-    return field_from_map(grid, fn)
+    g = degree_one_map(grid.points())
+    if power < 0:
+        g = np.conj(np.swapaxes(g, -1, -2))
+    return UnitaryField(grid, np.linalg.matrix_power(g, abs(power)))

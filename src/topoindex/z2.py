@@ -26,14 +26,8 @@ from ._gauge import (
     unitary_eig,
 )
 from .berry import OccupiedFrame, occupied_frame, smooth_occupied_frames
-from .errors import (
-    BranchTrackingFailed,
-    InvalidParams,
-    NotUnitary,
-    PfaffianNearZero,
-    WilsonLoopDegenerate,
-)
-from .linalg import pfaffian
+from .errors import BranchTrackingFailed, InvalidParams, PfaffianNearZero
+from .linalg import check_unitary, pfaffian
 from .model import BlochFamily, MomentumGrid, TimeReversal
 
 PF_MIN = 1e-6
@@ -89,14 +83,7 @@ def sewing_field(model: BlochFamily, grid: MomentumGrid,
     u = model.time_reversal.unitary
     w = _sewing_matrices(frames, u, grid.dim)
 
-    m = w.shape[-1]
-    dev = np.linalg.norm(
-        np.einsum("...ij,...ik->...jk", np.conj(w), w) - np.eye(m), axis=(-2, -1))
-    worst = int(np.argmax(dev))
-    unit_dev = float(dev.flat[worst])
-    if unit_dev > 1e-8:
-        where = np.unravel_index(worst, dev.shape)
-        raise NotUnitary(grid.point(where), unit_dev)
+    unit_dev = check_unitary(w, locate=grid.point)
 
     w_neg = _negate_field(w, grid.dim)
     rel_dev = float(np.max(np.linalg.norm(w_neg + np.swapaxes(w, -1, -2), axis=(-2, -1))))
@@ -250,24 +237,15 @@ class WannierFlow:
         return "\n".join(lines) + "\n"
 
 
-def _wilson_loop_phases(frames_line: np.ndarray) -> np.ndarray:
-    n = frames_line.shape[0]
-    m = frames_line.shape[-1]
-    loop = np.eye(m, dtype=complex)
-    for t in range(n):
-        ov = np.conj(frames_line[t]).T @ frames_line[(t + 1) % n]
-        loop = loop @ polar_unitary(ov)
-    angles, _ = unitary_eig(loop)
-    return np.sort(angles)
-
-
-def _largest_gap_center(angles: np.ndarray) -> tuple[float, float]:
-    ext = np.concatenate([angles, [angles[0] + 2.0 * np.pi]])
-    gaps = np.diff(ext)
-    i = int(np.argmax(gaps))
-    width = float(gaps[i])
-    center = float((ext[i] + 0.5 * width + np.pi) % (2.0 * np.pi) - np.pi)
-    return center, width
+def _wilson_loop_phases(frames: np.ndarray) -> np.ndarray:
+    """Sorted Wilson-loop eigenphases of every line of a stack
+    (lines, steps, n, m), each loop running over its steps."""
+    ov = np.conj(np.swapaxes(frames, -1, -2)) @ np.roll(frames, -1, axis=1)
+    links = polar_unitary(ov)
+    loop = np.broadcast_to(np.eye(links.shape[-1], dtype=complex), links[:, 0].shape)
+    for t in range(links.shape[1]):
+        loop = loop @ links[:, t]
+    return np.sort([unitary_eig(u)[0] for u in loop], axis=-1)
 
 
 def wannier_center_flow(model: BlochFamily, grid: MomentumGrid,
@@ -278,25 +256,20 @@ def wannier_center_flow(model: BlochFamily, grid: MomentumGrid,
         raise InvalidParams("Wannier flow needs a 2D grid")
     if frames is None:
         frames = occupied_frame(model, grid).frames
-    n1, n2 = grid.sizes
-    slice_indices = [(n2 // 2 + t) % n2 for t in range(n2 // 2 + 1)]
-    momenta = np.array([t * 2.0 * np.pi / n2 for t in range(n2 // 2 + 1)])
+    n2 = grid.sizes[1]
+    steps = np.arange(n2 // 2 + 1)
+    slices, momenta = (n2 // 2 + steps) % n2, steps * 2.0 * np.pi / n2
 
-    centers = np.array([_wilson_loop_phases(frames[:, c]) for c in slice_indices])
-    gap_centers, crossings = [], 0
-    prev_gap = None
-    for s in range(len(slice_indices)):
-        gap, width = _largest_gap_center(centers[s])
-        if width < 1e-6:
-            raise WilsonLoopDegenerate(
-                f"largest eigenphase gap {width:.2e} at slice {s}")
-        if prev_gap is not None:
-            arc = (gap - prev_gap) % (2.0 * np.pi)
-            rel = (centers[s] - prev_gap) % (2.0 * np.pi)
-            crossings += int(np.sum((rel > 1e-12) & (rel < arc - 1e-12)))
-        gap_centers.append(gap)
-        prev_gap = gap
+    centers = _wilson_loop_phases(np.swapaxes(frames[:, slices], 0, 1))
+    # m sorted phases on the circle leave a largest gap of at least 2 pi/m, so
+    # a 1e-6 degeneracy guard could only fire above 6e6 occupied bands: none
+    ext = np.concatenate([centers, centers[:, :1] + 2.0 * np.pi], axis=1)
+    gaps = np.diff(ext, axis=1)
+    rows, widest = np.arange(len(slices)), np.argmax(gaps, axis=1)
+    gap_centers = (ext[rows, widest] + 0.5 * gaps[rows, widest] + np.pi) % (2.0 * np.pi) - np.pi
+    arc = (gap_centers[1:] - gap_centers[:-1]) % (2.0 * np.pi)
+    rel = (centers[1:] - gap_centers[:-1, None]) % (2.0 * np.pi)
+    crossings = int(np.sum((rel > 1e-12) & (rel < arc[:, None] - 1e-12)))
     verdict = 1 if crossings % 2 == 0 else -1
-    return WannierFlow(momenta=momenta, centers=centers,
-                       gap_centers=np.array(gap_centers),
+    return WannierFlow(momenta=momenta, centers=centers, gap_centers=gap_centers,
                        crossings=crossings, verdict=verdict)

@@ -158,11 +158,17 @@ def test_delta_p3_abelian_winding_gauge_is_zero():
     atom = builtin("atomic-limit", n=4, dim=3)
     grid = MomentumGrid((8, 8, 8))
     frame = occupied_frame(atom, grid)
-
-    def gauge(k):
-        return np.diag([np.exp(1j * k[0]), 1.0]).astype(complex)
-
+    phase = np.exp(1j * grid.points()[..., 0])[..., None, None]
+    gauge = phase * np.diag([1.0, 0.0]) + np.diag([0.0, 1.0])
     assert abs(delta_p3(frame, gauge)) < 1e-10
+
+
+@pytest.mark.parametrize("shape", [(8, 8, 8, 3, 3), (8, 8, 2, 2), (8, 8, 6, 2, 2)])
+def test_delta_p3_rejects_a_gauge_array_of_the_wrong_shape(shape):
+    frame = occupied_frame(builtin("atomic-limit", n=4, dim=3), MomentumGrid((8, 8, 8)))
+    gauge = np.broadcast_to(np.eye(shape[-1], dtype=complex), shape)
+    with pytest.raises(InvalidParams, match="gauge array shape"):
+        delta_p3(frame, gauge)
 
 
 def test_delta_p3_degree_one_gauge_matches_winding():

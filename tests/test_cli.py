@@ -371,6 +371,36 @@ def test_edge_parity_csv_rows(capsys):
     assert len(lines) == 1 + 81 * 16 * 4
 
 
+def test_edge_parity_with_a_large_bhz_mass_is_trivial():
+    code, inv = invariants(["edge-parity", "--model", "bhz", "--m", "1e6", "--width", "16"])
+    assert code == 0
+    assert inv["edge_parity"] == 0
+
+
+def test_out_equals_csv_prints_the_csv(capsys):
+    from topoindex.cli import main
+
+    assert main(["chern", "--model", "hopf-two-band", "--grid", "8", "--out=csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "k1,k2,curvature"
+    assert len(lines) == 1 + 8 * 8
+
+
+def test_reused_parser_keeps_no_params_between_runs(monkeypatch):
+    from topoindex import cli
+
+    argv = ["z2", "--model", "kane-mele", "--grid", "8"]
+    code, with_params = run(argv + ["--params", "lv=0.5"])
+    assert code == 0 and with_params.model["params"]["lv"] == 0.5
+    code, reused = run(argv)
+    assert code == 0
+    monkeypatch.setattr(cli, "_PARSER", cli._build_parser())
+    code, fresh = run(argv)
+    assert code == 0
+    assert reused.to_json(include_timing=False) == fresh.to_json(include_timing=False)
+    assert reused.model["params"]["lv"] == 0.1
+
+
 @pytest.mark.parametrize("argv", [
     ["edge-parity", "--model", "kane-mele", "--width", "16"],
     ["z2", "--model", "kane-mele", "--grid", "8"],

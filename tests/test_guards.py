@@ -211,9 +211,8 @@ def test_branch_guard_passes_a_large_frobenius_small_spectral_step(sizes):
 
 
 def test_branch_guard_sends_nan_overlaps_to_the_svd():
-    values = np.tile(np.eye(2, dtype=complex), (8, 1, 1))
-    values[3] = np.nan
-    field = UnitaryField(MomentumGrid((8,)), values)
+    field = UnitaryField(MomentumGrid((8,)), np.tile(np.eye(2, dtype=complex), (8, 1, 1)))
+    field.values[3] = np.nan  # set after construction, which rejects NaN
     for check in (UnitaryField.check_branch_safety, svd_check_branch_safety):
         with pytest.raises(np.linalg.LinAlgError):
             check(field)

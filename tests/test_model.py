@@ -189,6 +189,21 @@ def test_ribbonize_rejects_undeclared_long_hopping():
         ribbonize(km, open_axis=0, width=10).hoppings(np.array([0.1]))
 
 
+@pytest.mark.parametrize("mass", [1e6, 1e12, 1e300])
+def test_ribbon_leak_is_relative_to_the_largest_coefficient(mass):
+    # rounding noise of a large on-site term is not a long-range hopping
+    blocks = ribbonize(builtin("bhz", m=mass), open_axis=0, width=8).hoppings(
+        np.linspace(-np.pi, np.pi, 9)[:, None])
+    assert blocks.shape == (9, 3, 4, 4) and np.all(np.isfinite(blocks))
+
+
+def test_ribbon_rejects_non_finite_coefficients():
+    bhz = builtin("bhz", m=2.0)
+    bhz.evaluate = lambda k: np.full(k.shape[:-1] + (4, 4), np.inf, dtype=complex)
+    with pytest.raises(InvalidParams, match="not finite"):
+        ribbonize(bhz, open_axis=0, width=8).hoppings(np.array([0.1]))
+
+
 def _rashba_kane_mele_doc():
     """Kane-Mele with a time-reversal-even spin-mixing hopping along a1."""
     doc = to_json(builtin("kane-mele", t=1.0, lso=0.06, lv=0.1))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from topoindex.errors import BranchUnsafe, NotUnitary, ResidueTooLarge, UnsupportedDegree
-from topoindex.model import MomentumGrid, builtin
+from topoindex.model import MomentumGrid, _smoothstep, builtin
 from topoindex.windex import (
     UnitaryField,
     boundary_index_2d,
@@ -18,29 +18,43 @@ from topoindex.windex import (
 from topoindex.z2 import sewing_field
 
 
+def _diag(*entries):
+    """Stacked diagonal matrices (..., n, n) from n per-momentum entries."""
+    d = np.stack(np.broadcast_arrays(*entries), axis=-1).astype(complex)
+    return d[..., None] * np.eye(d.shape[-1])
+
+
+def _loop(k, w=1):
+    """The 1x1 loop exp(i w k_0) over momenta (..., d)."""
+    return np.exp(1j * w * k[..., 0])[..., None, None]
+
+
+def _identity(k):
+    return np.broadcast_to(np.eye(2, dtype=complex), k.shape[:-1] + (2, 2))
+
+
 def test_winding1d_unit_loop():
     grid = MomentumGrid((32,))
-    fld = field_from_map(grid, lambda k: np.array([[np.exp(1j * k[0])]]))
+    fld = field_from_map(grid, _loop)
     assert winding1d(fld) == 1
 
 
 def test_winding1d_constant_is_zero():
     grid = MomentumGrid((16,))
-    fld = field_from_map(grid, lambda k: np.eye(2, dtype=complex))
+    fld = field_from_map(grid, _identity)
     assert winding1d(fld) == 0
 
 
 def test_winding1d_diagonal_mixed_windings():
     grid = MomentumGrid((48,))
-    fld = field_from_map(
-        grid, lambda k: np.diag([np.exp(1j * k[0]), np.exp(-2j * k[0])]))
+    fld = field_from_map(grid, lambda k: _diag(np.exp(1j * k[..., 0]), np.exp(-2j * k[..., 0])))
     assert winding1d(fld) == -1
 
 
 def test_winding1d_additive_for_diagonal_products():
     grid = MomentumGrid((48,))
-    g = field_from_map(grid, lambda k: np.diag([np.exp(1j * k[0]), 1.0]))
-    h = field_from_map(grid, lambda k: np.diag([np.exp(2j * k[0]), np.exp(1j * k[0])]))
+    g = field_from_map(grid, lambda k: _diag(np.exp(1j * k[..., 0]), 1.0))
+    h = field_from_map(grid, lambda k: _diag(np.exp(2j * k[..., 0]), np.exp(1j * k[..., 0])))
     prod = UnitaryField(grid, np.einsum("...ij,...jk->...ik", g.values, h.values))
     assert winding1d(prod) == winding1d(g) + winding1d(h) == 4
 
@@ -50,7 +64,7 @@ def test_winding1d_invariant_under_constant_conjugation():
     rng = np.random.default_rng(8)
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, _ = np.linalg.qr(m)
-    g = field_from_map(grid, lambda k: np.diag([np.exp(1j * k[0]), np.exp(1j * k[0])]))
+    g = field_from_map(grid, lambda k: _diag(np.exp(1j * k[..., 0]), np.exp(1j * k[..., 0])))
     conj = UnitaryField(grid, np.einsum("ij,...jk,kl->...il", q, g.values, q.conj().T))
     assert winding1d(conj) == winding1d(g) == 2
 
@@ -59,7 +73,7 @@ def test_winding1d_branch_safety():
     # winding 2 on a 4-point grid steps by pi per link: unsafe and caught
     grid = MomentumGrid((4,))
     with pytest.raises(BranchUnsafe):
-        winding1d(field_from_map(grid, lambda k: np.array([[np.exp(2j * k[0])]])))
+        winding1d(field_from_map(grid, lambda k: _loop(k, 2)))
 
 
 def test_unitary_field_rejects_non_unitary():
@@ -70,7 +84,7 @@ def test_unitary_field_rejects_non_unitary():
 
 def test_winding3d_identity():
     grid = MomentumGrid((8, 8, 8))
-    fld = field_from_map(grid, lambda k: np.eye(2, dtype=complex))
+    fld = field_from_map(grid, _identity)
     res = winding3d(fld)
     assert res.rounded == 0 and res.residue < 1e-12
 
@@ -119,16 +133,58 @@ def test_degree_one_map_constant_outside_ball():
                        atol=1e-12)
 
 
+def _degree_one_point(k):
+    """Per-point reference of the degree-one map at one momentum (3,)."""
+    r = float(np.linalg.norm(k))
+    if r < 1e-12:
+        return -np.eye(2, dtype=complex)
+    chi = np.pi * (1.0 - _smoothstep(r / np.pi))
+    khat = k / r
+    alpha = np.sin(chi) * (khat[1] + 1j * khat[0])
+    beta = np.cos(chi) + 1j * np.sin(chi) * khat[2]
+    return np.array([[beta, alpha], [-np.conj(alpha), np.conj(beta)]])
+
+
+@pytest.mark.parametrize("power", [-3, -2, -1, 0, 1, 2, 3])
+def test_degree_one_field_matches_per_point_powers(power):
+    grid = MomentumGrid((6, 8, 10))
+    want = np.empty(grid.sizes + (2, 2), dtype=complex)
+    for idx in grid.indices():
+        g = _degree_one_point(grid.point(idx))
+        step = g if power > 0 else g.conj().T
+        want[idx] = np.eye(2)
+        for _ in range(abs(power)):
+            want[idx] = want[idx] @ step
+    got = degree_one_field(grid, power).values
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_degree_one_map_broadcasts_over_momenta():
+    k = np.random.default_rng(3).uniform(-np.pi, np.pi, size=(4, 5, 3))
+    k[0, 0] = 0.0
+    stack = degree_one_map(k)
+    assert stack.shape == (4, 5, 2, 2)
+    for idx in np.ndindex(4, 5):
+        assert np.max(np.abs(stack[idx] - _degree_one_point(k[idx]))) < 1e-12
+
+
+def test_unitary_field_rejects_a_nan_entry():
+    values = degree_one_field(MomentumGrid((8, 8, 8))).values.copy()
+    values[1, 2, 3, 0, 1] = np.nan
+    with pytest.raises(NotUnitary, match="nan"):
+        UnitaryField(MomentumGrid((8, 8, 8)), values)
+
+
 def test_odd_chern_character_degree_one():
     grid = MomentumGrid((32,))
-    fld = field_from_map(grid, lambda k: np.array([[np.exp(1j * k[0])]]))
+    fld = field_from_map(grid, _loop)
     value = odd_chern_character(fld, 1)
     assert value == pytest.approx(2.0 * np.pi, rel=1e-3)
 
 
 def test_odd_chern_character_identity_3d():
     grid = MomentumGrid((8, 8, 8))
-    fld = field_from_map(grid, lambda k: np.eye(2, dtype=complex))
+    fld = field_from_map(grid, _identity)
     assert odd_chern_character(fld, 3) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -142,7 +198,7 @@ def test_odd_chern_character_consistent_with_winding3d():
 
 def test_odd_chern_character_unsupported_degree():
     grid = MomentumGrid((8, 8, 8))
-    fld = field_from_map(grid, lambda k: np.eye(2, dtype=complex))
+    fld = field_from_map(grid, _identity)
     with pytest.raises(UnsupportedDegree):
         odd_chern_character(fld, 5)
 

@@ -5,8 +5,10 @@ import re
 import numpy as np
 import pytest
 
+from topoindex import z2
+from topoindex._gauge import polar_unitary, unitary_eig
 from topoindex.berry import occupied_frame
-from topoindex.errors import BranchTrackingFailed, InvalidParams, PfaffianNearZero
+from topoindex.errors import BranchTrackingFailed, InvalidParams, NotUnitary, PfaffianNearZero
 from topoindex.model import MomentumGrid, builtin, direct_sum
 from topoindex.z2 import (
     _pf_walk,
@@ -123,6 +125,71 @@ def test_wannier_flow_matches_nu(name, params, expected, grid16):
     flow = wannier_center_flow(model, grid16)
     assert flow.verdict == expected
     assert flow.verdict == kane_mele_nu(sewing_field(model, grid16))
+
+
+def _reference_wannier_flow(frames):
+    """Per-line, per-step Wilson loops and largest-gap tracking, one slice
+    at a time: the loop form the stacked oracle must reproduce exactly."""
+    n1, n2 = frames.shape[:2]
+    centers, gap_centers, crossings, prev = [], [], 0, None
+    for t in range(n2 // 2 + 1):
+        line = frames[:, (n2 // 2 + t) % n2]
+        loop = np.eye(line.shape[-1], dtype=complex)
+        for s in range(n1):
+            loop = loop @ polar_unitary(np.conj(line[s]).T @ line[(s + 1) % n1])
+        angles = np.sort(unitary_eig(loop)[0])
+        ext = np.concatenate([angles, [angles[0] + 2.0 * np.pi]])
+        gaps = np.diff(ext)
+        i = int(np.argmax(gaps))
+        gap = float((ext[i] + 0.5 * float(gaps[i]) + np.pi) % (2.0 * np.pi) - np.pi)
+        if prev is not None:
+            arc = (gap - prev) % (2.0 * np.pi)
+            rel = (angles - prev) % (2.0 * np.pi)
+            crossings += int(np.sum((rel > 1e-12) & (rel < arc - 1e-12)))
+        centers.append(angles)
+        gap_centers.append(gap)
+        prev = gap
+    return np.array(centers), np.array(gap_centers), crossings
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("name,params", [
+    ("kane-mele", KM_TOPO), ("kane-mele", KM_TRIV),
+    ("bhz", {"m": 2.0}), ("bhz", {"m": -1.0}), ("atomic-limit", {"n": 8, "dim": 2}),
+])
+def test_stacked_wannier_flow_equals_the_per_line_loops(name, params, n):
+    model = builtin(name, **params)
+    grid = MomentumGrid((n, n))
+    frames = occupied_frame(model, grid).frames
+    flow = wannier_center_flow(model, grid, frames=frames)
+    centers, gap_centers, crossings = _reference_wannier_flow(frames)
+    assert np.array_equal(flow.centers, centers)
+    assert np.array_equal(flow.gap_centers, gap_centers)
+    assert flow.crossings == crossings
+
+
+def test_wannier_flow_makes_one_polar_call(monkeypatch, grid16):
+    calls = []
+    monkeypatch.setattr(z2, "polar_unitary", lambda m: calls.append(m.shape) or polar_unitary(m))
+    wannier_center_flow(builtin("kane-mele", **KM_TOPO), grid16)
+    assert calls == [(9, 16, 2, 2)]
+
+
+def test_sewing_field_rejects_a_nan_frame(grid16):
+    km = builtin("kane-mele", **KM_TOPO)
+    frames = occupied_frame(km, grid16).frames.copy()
+    frames[5, 7, 0, 1] = np.nan
+    with pytest.raises(NotUnitary, match="nan"):
+        sewing_field(km, grid16, frames=frames)
+
+
+@pytest.mark.parametrize("name,params", [("kane-mele", KM_TOPO), ("bhz", {"m": 2.0})])
+def test_sewing_unitarity_deviation_is_the_worst_frobenius_defect(name, params, grid16):
+    sf = sewing_field(builtin(name, **params), grid16)
+    w = sf.w
+    dev = np.linalg.norm(
+        np.einsum("...ij,...ik->...jk", np.conj(w), w) - np.eye(w.shape[-1]), axis=(-2, -1))
+    assert sf.unitarity_deviation == float(dev.flat[int(np.argmax(dev))])
 
 
 def test_wannier_flow_csv_export(grid16):
