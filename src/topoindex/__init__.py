@@ -44,6 +44,7 @@ from .windex import (
     UnitaryField,
     boundary_index_2d,
     degree_one_field,
+    field_from_map,
     odd_chern_character,
     winding1d,
     winding3d,
@@ -77,6 +78,7 @@ __all__ = [
     "delta_p3",
     "edge_crossing_parity",
     "eigh",
+    "field_from_map",
     "kane_mele_nu",
     "load_model",
     "mod2_analytical_index",

@@ -73,10 +73,11 @@ class NonHermitianInput(ValidationError):
 
 
 class HoppingRangeTooLong(ValidationError):
-    def __init__(self, axis, magnitude):
+    def __init__(self, axis, magnitude, bound):
         super().__init__(
             f"Fourier coefficients beyond declared hopping range on axis {axis} "
-            f"reach {magnitude:.3e} (> 1e-10)"
+            f"reach {magnitude:.3e} (> {bound:.3e}, 1e-10 times the largest "
+            f"in-range entry)"
         )
 
 

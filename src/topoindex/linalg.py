@@ -37,17 +37,17 @@ def unitary_deviation(a: np.ndarray):
         np.einsum("...ij,...ik->...jk", np.conj(a), a) - np.eye(n), axis=(-2, -1))
 
 
-def check_unitary(a: np.ndarray, tol: float = 1e-8, locate=None) -> float:
+def check_unitary(a: np.ndarray, locate=None) -> float:
     """The largest unitary_deviation over a stack (..., n, n).
 
     NotUnitary names the worst matrix by its stack index, or by
-    ``locate(index)``, when its deviation exceeds tol or is not finite
+    ``locate(index)``, when its deviation exceeds 1e-8 or is not finite
     (argmax lands on the first NaN).
     """
     dev = unitary_deviation(a)
     worst = int(np.argmax(dev))
     value = float(dev.flat[worst])
-    if not value <= tol:
+    if not value <= 1e-8:
         where = np.unravel_index(worst, dev.shape)
         raise NotUnitary(where if locate is None else locate(where), value)
     return value

@@ -415,7 +415,7 @@ def ribbonize(model: BlochFamily, open_axis: int = 0, width: int = 24,
     if not 0 <= open_axis < model.dim:
         raise InvalidParams("open axis out of range")
     if model.hopping_range is None:
-        raise HoppingRangeTooLong(open_axis, float("inf"))
+        raise HoppingRangeTooLong(open_axis, float("inf"), 0.0)
     R = model.hopping_range
     nf = fourier_samples or max(8, 4 * (R + 1))
     ks = -np.pi + 2.0 * np.pi * np.arange(nf) / nf
@@ -432,8 +432,9 @@ def ribbonize(model: BlochFamily, open_axis: int = 0, width: int = 24,
             raise InvalidParams("Hamiltonian entries overflow or are not finite")
         size = np.abs(coeffs)
         worst = float(np.max(size[..., 2 * R + 1:, :, :], initial=0.0))
-        if worst > 1e-10 * float(np.max(size[..., :2 * R + 1, :, :], initial=0.0)):
-            raise HoppingRangeTooLong(open_axis, worst)
+        bound = 1e-10 * float(np.max(size[..., :2 * R + 1, :, :], initial=0.0))
+        if worst > bound:
+            raise HoppingRangeTooLong(open_axis, worst, bound)
         return coeffs[..., :2 * R + 1, :, :]
 
     return RibbonFamily(transverse_sites=width, bands=model.bands,

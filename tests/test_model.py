@@ -1,5 +1,7 @@
 """Grids, time reversal, builtin models, ribbons and model serialization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,17 @@ def test_ribbonize_rejects_undeclared_long_hopping():
     km.hopping_range = 0  # misdeclared on purpose
     with pytest.raises(HoppingRangeTooLong):
         ribbonize(km, open_axis=0, width=10).hoppings(np.array([0.1]))
+
+
+def test_leak_message_names_the_bound_that_fired():
+    # a model in small units: the leak is below 1e-10 yet far above
+    # 1e-10 times its largest in-range entry, and the text says so
+    km = builtin("kane-mele", t=1e-12, lso=6e-14, lv=1e-13)
+    km.hopping_range = 0  # misdeclared on purpose
+    with pytest.raises(HoppingRangeTooLong) as info:
+        ribbonize(km, open_axis=0, width=10).hoppings(np.array([0.1]))
+    leak, bound = (float(x) for x in re.findall(r"reach (\S+) \(> ([^,]+),", str(info.value))[0])
+    assert leak < 1e-10 and bound < leak
 
 
 @pytest.mark.parametrize("mass", [1e6, 1e12, 1e300])
