@@ -19,6 +19,7 @@ import functools
 
 import numpy as np
 
+from ._stencil import neighbour_overlaps
 from .errors import GaugeConstructionFailed
 from .model import _smoothstep
 
@@ -72,13 +73,12 @@ def frame_projectors(frames: np.ndarray) -> np.ndarray:
     return np.einsum("...im,...jm->...ij", frames, np.conj(frames))
 
 
-def circle_transport(projectors: np.ndarray, start: np.ndarray,
-                     distribute: bool = True) -> np.ndarray:
+def circle_transport(projectors: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Smooth gauge around one circle by transport from ``start``.
 
-    With ``distribute`` the loop holonomy is spread as Hol^{-t/N} so the
-    gauge closes periodically; the eigenphase branch is immaterial for the
-    invariants built on top (it drops out of any closed chain of circles).
+    The loop holonomy is spread as Hol^{-t/N} so the gauge closes
+    periodically; the eigenphase branch is immaterial for the invariants
+    built on top (it drops out of any closed chain of circles).
     """
     n_pts = projectors.shape[0]
     frames = [start]
@@ -87,11 +87,10 @@ def circle_transport(projectors: np.ndarray, start: np.ndarray,
     arrived = transport(frames[-1], projectors[0])
     hol = polar_unitary(np.conj(start).T @ arrived)
     out = np.array(frames)
-    if distribute:
-        angles, q = unitary_eig(hol)
-        for t in range(n_pts):
-            frac = q @ np.diag(np.exp(-1j * angles * t / n_pts)) @ np.conj(q).T
-            out[t] = out[t] @ frac
+    angles, q = unitary_eig(hol)
+    for t in range(n_pts):
+        frac = q @ np.diag(np.exp(-1j * angles * t / n_pts)) @ np.conj(q).T
+        out[t] = out[t] @ frac
     return out
 
 
@@ -227,7 +226,9 @@ class _ColumnChain:
     """Homotopy of one column along a two-leg chord (start -> rho -> e0),
     realized as an ordered product of minimal rotations."""
 
-    def __init__(self, column: np.ndarray, steps: int = 48):
+    steps = 48
+
+    def __init__(self, column: np.ndarray):
         self.c0 = column
         self.m = column.shape[-1]
         self.rho, self.basepoint_margin = _pick_basepoint(column, "complex")
@@ -235,7 +236,6 @@ class _ColumnChain:
         self.e0[0] = 1.0
         if np.linalg.norm(self.rho + self.e0) < 0.2:
             self.rho = -self.rho  # keep the second leg away from the antipode
-        self.steps = steps
 
     def _point(self, t: float) -> np.ndarray:
         if t <= 0.5:
@@ -391,11 +391,6 @@ def smooth_frames_3d(frames_raw: np.ndarray) -> np.ndarray:
 def smoothness_report(frames: np.ndarray) -> float:
     """Worst neighbor-overlap distance from the identity over all axes;
     small values mean the gauge is safe for finite differences."""
-    ndim = frames.ndim - 2
-    m = frames.shape[-1]
-    worst = 0.0
-    for axis in range(ndim):
-        rolled = np.roll(frames, -1, axis=axis)
-        ov = np.einsum("...im,...ik->...mk", np.conj(frames), rolled)
-        worst = max(worst, float(np.max(np.linalg.norm(ov - np.eye(m), axis=(-2, -1)))))
-    return worst
+    eye = np.eye(frames.shape[-1])
+    return max(float(np.max(np.linalg.norm(neighbour_overlaps(frames, axis) - eye, axis=(-2, -1))))
+               for axis in range(frames.ndim - 2))

@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
 from ._gauge import smooth_frames_2d, smooth_frames_3d, smoothness_report
-from ._stencil import central_diff
+from ._stencil import central_diff, levi_civita_sum, neighbour_overlaps, one_forms
 from .errors import GapClosed, GridTooCoarse, InvalidParams, NonHermitian
 from .linalg import eigh
-from .model import BlochFamily, MomentumGrid
+from .model import GAP_TOL, BlochFamily, MomentumGrid
 
 LINK_DET_MIN = 1e-8
 PLAQUETTE_SAFE = 0.95 * np.pi
@@ -30,7 +29,6 @@ class OccupiedFrame:
 
     grid: MomentumGrid
     frames: np.ndarray
-    model: BlochFamily | None = None
 
     @property
     def occupied(self) -> int:
@@ -65,18 +63,16 @@ def occupied_frame(model: BlochFamily, grid: MomentumGrid) -> OccupiedFrame:
         except NonHermitian as exc:
             if exc.index:  # a gap closing earlier in C order is reported first
                 head = h.reshape((-1,) + h.shape[-2:])[: exc.index]
-                _require_gap(eigh(head).values, ks, model.gap_tol)
+                _require_gap(eigh(head).values, ks, GAP_TOL)
             raise
-        _require_gap(es.values, ks, model.gap_tol)
+        _require_gap(es.values, ks, GAP_TOL)
         dest[...] = es.vectors[..., : model.occupied]
-    return OccupiedFrame(grid=grid, frames=frames, model=model)
+    return OccupiedFrame(grid=grid, frames=frames)
 
 
 def link_dets(frames: np.ndarray, axis: int) -> np.ndarray:
     """det of the overlap U_axis(k) = F(k)^dagger F(k + e_axis)."""
-    ahead = np.roll(frames, -1, axis=axis)
-    ov = np.einsum("...im,...ik->...mk", np.conj(frames), ahead)
-    det = np.linalg.det(ov)
+    det = np.linalg.det(neighbour_overlaps(frames, axis))
     small = float(np.min(np.abs(det)))
     if small < LINK_DET_MIN:
         raise GridTooCoarse(f"link determinant {small:.2e} below {LINK_DET_MIN:.0e}")
@@ -163,31 +159,21 @@ def berry_curvature_field(frame: OccupiedFrame, axes: tuple[int, int] = (0, 1),
 
 # --- Chern-Simons polarization ---
 
-def _connection(frames: np.ndarray, steps: tuple[float, ...]) -> list[np.ndarray]:
-    """Anti-Hermitian Berry connection a_mu = F^dag d_mu F by central
-    differences in a smooth periodic gauge."""
-    a = []
-    for mu, h in enumerate(steps):
-        d = central_diff(frames, mu, h)
-        am = np.einsum("...im,...ik->...mk", np.conj(frames), d)
-        a.append(0.5 * (am - np.conj(np.swapaxes(am, -1, -2))))
-    return a
-
-
 def chern_simons_integral(frames: np.ndarray, grid: MomentumGrid) -> float:
     """(-1/8 pi^2) Int tr(a da + (2/3) a^3) for a smooth periodic frame
     field; defined up to an integer, and the pure-gauge value is the
     winding number of the gauge."""
     steps = tuple(2.0 * np.pi / n for n in grid.sizes)
-    a = _connection(frames, steps)
-    total = 0.0 + 0.0j
-    for perm in permutations((0, 1, 2)):
-        sign = 1.0 if perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1.0
-        mu, nu, rho = perm
+    # anti-Hermitian part of F^dag d_mu F in a smooth periodic gauge
+    a = [0.5 * (am - np.conj(np.swapaxes(am, -1, -2))) for am in one_forms(frames, steps)]
+
+    def term(mu, nu, rho):
         da = central_diff(a[rho], nu, steps[nu])
         t1 = np.einsum("...mk,...km->...", a[mu], da)
         t2 = np.einsum("...mk,...kl,...lm->...", a[mu], a[nu], a[rho])
-        total += sign * np.sum(t1 + (2.0 / 3.0) * t2)
+        return np.sum(t1 + (2.0 / 3.0) * t2)
+
+    total = levi_civita_sum(term)
     cell = np.prod(steps)
     return float((-(1.0 / (8.0 * np.pi ** 2)) * cell * total).real)
 

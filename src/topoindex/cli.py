@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -17,10 +18,11 @@ import numpy as np
 
 from . import berry, ktable, nctorus, spectral, windex, z2
 from .errors import AdequacyError, InvalidParams, SchemaError, ValidationError
-from .model import (MAX_MATRIX_ROWS, MomentumGrid, _matrix_from_json, builtin, check_trs,
-                    load_model, ribbonize)
+from .model import (MAX_GRID_ENTRIES, MAX_MATRIX_ROWS, MomentumGrid, _matrix_from_json, builtin,
+                    check_trs, load_model, ribbonize)
 
 REPORT_VERSION = 1
+MAX_SWEEP_POINTS = 256
 
 
 @dataclass
@@ -80,6 +82,13 @@ def _number(text: str, name: str) -> float:
     return value
 
 
+def _integer(value: float, flag: str, lo: int, hi: int, context: str = "") -> int:
+    """A flag value that must be an integer in [lo, hi]; 64.0 passes as 64."""
+    if value != int(value) or not lo <= value <= hi:
+        raise InvalidParams(f"{flag} must be an integer in [{lo}, {hi}]{context}, got {value:g}")
+    return int(value)
+
+
 def _read_config(path: str):
     try:
         with open(path) as fh:
@@ -99,16 +108,28 @@ def _build_model(args, params):
     return builtin(args.model, **params)
 
 
-def _grid_from_arg(arg: str | None, dim: int) -> MomentumGrid:
-    if arg is None:
-        return MomentumGrid(tuple([12] * dim))
+def _grid_from_arg(arg: str | None, dim: int, bands: int) -> MomentumGrid:
+    """The --grid (default 12 per axis) for a dim-dimensional model; at most
+    MAX_GRID_ENTRIES Hamiltonian entries, prod(sizes) * bands^2."""
     try:
-        sizes = tuple(int(x) for x in arg.split(","))
+        sizes = (12,) if arg is None else tuple(int(x) for x in arg.split(","))
     except ValueError:
         raise InvalidParams(f"--grid must be N or N,N[,N], got {arg!r}") from None
-    if len(sizes) == 1:
-        sizes = sizes * dim
-    return MomentumGrid(sizes)
+    grid = MomentumGrid(sizes * dim if len(sizes) == 1 else sizes)
+    entries = math.prod(grid.sizes) * bands ** 2
+    if entries > MAX_GRID_ENTRIES:
+        raise InvalidParams(f"--grid {'x'.join(map(str, grid.sizes))} holds {entries} Hamiltonian"
+                            f" entries for {bands} bands, above {MAX_GRID_ENTRIES}")
+    return grid
+
+
+def _model_and_grid(args, params, report, dim: int):
+    """Build the model and its dim-dimensional grid, recorded in the report."""
+    model = _build_model(args, params)
+    grid = _grid_from_arg(args.grid, dim, model.bands)
+    report.model = _model_descriptor(model)
+    report.grid = list(grid.sizes)
+    return model, grid
 
 
 def _model_descriptor(model) -> dict:
@@ -135,10 +156,7 @@ def _trs_check(model, grid) -> dict:
 
 
 def _cmd_chern(args, params, report):
-    model = _build_model(args, params)
-    grid = _grid_from_arg(args.grid, 2)
-    report.model = _model_descriptor(model)
-    report.grid = list(grid.sizes)
+    model, grid = _model_and_grid(args, params, report, 2)
     frame = berry.occupied_frame(model, grid)
     curvature = berry.berry_curvature_field(frame)
     total = float(np.sum(curvature.values)) / (2.0 * np.pi)
@@ -151,10 +169,7 @@ def _cmd_chern(args, params, report):
 
 
 def _cmd_z2(args, params, report):
-    model = _build_model(args, params)
-    grid = _grid_from_arg(args.grid, 2)
-    report.model = _model_descriptor(model)
-    report.grid = list(grid.sizes)
+    model, grid = _model_and_grid(args, params, report, 2)
     sf = z2.sewing_field(model, grid)
     nu = z2.kane_mele_nu(sf)
     flow = z2.wannier_center_flow(model, grid, frames=sf.frames)
@@ -168,10 +183,7 @@ def _cmd_z2(args, params, report):
 
 
 def _cmd_z2_3d(args, params, report):
-    model = _build_model(args, params)
-    grid = _grid_from_arg(args.grid, 3)
-    report.model = _model_descriptor(model)
-    report.grid = list(grid.sizes)
+    model, grid = _model_and_grid(args, params, report, 3)
     frames = berry.occupied_frame(model, grid).frames
     idx = z2.strong_and_weak_indices_3d(model, grid, frames=frames)
     sf = z2.sewing_field(model, grid, frames=frames)
@@ -181,10 +193,7 @@ def _cmd_z2_3d(args, params, report):
 
 
 def _cmd_cs_index(args, params, report):
-    model = _build_model(args, params)
-    grid = _grid_from_arg(args.grid, 3)
-    report.model = _model_descriptor(model)
-    report.grid = list(grid.sizes)
+    model, grid = _model_and_grid(args, params, report, 3)
     frames = berry.occupied_frame(model, grid).frames
     sf = z2.smooth_sewing_field(model, grid, frames=frames)
     res = windex.winding3d(windex.UnitaryField(grid, sf.w))
@@ -198,10 +207,7 @@ def _cmd_cs_index(args, params, report):
 
 
 def _cmd_boundary_index(args, params, report):
-    model = _build_model(args, params)
-    grid = _grid_from_arg(args.grid, 2)
-    report.model = _model_descriptor(model)
-    report.grid = list(grid.sizes)
+    model, grid = _model_and_grid(args, params, report, 2)
     sf = z2.sewing_field(model, grid)
     report.invariants = {"boundary_index": windex.boundary_index_2d(sf)}
     report.checks = _sewing_checks(sf)
@@ -219,11 +225,7 @@ def _ribbon_width(width: float | None, bands: int) -> int:
     if width is None and cap < 24:
         raise InvalidParams(f"the default --width 24 exceeds {cap}, the widest ribbon for"
                             f" {bands} bands; pass --width from 8 to {cap}")
-    width = 24 if width is None else width
-    if width != int(width) or not 8 <= width <= cap:
-        raise InvalidParams(
-            f"--width must be an integer in [8, {cap}] for {bands} bands, got {width:g}")
-    return int(width)
+    return _integer(24 if width is None else width, "--width", 8, cap, f" for {bands} bands")
 
 
 def _cmd_edge_parity(args, params, report):
@@ -248,13 +250,19 @@ def _cmd_spectral_flow(args, params, report):
     if not isinstance(doc["samples"], list) or not doc["samples"]:
         raise SchemaError("$.samples", "samples must be a nonempty list of matrices")
     samples = [_matrix_from_json(s, f"$.samples[{i}]") for i, s in enumerate(doc["samples"])]
+    if len({s.shape for s in samples}) > 1:
+        raise SchemaError("$.samples", "samples must all have one size")
+    if not all(np.all(np.isfinite(s)) for s in samples):
+        raise SchemaError("$.samples", "sample entries must be finite")
     path = spectral.SpectralPath(
         ts=np.linspace(0.0, 1.0, len(samples)), samples=samples,
         closed=bool(doc.get("closed", False)))
     try:
         level = float(doc.get("level", 0.0))
     except (TypeError, ValueError):
-        raise SchemaError("$.level", "level must be a number") from None
+        level = math.nan
+    if not math.isfinite(level):
+        raise SchemaError("$.level", "level must be a finite number")
     report.invariants = {"spectral_flow": spectral.spectral_flow(path, level),
                          "level": level, "samples": len(samples)}
     return report
@@ -289,10 +297,10 @@ def _space_label(space: str, dim: int) -> str:
 
 def _cmd_nc_index(args, params, report):
     if "winding" in params:
-        cutoff = int(params.pop("cutoff", 64))  # documented bound; caps the oracle's window
-        if cutoff > 1024:
-            raise InvalidParams(f"1D pairing cutoff must be at most 1024, got {cutoff}")
-        wdg = int(params.pop("winding"))
+        # documented bound; caps the oracle's window
+        cutoff = _integer(params.pop("cutoff", 64), "--cutoff", 4, 1024)
+        # the pairings need the cutoff to be at least 4x the Fourier support
+        wdg = _integer(params.pop("winding"), "--winding", -(cutoff // 4), cutoff // 4)
         co = nctorus.winding_loop_coeffs(wdg)
         ti = nctorus.toeplitz_index(co, cutoff)
         pr = nctorus.nc_index_pairing_1d(co, cutoff)
@@ -301,21 +309,25 @@ def _cmd_nc_index(args, params, report):
         return report
     mass = float(params.pop("mass", -2.0))
     co = nctorus.lattice_degree_one_coeffs(mass)
-    cutoff = int(params.pop("cutoff", 8))  # fields take 0.8 GB at 8
-    if not 1 <= cutoff <= 8:
-        raise InvalidParams(f"3D pairing cutoff must lie in [1, 8], got {cutoff}")
+    cutoff = _integer(params.pop("cutoff", 8), "--cutoff", 1, 8)  # fields take 0.8 GB at 8
     pr = nctorus.nc_index_pairing_3d(co, cutoff, residue_tol=1.0)
     report.invariants = {"pairing_3d": pr.to_json()}
     return report
 
 
 def _sweep_values(spec: str):
+    """name=a:b:n as (name, n evenly spaced values from a to b): a and b
+    finite, n an integer in [1, MAX_SWEEP_POINTS]."""
     try:
         name, rng = spec.split("=", 1)
         a, b, n = rng.split(":")
-        return name, np.linspace(float(a), float(b), int(n))
     except ValueError:
         raise InvalidParams(f"--sweep must be name=a:b:n, got {spec!r}") from None
+    a, b = _number(a, "--sweep start"), _number(b, "--sweep stop")
+    if not math.isfinite(b - a):
+        raise InvalidParams(f"--sweep from {a:g} to {b:g} spans more than the largest float")
+    n = _integer(_number(n, "--sweep count"), "--sweep count", 1, MAX_SWEEP_POINTS)
+    return name, np.linspace(a, b, n)
 
 
 def _cmd_audit(args, params, report):
@@ -331,7 +343,7 @@ def _cmd_audit(args, params, report):
             pt_params[name] = value
         model = _build_model(args, pt_params)
         ribbon_width = _ribbon_width(width, model.bands) if model.dim == 2 else None
-        grid = _grid_from_arg(args.grid, model.dim)
+        grid = _grid_from_arg(args.grid, model.dim, model.bands)
         entry: dict = {"params": {k: float(v) for k, v in sorted(pt_params.items())}}
         try:
             sf = z2.sewing_field(model, grid)

@@ -11,11 +11,11 @@ class TopoIndexError(Exception):
 
 
 class ValidationError(TopoIndexError):
-    exit_code = 2
+    pass
 
 
 class AdequacyError(TopoIndexError):
-    exit_code = 3
+    pass
 
 
 # --- linear algebra ---

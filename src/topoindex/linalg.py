@@ -12,12 +12,11 @@ import numpy as np
 from .errors import NonHermitian, NotSkewSymmetric, NotUnitary, OddDimension, PfaffianNearZero
 
 STRUCT_TOL = 1e-9
+PF_MIN = 1e-6  # |pf| at or below this is an accidental gap closing at a fixed point
 
 
-def _tol(a: np.ndarray, tol: float | None):
-    """Structure tolerance, per matrix of a stack (..., n, n)."""
-    if tol is not None:
-        return tol
+def _tol(a: np.ndarray):
+    """STRUCT_TOL * max(1, |a|_F), per matrix of a stack (..., n, n)."""
     return STRUCT_TOL * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
 
 
@@ -26,8 +25,17 @@ def hermitian_deviation(a: np.ndarray):
     return np.linalg.norm(a - np.conj(np.swapaxes(a, -1, -2)), axis=(-2, -1))
 
 
-def is_hermitian(a: np.ndarray, tol: float | None = None) -> bool:
-    return bool(hermitian_deviation(a) <= _tol(a, tol))
+def is_hermitian(a: np.ndarray) -> bool:
+    return bool(hermitian_deviation(a) <= _tol(a))
+
+
+def check_hermitian(h: np.ndarray) -> None:
+    """NonHermitian for the first matrix (C order) of a stack (..., n, n)
+    above the structure tolerance, at flat position ``index``."""
+    dev = hermitian_deviation(h)
+    bad = np.flatnonzero(dev > _tol(h))
+    if bad.size:
+        raise NonHermitian(float(dev.flat[bad[0]]), index=int(bad[0]))
 
 
 def unitary_deviation(a: np.ndarray):
@@ -48,21 +56,21 @@ def check_unitary(a: np.ndarray, locate=None) -> float:
     worst = int(np.argmax(dev))
     value = float(dev.flat[worst])
     if not value <= 1e-8:
-        where = np.unravel_index(worst, dev.shape)
+        where = tuple(int(i) for i in np.unravel_index(worst, dev.shape))
         raise NotUnitary(where if locate is None else locate(where), value)
     return value
 
 
-def is_unitary(a: np.ndarray, tol: float | None = None) -> bool:
-    return bool(unitary_deviation(a) <= _tol(a, tol))
+def is_unitary(a: np.ndarray) -> bool:
+    return bool(unitary_deviation(a) <= _tol(a))
 
 
 def skew_deviation(a: np.ndarray) -> float:
     return float(np.linalg.norm(a + a.T))
 
 
-def is_skew_symmetric(a: np.ndarray, tol: float | None = None) -> bool:
-    return bool(skew_deviation(a) <= _tol(a, tol))
+def is_skew_symmetric(a: np.ndarray) -> bool:
+    return bool(skew_deviation(a) <= _tol(a))
 
 
 @dataclass
@@ -90,7 +98,7 @@ def fix_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def eigh(h: np.ndarray, tol: float | None = None) -> EigenSystem:
+def eigh(h: np.ndarray) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix, or of a stack (..., n, n)
     of them, with fixed phases.
 
@@ -100,15 +108,12 @@ def eigh(h: np.ndarray, tol: float | None = None) -> EigenSystem:
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise NonHermitian(float("inf"))
-    dev = hermitian_deviation(h)
-    bad = np.flatnonzero(dev > _tol(h, tol))
-    if bad.size:
-        raise NonHermitian(float(dev.flat[bad[0]]), index=int(bad[0]))
+    check_hermitian(h)
     values, vectors = np.linalg.eigh(h)
     return EigenSystem(values=values, vectors=fix_phases(vectors))
 
 
-def pfaffian(a: np.ndarray, tol: float | None = None) -> complex:
+def pfaffian(a: np.ndarray) -> complex:
     """Pfaffian of an even-dimensional complex skew-symmetric matrix.
 
     Skew-symmetric tridiagonalization with partial pivoting: Gauss
@@ -123,7 +128,7 @@ def pfaffian(a: np.ndarray, tol: float | None = None) -> complex:
     if n % 2 != 0:
         raise OddDimension(n)
     dev = skew_deviation(a)
-    if dev > _tol(a, tol):
+    if dev > _tol(a):
         raise NotSkewSymmetric(dev)
     if n == 0:
         return 1.0 + 0.0j
@@ -146,15 +151,15 @@ def pfaffian(a: np.ndarray, tol: float | None = None) -> complex:
     return pf * A[n - 2, n - 1]
 
 
-def pfaffian_sign(a: np.ndarray, tol: float = 1e-6) -> int:
+def pfaffian_sign(a: np.ndarray) -> int:
     """Sign of a (phase-aligned, real) Pfaffian.
 
-    Raises PfaffianNearZero if |pf| <= tol, the signature of an accidental
-    gap closing at a fixed point.
+    Raises PfaffianNearZero if |pf| <= PF_MIN, the signature of an
+    accidental gap closing at a fixed point.
     """
     pf = pfaffian(a)
-    if abs(pf) <= tol:
+    if abs(pf) <= PF_MIN:
         raise PfaffianNearZero(abs(pf))
-    if abs(pf.imag) > tol * max(1.0, abs(pf.real)):
+    if abs(pf.imag) > PF_MIN * max(1.0, abs(pf.real)):
         raise PfaffianNearZero(abs(pf), where="complex Pfaffian; align phases first")
     return 1 if pf.real > 0 else -1

@@ -34,6 +34,8 @@ GAP_TOL = 1e-6
 # Rows of the largest Bloch or ribbon matrix a command builds: 16 MB of
 # complex entries.  Caps atomic-limit bands and ribbon width * bands.
 MAX_MATRIX_ROWS = 1024
+# Caps the CLI's --grid: prod(sizes) * bands^2 Hamiltonian entries, 256 MB.
+MAX_GRID_ENTRIES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,6 @@ class BlochFamily:
     hopping_range: int | None = 1
     name: str = "custom"
     params: dict = field(default_factory=dict)
-    gap_tol: float = GAP_TOL
 
     def __post_init__(self):
         if self.time_reversal is not None and self.occupied % 2:
@@ -154,15 +155,15 @@ class TrsReport:
     passed: bool
 
 
-def check_trs(model: BlochFamily, grid: MomentumGrid, tol: float = 1e-10) -> TrsReport:
-    """Verify Theta H(k) Theta* = H(-k) over a grid."""
+def check_trs(model: BlochFamily, grid: MomentumGrid) -> TrsReport:
+    """Verify Theta H(k) Theta* = H(-k) over a grid, to 1e-10 (Frobenius)."""
     if model.time_reversal is None:
         raise InvalidParams("model carries no time reversal operator")
     u = model.time_reversal.unitary
     k = grid.points()
     lhs = u @ np.conj(model.h(k)) @ u.conj().T
     worst = float(np.max(np.linalg.norm(lhs - model.h(-k), axis=(-2, -1))))
-    return TrsReport(max_deviation=worst, passed=worst <= tol)
+    return TrsReport(max_deviation=worst, passed=worst <= 1e-10)
 
 
 def direct_sum(a: BlochFamily, b: BlochFamily, name: str | None = None) -> BlochFamily:
@@ -401,8 +402,13 @@ class RibbonFamily:
         return self._assemble(k, periodic=True)
 
 
-def ribbonize(model: BlochFamily, open_axis: int = 0, width: int = 24,
-              fourier_samples: int | None = None) -> RibbonFamily:
+def _fourier_axis(hopping_range: int) -> np.ndarray:
+    """The max(8, 4 (R + 1)) momenta of the DFT that recovers range-R hoppings."""
+    nf = max(8, 4 * (hopping_range + 1))
+    return -np.pi + 2.0 * np.pi * np.arange(nf) / nf
+
+
+def ribbonize(model: BlochFamily, open_axis: int = 0, width: int = 24) -> RibbonFamily:
     """Open one axis by partial Fourier transform of H(k).
 
     Hopping matrices along the open axis are the Fourier coefficients of
@@ -417,8 +423,8 @@ def ribbonize(model: BlochFamily, open_axis: int = 0, width: int = 24,
     if model.hopping_range is None:
         raise HoppingRangeTooLong(open_axis, float("inf"), 0.0)
     R = model.hopping_range
-    nf = fourier_samples or max(8, 4 * (R + 1))
-    ks = -np.pi + 2.0 * np.pi * np.arange(nf) / nf
+    ks = _fourier_axis(R)
+    nf = len(ks)
     # offsets -R..R, then the beyond-range offsets checked for leakage
     offsets = np.concatenate([np.arange(-R, R + 1), np.arange(R + 1, nf // 2)])
     phases = np.exp(-1j * np.outer(offsets, ks)) / nf
@@ -516,7 +522,7 @@ def load_model(doc: dict) -> BlochFamily:
                        name=doc.get("name", "custom"))
 
 
-def to_json(model: BlochFamily, fourier_samples: int | None = None) -> dict:
+def to_json(model: BlochFamily) -> dict:
     """Serialize a finite-range family to the model JSON schema.
 
     Hoppings are extracted by a discrete Fourier transform per axis tuple;
@@ -526,9 +532,7 @@ def to_json(model: BlochFamily, fourier_samples: int | None = None) -> dict:
     if model.hopping_range is None:
         raise InvalidParams("model does not declare a finite hopping range")
     R = model.hopping_range
-    nf = fourier_samples or max(8, 4 * (R + 1))
-    ks = -np.pi + 2.0 * np.pi * np.arange(nf) / nf
-    mesh = np.array(list(itertools.product(ks, repeat=model.dim)))
+    mesh = np.array(list(itertools.product(_fourier_axis(R), repeat=model.dim)))
     hs = model.h(mesh)
 
     terms = []

@@ -435,10 +435,11 @@ def _blocks_3d(coeffs: dict) -> tuple[dict, int]:
     return blocks, band
 
 
-def _inverse_symbol_blocks(blocks: dict, band_limit: int,
-                           samples: int = 32) -> dict:
-    """Fourier coefficients of the pointwise inverse symbol, truncated at
-    the given offset band; the symbol must be invertible everywhere."""
+def _inverse_symbol_blocks(blocks: dict) -> dict:
+    """Fourier coefficients of the pointwise inverse symbol, from its
+    values on a 32^3 mesh, truncated at offsets |r_i| <= 3; the symbol
+    must be invertible everywhere."""
+    samples, band_limit = 32, 3
     ks = 2.0 * np.pi * np.arange(samples) / samples
     k1, k2, k3 = np.meshgrid(ks, ks, ks, indexing="ij")
     w = np.zeros((samples, samples, samples, 2, 2), dtype=complex)
@@ -453,12 +454,13 @@ def _inverse_symbol_blocks(blocks: dict, band_limit: int,
     co = np.fft.fftn(winv, axes=(0, 1, 2)) / samples ** 3
     span = range(-band_limit, band_limit + 1)
     out = {r: co[tuple(np.mod(r, samples))] for r in itertools.product(span, span, span)}
-    return {r: bl for r, bl in out.items() if float(np.max(np.abs(bl))) > 1e-12}
+    out = {r: bl for r, bl in out.items() if float(np.max(np.abs(bl))) > 1e-12}
+    if not out:
+        raise InvalidParams("symbol too large: no inverse coefficient is above 1e-12")
+    return out
 
 
 def nc_index_pairing_3d(coeffs: dict, cutoff: int,
-                        inverse_coeffs: dict | None = None,
-                        inverse_band: int = 3,
                         residue_tol: float = 0.25) -> PairingResult:
     """Calibrated Tr[(w^{-1}[F, w])^3] on the truncated cube of Fourier
     modes tensor the Dirac spinor slot tensor the symbol's own C^2 slot.
@@ -473,11 +475,7 @@ def nc_index_pairing_3d(coeffs: dict, cutoff: int,
     blocks, band = _blocks_3d(coeffs)
     if band * 4 > max(4, cutoff):
         raise InvalidParams("symbol support must stay within cutoff/4")
-    if inverse_coeffs is None:
-        inverse_coeffs = _inverse_symbol_blocks(blocks, inverse_band)
-    inv_blocks, _ = _blocks_3d(inverse_coeffs)
-
-    raw = _trace_of_triple(*_hopping_fields(blocks, inv_blocks, cutoff))
+    raw = _trace_of_triple(*_hopping_fields(blocks, _inverse_symbol_blocks(blocks), cutoff))
     calibrated = -float(raw.real) / 8.0
     rounded = int(np.rint(calibrated))
     residue = abs(calibrated - rounded)

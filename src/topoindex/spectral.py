@@ -21,6 +21,7 @@ from .errors import (
     InvalidParams,
     RefinementLimit,
 )
+from .linalg import check_hermitian
 from .model import BlochFamily, MomentumGrid, RibbonFamily, ribbonize
 
 MAX_REFINE_DEPTH = 20
@@ -36,15 +37,15 @@ class SpectralPath:
     closed: bool = False
 
     @classmethod
-    def from_function(cls, fn: Callable[[float], np.ndarray], num: int = 17,
-                      closed: bool = False, delta: float = 0.5) -> "SpectralPath":
-        """Sample a path adaptively until consecutive samples are within
-        spectral distance delta * gap of each other."""
-        ts = list(np.linspace(0.0, 1.0, num))
+    def from_function(cls, fn: Callable[[float], np.ndarray],
+                      closed: bool = False) -> "SpectralPath":
+        """Sample a path at 17 points, then bisect until consecutive samples
+        are within spectral distance half the endpoint gap of each other."""
+        ts = list(np.linspace(0.0, 1.0, 17))
         hs = [np.asarray(fn(t), dtype=complex) for t in ts]
         gap = min(float(np.min(np.abs(np.linalg.eigvalsh(hs[0])))),
                   float(np.min(np.abs(np.linalg.eigvalsh(hs[-1])))))
-        bound = delta * max(gap, 1e-12)
+        bound = 0.5 * max(gap, 1e-12)
         depth = 0
         while True:
             too_far = [i for i in range(len(ts) - 1)
@@ -61,26 +62,22 @@ class SpectralPath:
         return cls(ts=np.array(ts), samples=hs, closed=closed)
 
 
-def _n_below(h: np.ndarray, level: float) -> int:
-    return int(np.sum(np.linalg.eigvalsh(h) < level))
-
-
 def spectral_flow(path: SpectralPath, level: float = 0.0) -> int:
     """Net signed count of eigenvalue crossings through the level
-    (up-crossings positive), by counting states below the level."""
-    checks = range(len(path.samples)) if path.closed else (0, len(path.samples) - 1)
+    (up-crossings positive): the change in the number of states below the
+    level between the ends of the path, so 0 on a closed path.  The
+    samples are Hermitian matrices of one size (NonHermitian names the
+    first that is not), solved by one stacked eigvalsh."""
+    h = np.asarray(path.samples, dtype=complex)
+    check_hermitian(h)
+    ev = np.linalg.eigvalsh(h)
+    checks = range(len(ev)) if path.closed else (0, len(ev) - 1)
     for i in checks:
-        ev = np.linalg.eigvalsh(path.samples[i])
-        m = float(np.min(np.abs(ev - level)))
+        m = float(np.min(np.abs(ev[i] - level)))
         if m < 1e-9:
             raise EndpointGapless(i, m)
-    below = [_n_below(h, level) for h in path.samples]
-    flow = 0
-    for i in range(len(below) - 1):
-        flow += below[i] - below[i + 1]
-    if path.closed:
-        flow += below[-1] - below[0]
-    return flow
+    below = np.sum(ev < level, axis=-1)
+    return 0 if path.closed else int(below[0] - below[-1])
 
 
 # --- effective Hamiltonian ---
@@ -112,8 +109,9 @@ class EffectiveHamiltonian:
 
 # --- edge-crossing parity ---
 
-def _ribbon_bulk_gap(ribbon: RibbonFamily, samples: int = 32) -> float:
-    """Bulk gap estimate from the reperiodized ribbon spectrum.
+def _ribbon_bulk_gap(ribbon: RibbonFamily) -> float:
+    """Bulk gap estimate from the reperiodized ribbon spectrum at 32
+    momenta in [0, pi] plus pi/3 and 2 pi/3.
 
     The reperiodized ribbon is block circulant, so its spectrum is the
     union over q = 2 pi m / L of the spectra of sum_d B_d e^{iqd}: L
@@ -122,9 +120,9 @@ def _ribbon_bulk_gap(ribbon: RibbonFamily, samples: int = 32) -> float:
     bulk correlation length v/gap; one transverse step 2 pi/L away from
     the gap minimum then raises |E| by less than 4 pi times the gap.
     """
-    kv = np.zeros((samples + 2, ribbon.dim))
+    kv = np.zeros((34, ribbon.dim))
     # pi/3 and 2 pi/3 carry the Dirac points of honeycomb ribbons
-    kv[:, 0] = np.append(np.linspace(0.0, np.pi, samples), [np.pi / 3, 2 * np.pi / 3])
+    kv[:, 0] = np.append(np.linspace(0.0, np.pi, 32), [np.pi / 3, 2 * np.pi / 3])
     L, R = ribbon.transverse_sites, ribbon.hopping_range
     q = 2.0 * np.pi * np.arange(L) / L
     phase = np.exp(1j * np.outer(q, np.arange(-R, R + 1)))
@@ -293,12 +291,12 @@ def ribbon_spectrum_csv(ribbon: RibbonFamily, samples: int = 81) -> str:
     return "\n".join(lines) + "\n"
 
 
-def edge_crossing_parity(ribbon: RibbonFamily, samples: int = 161) -> int:
+def edge_crossing_parity(ribbon: RibbonFamily) -> int:
     """Z2 edge index of a ribbon: parity of Kramers edge-band crossings
-    between the projected fixed points 0 and pi."""
+    between the projected fixed points 0 and pi, on 161 momenta."""
     if ribbon.dim != 1:
         raise InvalidParams("edge_crossing_parity expects a 1D-momentum ribbon")
-    return _crossing_parity_on_path(ribbon, np.linspace(0.0, np.pi, samples)[:, None])
+    return _crossing_parity_on_path(ribbon, np.linspace(0.0, np.pi, 161)[:, None])
 
 
 def mod2_analytical_index(model: BlochFamily, grid: MomentumGrid, trim,

@@ -8,12 +8,11 @@ periodized degree-one SU(2) reference map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
 from . import z2
-from ._stencil import central_diff
+from ._stencil import levi_civita_sum, neighbour_overlaps, one_forms
 from .errors import BranchUnsafe, InvalidParams, ResidueTooLarge, UnsupportedDegree
 from .linalg import check_unitary
 from .model import MomentumGrid, _smoothstep
@@ -44,14 +43,13 @@ class UnitaryField:
         those is reported at its grid index."""
         n = self.values.shape[-1]
         for axis in range(self.grid.dim):
-            ahead = np.roll(self.values, -1, axis=axis)
-            dev = np.einsum("...ij,...ik->...jk", np.conj(self.values), ahead) - np.eye(n)
+            dev = neighbour_overlaps(self.values, axis) - np.eye(n)
             frob = np.linalg.norm(dev, axis=(-2, -1))
             rough = np.flatnonzero(~(frob <= BRANCH_SAFE_DISTANCE - 1e-9))
             dist = np.linalg.norm(dev.reshape(-1, n, n)[rough], ord=2, axis=(-2, -1))
             if rough.size and dist.max() > BRANCH_SAFE_DISTANCE:
                 worst = int(np.argmax(dist))
-                where = np.unravel_index(rough[worst], frob.shape)
+                where = tuple(int(i) for i in np.unravel_index(rough[worst], frob.shape))
                 raise BranchUnsafe(where, f"(axis {axis}, distance {dist[worst]:.2f})")
 
 
@@ -66,9 +64,7 @@ def winding1d(field: UnitaryField) -> int:
     if field.grid.dim != 1:
         raise InvalidParams("winding1d needs a 1D field")
     field.check_branch_safety()
-    g = field.values
-    ov = np.einsum("tij,tik->tjk", np.conj(g), np.roll(g, -1, axis=0))
-    args = np.angle(np.linalg.det(ov))
+    args = np.angle(np.linalg.det(neighbour_overlaps(field.values, 0)))
     worst = float(np.max(np.abs(args)))
     if worst > STEP_ARG_SAFE:
         raise BranchUnsafe(int(np.argmax(np.abs(args))), f"(det step {worst:.2f})")
@@ -90,17 +86,10 @@ def _cubic_trace_sum(field: UnitaryField) -> tuple[complex, tuple[float, ...]]:
     """Sum over the grid of tr(g^{-1} dg)^3 by central differences,
     antisymmetrized over the 3! axis orderings, with the grid steps."""
     field.check_branch_safety()
-    g = field.values
     steps = tuple(2.0 * np.pi / n for n in field.grid.sizes)
-    ls = []
-    for mu, h in enumerate(steps):
-        d = central_diff(g, mu, h)
-        ls.append(np.einsum("...ij,...ik->...jk", np.conj(g), d))
-    total = 0.0 + 0.0j
-    for perm in permutations((0, 1, 2)):
-        sign = 1.0 if perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1.0
-        a, b, c = (ls[p] for p in perm)
-        total += sign * np.sum(np.einsum("...ij,...jk,...ki->...", a, b, c))
+    ls = one_forms(field.values, steps)
+    total = levi_civita_sum(
+        lambda a, b, c: np.sum(np.einsum("...ij,...jk,...ki->...", ls[a], ls[b], ls[c])))
     return total, steps
 
 
@@ -130,10 +119,8 @@ def odd_chern_character(field: UnitaryField, degree: int) -> float:
         if field.grid.dim != 1:
             raise InvalidParams("degree-1 component needs a 1D field")
         field.check_branch_safety()
-        g = field.values
         h = 2.0 * np.pi / field.grid.sizes[0]
-        d = central_diff(g, 0, h)
-        l = np.einsum("tij,tik->tjk", np.conj(g), d)
+        l = one_forms(field.values, (h,))[0]
         return float((h * np.einsum("tii->", l) / 1j).real)
     if degree == 3:
         if field.grid.dim != 3:

@@ -27,10 +27,8 @@ from ._gauge import (
 )
 from .berry import OccupiedFrame, occupied_frame, smooth_occupied_frames
 from .errors import BranchTrackingFailed, InvalidParams, PfaffianNearZero
-from .linalg import check_unitary, pfaffian
+from .linalg import PF_MIN, check_unitary, pfaffian
 from .model import BlochFamily, MomentumGrid, TimeReversal
-
-PF_MIN = 1e-6
 
 
 def _negate_field(arr: np.ndarray, ndim: int) -> np.ndarray:
@@ -57,7 +55,6 @@ class SewingField:
     w: np.ndarray
     frames: np.ndarray
     theta: TimeReversal
-    model: BlochFamily | None = None
     unitarity_deviation: float = 0.0
     relation_deviation: float = 0.0
     trim_skew_deviation: float = 0.0
@@ -91,7 +88,7 @@ def sewing_field(model: BlochFamily, grid: MomentumGrid,
         float(np.linalg.norm(w[idx] + w[idx].T)) for idx in grid.trim_indices())
 
     return SewingField(grid=grid, w=w, frames=frames, theta=model.time_reversal,
-                       model=model, unitarity_deviation=unit_dev,
+                       unitarity_deviation=unit_dev,
                        relation_deviation=rel_dev, trim_skew_deviation=trim_dev)
 
 

@@ -12,7 +12,7 @@ from topoindex.berry import (
 )
 from topoindex.errors import GapClosed, InvalidParams, NonHermitian
 from topoindex.linalg import eigh, hermitian_deviation
-from topoindex.model import MomentumGrid, builtin, load_model, to_json
+from topoindex.model import GAP_TOL, MomentumGrid, builtin, load_model, to_json
 from topoindex.windex import degree_one_field, winding3d
 
 
@@ -184,7 +184,7 @@ def test_delta_p3_degree_one_gauge_matches_winding():
 
 def _first_failure_per_point(model, grid):
     """Reference per-point loop: the first momentum (C order) whose matrix
-    is not Hermitian or whose min |E| is at most gap_tol."""
+    is not Hermitian or whose min |E| is at most GAP_TOL."""
     for idx in grid.indices():
         k = grid.point(idx)
         h = model.h(k)
@@ -192,7 +192,7 @@ def _first_failure_per_point(model, grid):
         if dev > 1e-9 * max(1.0, float(np.linalg.norm(h))):
             return "NonHermitian", k, dev
         gap = float(np.min(np.abs(np.linalg.eigvalsh(h))))
-        if gap <= model.gap_tol:
+        if gap <= GAP_TOL:
             return "GapClosed", k, gap
     return None
 

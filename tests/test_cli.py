@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from topoindex.cli import run
+from topoindex.errors import InvalidParams
 
 
 def invariants(argv):
@@ -538,3 +539,134 @@ def test_ribbon_commands_fuzz_exit_codes():
         assert code in (0, 2, 3)
 
     check()
+
+
+@pytest.mark.parametrize("argv", [
+    ["nc-index", "--winding", "2.7", "--cutoff", "64"],
+    ["nc-index", "--winding", "2", "--cutoff", "64.9"],
+    ["nc-index", "--mass", "-2", "--cutoff", "2.5"],
+    ["nc-index", "--winding", "20", "--cutoff", "64"],
+    ["nc-index", "--winding", "1", "--cutoff", "1025"],
+    ["nc-index", "--mass", "-2", "--cutoff", "9"],
+], ids=["winding", "cutoff-1d", "cutoff-3d", "winding-beyond-cutoff", "cutoff-1d-cap",
+        "cutoff-3d-cap"])
+def test_nc_index_integer_flags_outside_their_range_exit_2(argv):
+    code, inv = invariants(argv)
+    assert code == 2 and inv["error"]["type"] == "InvalidParams"
+    assert "must be an integer in" in inv["error"]["message"]
+
+
+def test_nc_index_integral_float_flags_are_accepted():
+    code, inv = invariants(["nc-index", "--winding", "-3.0", "--cutoff", "64.0"])
+    assert code == 0 and inv["toeplitz_index"] == -3 and inv["pairing"]["cutoff"] == 64
+
+
+def test_nc_index_mass_whose_inverse_symbol_vanishes_exits_2():
+    code, inv = invariants(["nc-index", "--mass", "1e15", "--cutoff", "1"])
+    assert code == 2 and inv["error"]["type"] == "InvalidParams"
+
+
+@pytest.mark.parametrize("spec", [
+    "lv=nan:1:2", "lv=inf:1:2", "lv=0:nan:2", "lv=0:1:0", "lv=0:1:1000000000000", "lv=0:1:2.5",
+    "lv=0:1:257", "lv=-1e308:1e308:2", "lv=0:1"])
+def test_bad_sweep_spec_exits_2_before_any_point(monkeypatch, spec):
+    from topoindex import z2
+
+    def never(*args, **kwargs):
+        raise AssertionError("a rejected sweep reached a sweep point")
+
+    monkeypatch.setattr(z2, "sewing_field", never)
+    code, inv = invariants(["audit", "--model", "kane-mele", "--grid", "8", "--sweep", spec])
+    assert code == 2 and inv["error"]["type"] == "InvalidParams"
+    assert "--sweep" in inv["error"]["message"]
+
+
+def test_sweep_count_cap_is_inclusive():
+    from topoindex.cli import MAX_SWEEP_POINTS, _sweep_values
+
+    assert MAX_SWEEP_POINTS == 256
+    name, values = _sweep_values("lv=0:1:256.0")
+    assert name == "lv" and len(values) == 256 and values[-1] == 1.0
+
+
+def test_grid_over_the_entry_cap_exits_2():
+    from topoindex.cli import _grid_from_arg
+    from topoindex.model import MAX_GRID_ENTRIES
+
+    assert MAX_GRID_ENTRIES == 2 ** 24
+    assert _grid_from_arg("1024", 2, 4).sizes == (1024, 1024)  # 1024^2 * 4^2 = 2^24
+    assert _grid_from_arg(None, 1, 1024).sizes == (12,)
+    for arg, dim in (("1026", 2), ("1024,1026", 2), ("102", 3)):
+        with pytest.raises(InvalidParams, match="above 16777216"):
+            _grid_from_arg(arg, dim, 4)
+    code, inv = invariants(["z2", "--model", "kane-mele", "--grid", "100000"])
+    assert code == 2 and inv["error"]["type"] == "InvalidParams"
+    assert "--grid 100000x100000" in inv["error"]["message"]
+
+
+def _matrix_doc(rows):
+    return [[[float(np.real(x)), float(np.imag(x))] for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("doc,error", [
+    ({"samples": [_matrix_doc([[1, 0], [5, -1]]), _matrix_doc([[-1, 0], [5, -1]])]},
+     "NonHermitian"),
+    ({"samples": [_matrix_doc([[1, 0], [0, -1]]), _matrix_doc([[-1, 0], [0, -1]])],
+      "level": float("nan")}, "SchemaError"),
+    ({"samples": [_matrix_doc([[1, 0], [0, -1]]), _matrix_doc([[float("inf"), 0], [0, -1]])]},
+     "SchemaError"),
+    ({"samples": [_matrix_doc([[1]]), _matrix_doc([[1, 0], [0, -1]])]}, "SchemaError"),
+], ids=["non-hermitian", "nan-level", "infinite-entry", "two-sizes"])
+def test_spectral_flow_rejects_samples_it_cannot_count(tmp_path, doc, error):
+    cfg = tmp_path / "path.json"
+    cfg.write_text(json.dumps(doc))
+    code, inv = invariants(["spectral-flow", "--config", str(cfg)])
+    assert code == 2 and inv["error"]["type"] == error
+
+
+def test_branch_unsafe_message_names_plain_grid_indices():
+    code, inv = invariants(["cs-index", "--model", "fu-kane-mele-3d", "--grid", "4"])
+    assert code == 3
+    assert inv["error"] == {
+        "type": "BranchUnsafe",
+        "message": "unitary field varies too fast at (2, 2, 2) (axis 0, distance 1.97)"}
+
+
+def test_nc_index_and_sweep_fuzz_exit_codes():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def numbers(ints):
+        return st.one_of(
+            ints.map(str), st.floats(allow_nan=True, allow_infinity=True).map(repr),
+            st.sampled_from(["nan", "-inf", "1e400", "2.5", "abc", "", "64.0"]))
+
+    # the 3D pairing takes about a minute at its cap, cutoff 8, so only
+    # cutoffs up to 2 are drawn among its valid ones
+    cutoffs_3d = st.one_of(st.integers(-2, 2).map(str),
+                           st.sampled_from(["1.0", "2.5", "9", "nan", "-inf", "1e400", "x"]))
+    nc_index = st.one_of(
+        st.tuples(st.just("--winding"), numbers(st.integers(-300, 300)),
+                  numbers(st.integers(-8, 2048))),
+        st.tuples(st.just("--mass"), numbers(st.integers(-5, 5)), cutoffs_3d))
+    sweeps = st.one_of(
+        st.builds("{}={}:{}:{}".format, st.sampled_from(["lv", "lso", "t", "bogus"]),
+                  numbers(st.integers(-2, 2)), numbers(st.integers(-2, 2)),
+                  numbers(st.integers(-2, 3))),
+        st.text(max_size=12))
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(nc_index)
+    def check_nc_index(args):
+        flag, value, cutoff = args
+        code, _ = run(["nc-index", flag, value, "--cutoff", cutoff])
+        assert code in (0, 2, 3)
+
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True)
+    @hypothesis.given(sweeps)
+    def check_sweep(spec):
+        code, _ = run(["audit", "--model", "kane-mele", "--grid", "8", "--sweep", spec])
+        assert code in (0, 2, 3)
+
+    check_nc_index()
+    check_sweep()

@@ -72,7 +72,7 @@ def svd_check_branch_safety(self):
         dist = np.linalg.norm(ov - np.eye(n), ord=2, axis=(-2, -1))
         worst = int(np.argmax(dist))
         if dist.flat[worst] > BRANCH_SAFE_DISTANCE:
-            where = np.unravel_index(worst, dist.shape)
+            where = tuple(int(i) for i in np.unravel_index(worst, dist.shape))
             raise BranchUnsafe(where, f"(axis {axis}, distance {dist.flat[worst]:.2f})")
 
 

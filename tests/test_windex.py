@@ -175,6 +175,18 @@ def test_unitary_field_rejects_a_nan_entry():
         UnitaryField(MomentumGrid((8, 8, 8)), values)
 
 
+def test_unitary_field_names_a_bad_point_by_plain_grid_indices():
+    values = np.tile(np.eye(2, dtype=complex), (8, 1, 1))
+    values[2, 0, 0] = np.nan
+    with pytest.raises(NotUnitary) as nan_point:
+        UnitaryField(MomentumGrid((8,)), values)
+    assert str(nan_point.value) == "matrix field not unitary at (2,) (deviation nan)"
+    values[2] = 2.0 * np.eye(2)
+    with pytest.raises(NotUnitary) as scaled_point:
+        UnitaryField(MomentumGrid((8,)), values)
+    assert str(scaled_point.value) == "matrix field not unitary at (2,) (deviation 4.243e+00)"
+
+
 def test_odd_chern_character_degree_one():
     grid = MomentumGrid((32,))
     fld = field_from_map(grid, _loop)
