@@ -16,7 +16,7 @@ import numpy as np
 from ._gauge import smooth_frames_2d, smooth_frames_3d, smoothness_report
 from ._stencil import central_diff, levi_civita_sum, neighbour_overlaps, one_forms
 from .errors import GapClosed, GridTooCoarse, InvalidParams, NonHermitian
-from .linalg import eigh
+from .linalg import eigh, eigvalsh
 from .model import GAP_TOL, BlochFamily, MomentumGrid
 
 LINK_DET_MIN = 1e-8
@@ -30,18 +30,21 @@ class OccupiedFrame:
     grid: MomentumGrid
     frames: np.ndarray
 
-    @property
-    def occupied(self) -> int:
-        return self.frames.shape[-1]
 
-
-def _require_gap(values: np.ndarray, ks: np.ndarray, tol: float) -> None:
-    """GapClosed at the first momentum (C order) whose min |E| <= tol."""
-    gaps = np.min(np.abs(values), axis=-1).ravel()
-    closed = np.flatnonzero(gaps <= tol)
+def _solve_gapped(solve, h: np.ndarray, ks: np.ndarray):
+    """solve(h), eigh or eigvalsh, for the Hamiltonians h at momenta ks;
+    NonHermitian or GapClosed name the first failing momentum in C order."""
+    try:
+        solved = solve(h)
+    except NonHermitian as exc:
+        if exc.index:  # a gap closing earlier in C order is reported first
+            _solve_gapped(solve, h.reshape((-1,) + h.shape[-2:])[: exc.index], ks)
+        raise
+    gaps = np.min(np.abs(getattr(solved, "values", solved)), axis=-1).ravel()
+    closed = np.flatnonzero(gaps <= GAP_TOL)
     if closed.size:
-        k = ks.reshape(-1, ks.shape[-1])[closed[0]]
-        raise GapClosed(k, float(gaps[closed[0]]))
+        raise GapClosed(ks.reshape(-1, ks.shape[-1])[closed[0]], float(gaps[closed[0]]))
+    return solved
 
 
 def occupied_frame(model: BlochFamily, grid: MomentumGrid) -> OccupiedFrame:
@@ -57,17 +60,20 @@ def occupied_frame(model: BlochFamily, grid: MomentumGrid) -> OccupiedFrame:
     if grid.dim == 1:
         slabs, out = slabs[None], frames[None]
     for ks, dest in zip(slabs, out):
-        h = model.h(ks)
-        try:
-            es = eigh(h)
-        except NonHermitian as exc:
-            if exc.index:  # a gap closing earlier in C order is reported first
-                head = h.reshape((-1,) + h.shape[-2:])[: exc.index]
-                _require_gap(eigh(head).values, ks, GAP_TOL)
-            raise
-        _require_gap(es.values, ks, GAP_TOL)
-        dest[...] = es.vectors[..., : model.occupied]
+        dest[...] = _solve_gapped(eigh, model.h(ks), ks).vectors[..., : model.occupied]
     return OccupiedFrame(grid=grid, frames=frames)
+
+
+def gapped_hamiltonians(model: BlochFamily, grid: MomentumGrid) -> np.ndarray:
+    """Every grid Hamiltonian (*sizes, n, n), evaluated slab by slab under the
+    guard of occupied_frame, with its errors, checked by eigenvalues alone."""
+    if grid.dim != model.dim:
+        raise InvalidParams("grid dimension does not match the model")
+    h = np.empty(grid.sizes + (model.bands,) * 2, dtype=complex)
+    for ks, dest in zip(grid.points(), h):
+        dest[...] = model.h(ks)
+        _solve_gapped(eigvalsh, dest, ks)
+    return h
 
 
 def link_dets(frames: np.ndarray, axis: int) -> np.ndarray:
@@ -212,7 +218,7 @@ def delta_p3(frame: OccupiedFrame, gauge: np.ndarray) -> float:
     if frame.grid.dim != 3:
         raise InvalidParams("P3 is defined on 3D grids")
     g = np.asarray(gauge, dtype=complex)
-    if g.shape != frame.grid.sizes + (frame.occupied,) * 2:
+    if g.shape != frame.grid.sizes + (frame.frames.shape[-1],) * 2:
         raise InvalidParams("gauge array shape does not match grid/occupied count")
     step = smoothness_report(g)
     if step > 1.9:

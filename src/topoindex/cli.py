@@ -59,8 +59,7 @@ def _parse_params(pairs: list[str], extras: list[str]) -> dict:
                 raise InvalidParams(f"--params entries must be key=value, got {item!r}")
             k, v = item.split("=", 1)
             params[k.strip()] = _number(v, k.strip())
-    i = 0
-    while i < len(extras):
+    for i in range(0, len(extras), 2):
         tok = extras[i]
         if not tok.startswith("--"):
             raise InvalidParams(f"unrecognized argument {tok!r}")
@@ -68,7 +67,6 @@ def _parse_params(pairs: list[str], extras: list[str]) -> dict:
         if i + 1 >= len(extras):
             raise InvalidParams(f"flag {tok} needs a value")
         params[key] = _number(extras[i + 1], key)
-        i += 2
     return params
 
 
@@ -100,9 +98,7 @@ def _read_config(path: str):
 def _build_model(args, params):
     if args.config:
         doc = _read_config(args.config)
-        for k, v in params.items():
-            doc[k] = v
-        return load_model(doc)
+        return load_model({**doc, **params} if isinstance(doc, dict) else doc)
     if not args.model:
         raise InvalidParams("need --model NAME or --config FILE")
     return builtin(args.model, **params)
@@ -139,14 +135,11 @@ def _model_descriptor(model) -> dict:
 
 
 def _sewing_checks(field_obj) -> list:
-    return [
-        {"name": "sewing_unitarity", "deviation": field_obj.unitarity_deviation,
-         "pass": field_obj.unitarity_deviation <= 1e-8},
-        {"name": "sewing_negation_relation", "deviation": field_obj.relation_deviation,
-         "pass": field_obj.relation_deviation <= 1e-8},
-        {"name": "sewing_trim_skewness", "deviation": field_obj.trim_skew_deviation,
-         "pass": field_obj.trim_skew_deviation <= 1e-8},
-    ]
+    """The sewing deviations of a SewingField or Z2Indices3D, each against 1e-8."""
+    return [{"name": name, "deviation": dev, "pass": dev <= 1e-8} for name, dev in (
+        ("sewing_unitarity", field_obj.unitarity_deviation),
+        ("sewing_negation_relation", field_obj.relation_deviation),
+        ("sewing_trim_skewness", field_obj.trim_skew_deviation))]
 
 
 def _trs_check(model, grid) -> dict:
@@ -157,8 +150,7 @@ def _trs_check(model, grid) -> dict:
 
 def _cmd_chern(args, params, report):
     model, grid = _model_and_grid(args, params, report, 2)
-    frame = berry.occupied_frame(model, grid)
-    curvature = berry.berry_curvature_field(frame)
+    curvature = berry.berry_curvature_field(berry.occupied_frame(model, grid))
     total = float(np.sum(curvature.values)) / (2.0 * np.pi)
     c1 = int(np.rint(total))
     report.invariants = {"c1": c1, "plaquette_sum_residue": abs(total - c1),
@@ -184,18 +176,15 @@ def _cmd_z2(args, params, report):
 
 def _cmd_z2_3d(args, params, report):
     model, grid = _model_and_grid(args, params, report, 3)
-    frames = berry.occupied_frame(model, grid).frames
-    idx = z2.strong_and_weak_indices_3d(model, grid, frames=frames)
-    sf = z2.sewing_field(model, grid, frames=frames)
+    idx = z2.strong_and_weak_indices_3d(model, grid)
     report.invariants = {"nu0": idx.strong, "weak": list(idx.weak)}
-    report.checks = [_trs_check(model, grid)] + _sewing_checks(sf)
+    report.checks = [_trs_check(model, grid)] + _sewing_checks(idx)
     return report
 
 
 def _cmd_cs_index(args, params, report):
     model, grid = _model_and_grid(args, params, report, 3)
-    frames = berry.occupied_frame(model, grid).frames
-    sf = z2.smooth_sewing_field(model, grid, frames=frames)
+    sf = z2.smooth_sewing_field(model, grid)
     res = windex.winding3d(windex.UnitaryField(grid, sf.w))
     nu = z2.kane_mele_nu(sf)
     report.invariants = {
@@ -252,8 +241,6 @@ def _cmd_spectral_flow(args, params, report):
     samples = [_matrix_from_json(s, f"$.samples[{i}]") for i, s in enumerate(doc["samples"])]
     if len({s.shape for s in samples}) > 1:
         raise SchemaError("$.samples", "samples must all have one size")
-    if not all(np.all(np.isfinite(s)) for s in samples):
-        raise SchemaError("$.samples", "sample entries must be finite")
     path = spectral.SpectralPath(
         ts=np.linspace(0.0, 1.0, len(samples)), samples=samples,
         closed=bool(doc.get("closed", False)))
@@ -271,28 +258,22 @@ def _cmd_spectral_flow(args, params, report):
 def _cmd_kgroup(args, params, report):
     """Degrees are given as superscripts: --kq -1 means KQ^{-1}."""
     space = args.space or "torus"
-    dim = int(args.dim or 0)
+    # documented bound: a torus group is a sum of dim + 1 binomial terms
+    dim = _integer(args.dim or 0, "--dim", 0, 1024)
+    space_label = {"pt": "pt", "torus": f"T^{dim}", "sphere": f"S^{{1,{dim}}}"}[space]
     if args.kq is not None:
         expr = ktable.kq(args.kq, space, dim)
-        label = f"KQ^{{{args.kq}}}({_space_label(space, dim)})"
+        label = f"KQ^{{{args.kq}}}({space_label})"
     elif args.kr is not None:
         makers = {"torus": ktable.kr_torus, "sphere": ktable.kr_sphere,
                   "pt": lambda j, d: ktable.ko_point(j)}
         expr = makers[space](-args.kr, dim)
-        label = f"KR^{{{args.kr}}}({_space_label(space, dim)})"
+        label = f"KR^{{{args.kr}}}({space_label})"
     else:
         expr = ktable.ko_point(-(args.ko or 0))
         label = f"KO^{{{args.ko or 0}}}(pt)"
     report.invariants = {"group": expr.to_json(), "pretty": f"{label} = {expr}"}
     return report
-
-
-def _space_label(space: str, dim: int) -> str:
-    if space == "pt":
-        return "pt"
-    if space == "torus":
-        return f"T^{dim}"
-    return f"S^{{1,{dim}}}"
 
 
 def _cmd_nc_index(args, params, report):
@@ -394,8 +375,13 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # bad input: exit 2 with a JSON report, not argparse's exit
+        raise InvalidParams(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="topoindex", allow_abbrev=False,
         description="Topological invariants of time-reversal-invariant insulators.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -423,14 +409,12 @@ _PARSER = _build_parser()
 
 def run(argv: list[str]) -> tuple[int, RunReport]:
     """Execute one CLI invocation; returns (exit code, report)."""
-    args, extras = _PARSER.parse_known_args(argv)
     report = RunReport(command=list(argv))
     start = time.time()
     try:
+        args, extras = _PARSER.parse_known_args(argv)
         params = _parse_params(args.params, extras)
-        handler = _COMMANDS[args.subcommand][0]
-        report = handler(args, params, report)
-        report.command = list(argv)
+        _COMMANDS[args.subcommand][0](args, params, report)
         code = 0
     except ValidationError as exc:
         report.invariants = {"error": {"type": type(exc).__name__, "message": str(exc)}}

@@ -139,11 +139,6 @@ class EndpointGapless(ValidationError):
         super().__init__(f"path sample {which} is gapless at the level (min |E-level| = {value:.3e})")
 
 
-class RefinementLimit(AdequacyError):
-    def __init__(self, depth):
-        super().__init__(f"spectral path too wild: refinement depth {depth} reached")
-
-
 class EdgeBandIsolationFailed(AdequacyError):
     def __init__(self, detail):
         super().__init__(f"edge bands cannot be isolated: {detail}")

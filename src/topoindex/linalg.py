@@ -1,4 +1,4 @@
-"""Dense complex matrix services: structure predicates, Hermitian
+"""Dense complex matrix services: structure checks, Hermitian
 eigendecomposition with a deterministic phase convention, and the Pfaffian
 of a skew-symmetric matrix (Parlett-Reid tridiagonalization with pivoting).
 """
@@ -23,10 +23,6 @@ def _tol(a: np.ndarray):
 def hermitian_deviation(a: np.ndarray):
     """Frobenius norm of a - a^dagger, per matrix of a stack (..., n, n)."""
     return np.linalg.norm(a - np.conj(np.swapaxes(a, -1, -2)), axis=(-2, -1))
-
-
-def is_hermitian(a: np.ndarray) -> bool:
-    return bool(hermitian_deviation(a) <= _tol(a))
 
 
 def check_hermitian(h: np.ndarray) -> None:
@@ -61,16 +57,8 @@ def check_unitary(a: np.ndarray, locate=None) -> float:
     return value
 
 
-def is_unitary(a: np.ndarray) -> bool:
-    return bool(unitary_deviation(a) <= _tol(a))
-
-
 def skew_deviation(a: np.ndarray) -> float:
     return float(np.linalg.norm(a + a.T))
-
-
-def is_skew_symmetric(a: np.ndarray) -> bool:
-    return bool(skew_deviation(a) <= _tol(a))
 
 
 @dataclass
@@ -111,6 +99,14 @@ def eigh(h: np.ndarray) -> EigenSystem:
     check_hermitian(h)
     values, vectors = np.linalg.eigh(h)
     return EigenSystem(values=values, vectors=fix_phases(vectors))
+
+
+def eigvalsh(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian stack (..., n, n), each matrix
+    checked as by eigh."""
+    h = np.asarray(h, dtype=complex)
+    check_hermitian(h)
+    return np.linalg.eigvalsh(h)
 
 
 def pfaffian(a: np.ndarray) -> complex:

@@ -453,10 +453,12 @@ def ribbonize(model: BlochFamily, open_axis: int = 0, width: int = 24) -> Ribbon
 def _matrix_from_json(obj, path: str) -> np.ndarray:
     try:
         arr = np.array([[complex(re, im) for re, im in row] for row in obj])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(path, f"matrix must be [[[re, im], ...], ...]: {exc}")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise SchemaError(path, "matrix must be square")
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError(path, "matrix entries must be finite")
     return arr
 
 
@@ -476,17 +478,26 @@ def load_model(doc: dict) -> BlochFamily:
         if key not in doc:
             raise SchemaError(f"$.{key}", "missing required field")
     dim, bands, occupied = doc["dim"], doc["bands"], doc["occupied"]
-    if dim not in (1, 2, 3):
+    if dim not in (1, 2, 3) or type(dim) is not int:
         raise SchemaError("$.dim", "dim must be 1, 2 or 3")
+    for key, lo in (("bands", 1), ("occupied", 0)):
+        if type(doc[key]) is not int or not lo <= doc[key] <= MAX_MATRIX_ROWS:
+            raise SchemaError(f"$.{key}", f"{key} must be an integer in [{lo}, {MAX_MATRIX_ROWS}]")
+    if not isinstance(doc["terms"], list):
+        raise SchemaError("$.terms", "terms must be a list")
     terms: dict[tuple[int, ...], np.ndarray] = {}
     max_r = 0
     for i, term in enumerate(doc["terms"]):
         path = f"$.terms[{i}]"
-        if "R" not in term or "matrix" not in term:
+        if not isinstance(term, dict) or "R" not in term or "matrix" not in term:
             raise SchemaError(path, "term needs R and matrix")
-        R = tuple(int(x) for x in term["R"])
-        if len(R) != dim:
-            raise SchemaError(f"{path}.R", f"R must have {dim} entries")
+        R = term["R"]
+        # no ribbon has more than MAX_MATRIX_ROWS sites to couple
+        if not (isinstance(R, list) and len(R) == dim
+                and all(type(x) is int and abs(x) <= MAX_MATRIX_ROWS for x in R)):
+            raise SchemaError(f"{path}.R", f"R must have {dim} integer entries in"
+                                           f" [-{MAX_MATRIX_ROWS}, {MAX_MATRIX_ROWS}]")
+        R = tuple(R)
         mat = _matrix_from_json(term["matrix"], f"{path}.matrix")
         if mat.shape != (bands, bands):
             raise SchemaError(f"{path}.matrix", f"expected {bands}x{bands}")

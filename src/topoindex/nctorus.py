@@ -165,48 +165,7 @@ def fixed_point_generators(theta) -> tuple[NCElement, NCElement]:
     return x, y
 
 
-# --- truncated Fredholm modules and index pairings ---
-
-@dataclass
-class TruncatedFredholmModule:
-    """Hard-truncated Fredholm module: the sign-of-Dirac phase F on a
-    finite block of Fourier modes, with the Fermi projection P = (1-F)/2.
-
-    F*F = 1 and P*P = P hold exactly on the truncated space by
-    construction; the zero mode carries sign +1."""
-
-    cutoff: int
-    phase: np.ndarray  # dense F
-
-    @property
-    def projection(self) -> np.ndarray:
-        return 0.5 * (np.eye(self.phase.shape[0]) - self.phase)
-
-    def involution_defect(self) -> float:
-        f = self.phase
-        return float(np.linalg.norm(f @ f - np.eye(f.shape[0])))
-
-    def projection_defect(self) -> float:
-        p = self.projection
-        return float(np.linalg.norm(p @ p - p))
-
-
-def fredholm_module_1d(cutoff: int) -> TruncatedFredholmModule:
-    """F = sign(n) on modes |n| <= cutoff, sign(0) = +1."""
-    modes = np.arange(-cutoff, cutoff + 1)
-    return TruncatedFredholmModule(
-        cutoff=cutoff, phase=np.diag(np.where(modes >= 0, 1.0, -1.0)).astype(complex))
-
-
-def fredholm_module_3d(cutoff: int) -> TruncatedFredholmModule:
-    """F = sigma.n/|n| on the mode cube tensor the spinor slot."""
-    sites = (2 * cutoff + 1) ** 3
-    blocks = _dirac_phase_field(cutoff).reshape(sites, 2, 2)
-    phase = np.zeros((2 * sites, 2 * sites), dtype=complex)
-    for s in range(sites):
-        phase[2 * s:2 * s + 2, 2 * s:2 * s + 2] = blocks[s]
-    return TruncatedFredholmModule(cutoff=cutoff, phase=phase)
-
+# --- index pairings ---
 
 @dataclass
 class PairingResult:
@@ -502,24 +461,3 @@ def lattice_degree_one_coeffs(mass: float = -2.0) -> dict:
 def winding_loop_coeffs(winding: int) -> dict:
     """Fourier data of the scalar loop e^{i * winding * theta}."""
     return {(int(winding),): np.array([[1.0 + 0.0j]])}
-
-
-def coeffs_from_json(doc: list) -> dict:
-    """Parse the Fourier-coefficient input format:
-    [{"n": [int, ...], "matrix": [[[re, im], ...], ...]}, ...]."""
-    out = {}
-    for i, term in enumerate(doc):
-        if "n" not in term or "matrix" not in term:
-            raise InvalidParams(f"coefficient {i} needs fields 'n' and 'matrix'")
-        key = tuple(int(x) for x in term["n"])
-        try:
-            mat = np.array([[complex(re, im) for re, im in row]
-                            for row in term["matrix"]])
-        except (TypeError, ValueError) as exc:
-            raise InvalidParams(f"coefficient {i}: bad matrix ({exc})")
-        if key in out:
-            raise InvalidParams(f"duplicate Fourier offset {key}")
-        out[key] = mat
-    if not out:
-        raise InvalidParams("no Fourier coefficients given")
-    return out

@@ -11,20 +11,13 @@ weight and followed between the projections of the fixed points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    EdgeBandIsolationFailed,
-    EndpointGapless,
-    InvalidParams,
-    RefinementLimit,
-)
-from .linalg import check_hermitian
+from .errors import EdgeBandIsolationFailed, EndpointGapless, InvalidParams
+from .linalg import eigvalsh
 from .model import BlochFamily, MomentumGrid, RibbonFamily, ribbonize
 
-MAX_REFINE_DEPTH = 20
 _STACK_BYTES = 1 << 19  # a (chunk, N, N) matrix stack per ribbon solve, about 512 KB
 
 
@@ -36,31 +29,6 @@ class SpectralPath:
     samples: list
     closed: bool = False
 
-    @classmethod
-    def from_function(cls, fn: Callable[[float], np.ndarray],
-                      closed: bool = False) -> "SpectralPath":
-        """Sample a path at 17 points, then bisect until consecutive samples
-        are within spectral distance half the endpoint gap of each other."""
-        ts = list(np.linspace(0.0, 1.0, 17))
-        hs = [np.asarray(fn(t), dtype=complex) for t in ts]
-        gap = min(float(np.min(np.abs(np.linalg.eigvalsh(hs[0])))),
-                  float(np.min(np.abs(np.linalg.eigvalsh(hs[-1])))))
-        bound = 0.5 * max(gap, 1e-12)
-        depth = 0
-        while True:
-            too_far = [i for i in range(len(ts) - 1)
-                       if np.linalg.norm(hs[i + 1] - hs[i], ord=2) > bound]
-            if not too_far:
-                break
-            depth += 1
-            if depth > MAX_REFINE_DEPTH:
-                raise RefinementLimit(depth)
-            for i in reversed(too_far):
-                tm = 0.5 * (ts[i] + ts[i + 1])
-                ts.insert(i + 1, tm)
-                hs.insert(i + 1, np.asarray(fn(tm), dtype=complex))
-        return cls(ts=np.array(ts), samples=hs, closed=closed)
-
 
 def spectral_flow(path: SpectralPath, level: float = 0.0) -> int:
     """Net signed count of eigenvalue crossings through the level
@@ -68,9 +36,7 @@ def spectral_flow(path: SpectralPath, level: float = 0.0) -> int:
     level between the ends of the path, so 0 on a closed path.  The
     samples are Hermitian matrices of one size (NonHermitian names the
     first that is not), solved by one stacked eigvalsh."""
-    h = np.asarray(path.samples, dtype=complex)
-    check_hermitian(h)
-    ev = np.linalg.eigvalsh(h)
+    ev = eigvalsh(path.samples)
     checks = range(len(ev)) if path.closed else (0, len(ev) - 1)
     for i in checks:
         m = float(np.min(np.abs(ev[i] - level)))

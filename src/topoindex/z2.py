@@ -25,19 +25,16 @@ from ._gauge import (
     smooth_frames_2d,
     unitary_eig,
 )
-from .berry import OccupiedFrame, occupied_frame, smooth_occupied_frames
+from .berry import OccupiedFrame, gapped_hamiltonians, occupied_frame, smooth_occupied_frames
 from .errors import BranchTrackingFailed, InvalidParams, PfaffianNearZero
-from .linalg import PF_MIN, check_unitary, pfaffian
+from .linalg import PF_MIN, check_unitary, eigh, pfaffian
 from .model import BlochFamily, MomentumGrid, TimeReversal
 
 
 def _negate_field(arr: np.ndarray, ndim: int) -> np.ndarray:
-    """Value at -k for a grid field, exact index arithmetic."""
-    out = arr
-    for axis in range(ndim):
-        n = arr.shape[axis]
-        out = np.take(out, (-np.arange(n)) % n, axis=axis)
-    return out
+    """Value at -k for a grid field: index m goes to (-m) mod n on each axis."""
+    axes = tuple(range(ndim))
+    return np.roll(np.flip(arr, axes), 1, axes)
 
 
 def _sewing_matrices(frames: np.ndarray, theta_u: np.ndarray, ndim: int) -> np.ndarray:
@@ -55,19 +52,27 @@ class SewingField:
     w: np.ndarray
     frames: np.ndarray
     theta: TimeReversal
-    unitarity_deviation: float = 0.0
-    relation_deviation: float = 0.0
-    trim_skew_deviation: float = 0.0
-
-    @property
-    def occupied(self) -> int:
-        return self.w.shape[-1]
+    unitarity_deviation: float
+    relation_deviation: float
+    trim_skew_deviation: float
 
     @cached_property
     def smooth_w(self) -> np.ndarray:
         """Sewing matrices of a 2D field in the smooth periodic gauge of its
         frames, built once and shared by every index that walks them."""
         return _sewing_matrices(smooth_frames_2d(self.frames), self.theta.unitary, 2)
+
+
+def _sewing_deviations(w: np.ndarray, locate) -> tuple[float, float, float]:
+    """Unitarity (NotUnitary names the worst matrix by locate(index)), the
+    relation w(-k) = -w(k)^T and fixed-point skewness of w (*sizes, m, m)."""
+    ndim = w.ndim - 2
+    unit_dev = check_unitary(w, locate=locate)
+    w_neg = _negate_field(w, ndim)
+    rel_dev = float(np.max(np.linalg.norm(w_neg + np.swapaxes(w, -1, -2), axis=(-2, -1))))
+    trim_dev = max(float(np.linalg.norm(w[idx] + w[idx].T))
+                   for idx in MomentumGrid(w.shape[:ndim]).trim_indices())
+    return unit_dev, rel_dev, trim_dev
 
 
 def sewing_field(model: BlochFamily, grid: MomentumGrid,
@@ -77,19 +82,8 @@ def sewing_field(model: BlochFamily, grid: MomentumGrid,
         raise InvalidParams("sewing field needs a time-reversal invariant model")
     if frames is None:
         frames = occupied_frame(model, grid).frames
-    u = model.time_reversal.unitary
-    w = _sewing_matrices(frames, u, grid.dim)
-
-    unit_dev = check_unitary(w, locate=grid.point)
-
-    w_neg = _negate_field(w, grid.dim)
-    rel_dev = float(np.max(np.linalg.norm(w_neg + np.swapaxes(w, -1, -2), axis=(-2, -1))))
-    trim_dev = max(
-        float(np.linalg.norm(w[idx] + w[idx].T)) for idx in grid.trim_indices())
-
-    return SewingField(grid=grid, w=w, frames=frames, theta=model.time_reversal,
-                       unitarity_deviation=unit_dev,
-                       relation_deviation=rel_dev, trim_skew_deviation=trim_dev)
+    w = _sewing_matrices(frames, model.time_reversal.unitary, grid.dim)
+    return SewingField(grid, w, frames, model.time_reversal, *_sewing_deviations(w, grid.point))
 
 
 def smooth_sewing_field(model: BlochFamily, grid: MomentumGrid,
@@ -136,6 +130,12 @@ def _pf_walk(w: np.ndarray, anchor: tuple[int, ...], legs: list[tuple[int, int]]
     return product
 
 
+def _fixed_point_sheets(cube: np.ndarray) -> list[np.ndarray]:
+    """The planes k3 = 0, k3 = pi, k1 = pi and k2 = pi of a 3D grid field: they
+    hold the eight fixed points, and each is closed under k -> -k."""
+    return [cube[:, :, cube.shape[2] // 2], cube[:, :, 0], cube[0], cube[:, 0]]
+
+
 def _nu_sheet(frames2d: np.ndarray, theta_u: np.ndarray) -> int:
     """Kane-Mele invariant of one 2D frame sheet, re-gauged smoothly."""
     return _nu_smooth_sheet(_sewing_matrices(smooth_frames_2d(frames2d), theta_u, 2))
@@ -172,8 +172,7 @@ def kane_mele_nu(field: SewingField) -> int:
     if d == 2:
         return _nu_smooth_sheet(field.smooth_w)
     if d == 3:
-        n3 = field.grid.sizes[2]
-        return _nu_sheet(field.frames[:, :, n3 // 2], u) * _nu_sheet(field.frames[:, :, 0], u)
+        return int(np.prod([_nu_sheet(f, u) for f in _fixed_point_sheets(field.frames)[:2]]))
     raise InvalidParams("kane_mele_nu supports dimensions 1-3")
 
 
@@ -181,22 +180,27 @@ def kane_mele_nu(field: SewingField) -> int:
 class Z2Indices3D:
     strong: int
     weak: tuple[int, int, int]
+    unitarity_deviation: float
+    relation_deviation: float
+    trim_skew_deviation: float
 
 
-def strong_and_weak_indices_3d(model: BlochFamily, grid: MomentumGrid,
-                               frames: np.ndarray | None = None) -> Z2Indices3D:
+def strong_and_weak_indices_3d(model: BlochFamily, grid: MomentumGrid) -> Z2Indices3D:
     """Strong invariant from all eight fixed points; weak index i from the
-    four fixed points on the k_i = pi plane."""
+    four fixed points on the k_i = pi plane.  Frames and sewing deviations
+    come from the four fixed-point sheets alone; the gap guard covers the
+    whole grid."""
     if grid.dim != 3:
         raise InvalidParams("need a 3D grid")
+    h = gapped_hamiltonians(model, grid)
     if model.time_reversal is None:
         raise InvalidParams("Z2 indices need a time-reversal invariant model")
-    if frames is None:
-        frames = occupied_frame(model, grid).frames
     u = model.time_reversal.unitary
-    nu_0, nu_pi = (_nu_sheet(frames[:, :, c], u) for c in (grid.sizes[2] // 2, 0))
-    weak = (_nu_sheet(frames[0, :, :], u), _nu_sheet(frames[:, 0, :], u), nu_pi)
-    return Z2Indices3D(strong=nu_0 * nu_pi, weak=weak)
+    frames = [eigh(hs).vectors[..., : model.occupied] for hs in _fixed_point_sheets(h)]
+    nu_0, nu_pi, nu_1, nu_2 = (_nu_sheet(f, u) for f in frames)
+    deviations = [_sewing_deviations(_sewing_matrices(f, u, 2), ks.__getitem__)
+                  for f, ks in zip(frames, _fixed_point_sheets(grid.points()))]
+    return Z2Indices3D(nu_0 * nu_pi, (nu_1, nu_2, nu_pi), *map(max, zip(*deviations)))
 
 
 def boundary_circle_product(field: SewingField) -> int:

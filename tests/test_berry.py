@@ -3,16 +3,26 @@
 import numpy as np
 import pytest
 
+from topoindex import berry
 from topoindex.berry import (
     berry_curvature_field,
     chern_number,
     delta_p3,
+    gapped_hamiltonians,
     occupied_frame,
     polarization_p3,
 )
-from topoindex.errors import GapClosed, InvalidParams, NonHermitian
+from topoindex.errors import GapClosed, GridTooCoarse, InvalidParams, NonHermitian
 from topoindex.linalg import eigh, hermitian_deviation
-from topoindex.model import GAP_TOL, MomentumGrid, builtin, load_model, to_json
+from topoindex.model import (
+    GAP_TOL,
+    SIGMA,
+    BlochFamily,
+    MomentumGrid,
+    builtin,
+    load_model,
+    to_json,
+)
 from topoindex.windex import degree_one_field, winding3d
 
 
@@ -253,3 +263,70 @@ def test_occupied_frame_1d_grid():
     for idx in grid.indices():
         ref = eigh(chain.h(grid.point(idx))).vectors[:, :2]
         assert np.max(np.abs(frame.frames[idx] - ref)) < 1e-12
+
+
+def _guard_case(case):
+    fkm = builtin("fu-kane-mele-3d", m=-1.0)
+    if case == "gap":
+        return fkm, MomentumGrid((8, 8, 8))
+    if case == "non-hermitian":
+        loaded = load_model(to_json(builtin("fu-kane-mele-3d", m=-2.0)))
+        return _perturbed(loaded, lambda k: k[..., 1] > 0.5), MomentumGrid((6, 6, 6))
+    return _perturbed(fkm, lambda k: k[..., 1] > 0.5), MomentumGrid((8, 8, 8))
+
+
+@pytest.mark.parametrize("case", ["gap", "non-hermitian", "gap-before-non-hermitian"])
+def test_gapped_hamiltonians_fail_like_occupied_frame(case):
+    model, grid = _guard_case(case)
+    with pytest.raises((GapClosed, NonHermitian)) as ref:
+        occupied_frame(model, grid)
+    with pytest.raises(type(ref.value)) as got:
+        gapped_hamiltonians(model, grid)
+    if isinstance(ref.value, GapClosed):
+        assert np.array_equal(got.value.k, ref.value.k)
+    else:
+        assert got.value.deviation == ref.value.deviation
+
+
+def test_gapped_hamiltonians_are_the_grid_hamiltonians():
+    fkm = builtin("fu-kane-mele-3d", m=-2.0)
+    grid = MomentumGrid((6, 8, 10))
+    assert np.array_equal(gapped_hamiltonians(fkm, grid), fkm.h(grid.points()))
+
+
+def _two_band(q, m):
+    """d(k) . sigma with d = (sin q k1, sin q k2, m + cos q k1 + cos q k2)."""
+    def ev(k):
+        c = np.cos(q * k)[..., None, None]
+        s = np.sin(q * k)[..., None, None]
+        return s[..., 0, :, :] * SIGMA[1] + s[..., 1, :, :] * SIGMA[2] + (
+            m + c[..., 0, :, :] + c[..., 1, :, :]) * SIGMA[3]
+    return BlochFamily(dim=2, bands=2, occupied=1, evaluate=ev, hopping_range=q)
+
+
+@pytest.mark.parametrize("m,n,detail", [(-1.0, 4, "link determinant"),
+                                        (1.0, 6, "plaquette phase")])
+def test_chern_number_on_too_coarse_grids(m, n, detail):
+    frame = occupied_frame(_two_band(2, m), MomentumGrid((n, n)))
+    with pytest.raises(GridTooCoarse, match=detail):
+        chern_number(frame)
+
+
+def test_chern_number_rejects_a_non_integer_plaquette_sum(monkeypatch, hopf_frame):
+    monkeypatch.setattr(berry, "plaquette_field", lambda *args: np.full((20, 20), 0.01))
+    with pytest.raises(GridTooCoarse, match="plaquette sum 0.636620 is not an integer"):
+        chern_number(hopf_frame)
+
+
+def test_p3_on_a_too_coarse_grid():
+    frame = occupied_frame(builtin("fu-kane-mele-3d", m=-2.0), MomentumGrid((4, 4, 4)))
+    with pytest.raises(GridTooCoarse, match="smooth gauge still varies by 1.73 per step"):
+        polarization_p3(frame)
+
+
+def test_delta_p3_rejects_a_gauge_that_flips_every_step():
+    grid = MomentumGrid((6, 6, 6))
+    frame = occupied_frame(builtin("fu-kane-mele-3d", m=-2.0), grid)
+    signs = (-1.0) ** np.indices(grid.sizes).sum(axis=0)
+    with pytest.raises(GridTooCoarse, match="gauge map varies by 2.83 per grid step"):
+        delta_p3(frame, signs[..., None, None] * np.eye(2))

@@ -269,7 +269,6 @@ def test_malformed_sweep_exits_2():
 
 @pytest.mark.parametrize("argv", [
     ["z2", "--model", "kane-mele", "--grid", "8"],
-    ["z2-3d", "--model", "fu-kane-mele-3d", "--m", "-2.0", "--grid", "8"],
     ["cs-index", "--model", "fu-kane-mele-3d", "--m", "-2.0", "--grid", "24"],
     ["audit", "--model", "bhz", "--m", "2.0", "--grid", "10", "--width", "16"],
 ], ids=lambda argv: argv[0])
@@ -670,3 +669,180 @@ def test_nc_index_and_sweep_fuzz_exit_codes():
 
     check_nc_index()
     check_sweep()
+
+
+@pytest.mark.parametrize("argv", [
+    ["kgroup", "--kq", "x"],
+    ["kgroup", "--space", "klein"],
+    ["z2", "--model", "kane-mele", "--out", "xml"],
+    ["frobnicate", "--model", "kane-mele"],
+    [],
+], ids=["kgroup-int", "kgroup-space", "out-choice", "unknown-command", "no-command"])
+def test_parser_errors_exit_2_with_a_report(argv):
+    code, report = run(argv)
+    assert code == 2 and report.command == argv
+    assert report.invariants["error"]["type"] == "InvalidParams"
+    assert json.loads(report.to_json())["invariants"] == report.invariants
+
+
+@pytest.mark.parametrize("dim,code", [("-1", 2), ("0", 0), ("1024", 0), ("1025", 2),
+                                      ("100000", 2)])
+def test_kgroup_dim_range(dim, code):
+    got, inv = invariants(["kgroup", "--kq", "-1", "--space", "torus", "--dim", dim])
+    assert got == code
+    if code == 2:
+        assert inv["error"]["type"] == "InvalidParams"
+        assert "--dim must be an integer in [0, 1024]" in inv["error"]["message"]
+
+
+def test_z2_3d_solves_only_the_four_fixed_point_sheets(monkeypatch):
+    from topoindex import berry, z2
+
+    built, solved, guarded = [], [], []
+
+    def counted(fn, log, record):
+        def wrapper(*args, **kwargs):
+            log.append(record(*args))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (berry, z2):
+        monkeypatch.setattr(module, "occupied_frame",
+                            counted(berry.occupied_frame, built, lambda *a: "frame"))
+    monkeypatch.setattr(z2, "sewing_field", counted(z2.sewing_field, built, lambda *a: "sewing"))
+    monkeypatch.setattr(z2, "eigh", counted(z2.eigh, solved, lambda h: h.shape[:-2]))
+    monkeypatch.setattr(berry, "eigvalsh",
+                        counted(berry.eigvalsh, guarded, lambda h: h.shape[:-2]))
+    code, inv = invariants(["z2-3d", "--model", "fu-kane-mele-3d", "--m", "-2.0",
+                            "--grid", "8,10,12"])
+    assert code == 0 and inv["nu0"] == -1 and inv["weak"] == [1, 1, 1]
+    assert built == []
+    # one eigh per sheet: k3 = 0, k3 = pi, k1 = pi, k2 = pi
+    assert solved == [(8, 10), (8, 10), (10, 12), (8, 12)]
+    # the gap guard still sees every momentum of the cube, slab by slab
+    assert guarded == [(10, 12)] * 8
+
+
+def _gapless_off_the_sheets_doc():
+    """A time-reversal invariant 4-band model, eps(k) (1 x tau_z) with
+    eps = 1 - (sin k1 sin k2 sin k3)^2: gapped on every fixed-point sheet,
+    gapless at k = (+-pi/2, +-pi/2, +-pi/2)."""
+    from topoindex.model import SIGMA, BlochFamily, standard_theta, to_json
+
+    gamma = np.kron(SIGMA[0], SIGMA[3])
+
+    def ev(k):
+        s = np.prod(np.sin(k), axis=-1)
+        return (1.0 - s ** 2)[..., None, None] * gamma
+
+    return to_json(BlochFamily(dim=3, bands=4, occupied=2, evaluate=ev,
+                               time_reversal=standard_theta(4), hopping_range=2))
+
+
+def test_z2_3d_guard_covers_momenta_off_the_sheets(tmp_path):
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps(_gapless_off_the_sheets_doc()))
+    code, inv = invariants(["z2-3d", "--config", str(cfg), "--grid", "8"])
+    assert code == 3 and inv["error"]["type"] == "GapClosed"
+    # the first gapless momentum in C order, grid index (2, 2, 2)
+    assert "k=[-1.57079633 -1.57079633 -1.57079633]" in inv["error"]["message"]
+
+
+def test_kgroup_spectral_flow_and_model_json_fuzz_exit_codes(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    # "-h" would print help and exit: no "h" in the drawn text
+    text = st.text(alphabet="-.0123456789aeinx", max_size=5)
+    floats = st.floats(allow_nan=True, allow_infinity=True)
+    junk = st.one_of(st.none(), st.booleans(), floats, text, st.integers(-10 ** 9, 10 ** 9),
+                     st.lists(st.integers(-2, 2), max_size=3), st.just({}))
+
+    def matrix(size, values):
+        row = st.lists(st.lists(values, min_size=2, max_size=2), min_size=size, max_size=size)
+        return st.lists(row, min_size=size, max_size=size)
+
+    def diagonal(size):
+        return st.lists(st.floats(-3, 3), min_size=size, max_size=size).map(
+            lambda d: [[[x if i == j else 0.0, 0.0] for j in range(len(d))]
+                       for i, x in enumerate(d)])
+
+    def mutated(valid, bad):
+        """A valid document, or one with a single field replaced by a bad value."""
+        return st.one_of(valid, st.sampled_from(sorted(bad)).flatmap(
+            lambda key: st.builds(lambda doc, value: {**doc, key: value}, valid, bad[key])))
+
+    # bad matrices: non-finite entries, integers beyond the float range, ragged rows
+    bad_matrix = st.one_of(junk, matrix(2, st.one_of(floats, st.integers(-10 ** 400, 10 ** 400))),
+                           st.lists(st.lists(st.lists(st.floats(-1, 1), max_size=3), max_size=3),
+                                    max_size=3))
+
+    kgroup = st.one_of(
+        st.tuples(st.sampled_from(["--kq", "--kr", "--ko"]), st.integers(-20, 20).map(str),
+                  st.just("--space"), st.sampled_from(["torus", "sphere", "pt"]),
+                  st.just("--dim"), st.one_of(st.integers(-2, 1100).map(str), text)).map(list),
+        st.lists(st.one_of(
+            st.sampled_from(["--kq", "--kr", "--ko", "--space", "--dim", "--out", "--grid"]),
+            st.sampled_from(["torus", "sphere", "pt", "csv", "-1", "3", "100000", "2.5"]),
+            st.integers(-10 ** 6, 10 ** 6).map(str), text), max_size=6))
+
+    sizes = st.integers(1, 3)
+    flow_docs = mutated(st.fixed_dictionaries(
+        {"samples": sizes.flatmap(lambda n: st.lists(diagonal(n), min_size=1, max_size=4))},
+        optional={"level": st.floats(-3, 3), "closed": st.booleans()}),
+        {"samples": st.one_of(junk, st.lists(bad_matrix, min_size=1, max_size=2)),
+         "level": junk, "closed": junk})
+
+    def model_docs(dim, kramers):
+        """Two bands, or four bands with Theta = i sigma_y (x) 1 when kramers."""
+        bands = 4 if kramers else 2
+        hopping = st.fixed_dictionaries({
+            "R": st.lists(st.integers(-2, 2), min_size=dim, max_size=dim),
+            "matrix": matrix(bands, st.floats(-1, 1))})
+        onsite = diagonal(bands).map(lambda m: {"R": [0] * dim, "matrix": m})
+        theta = np.kron([[0, 1], [-1, 0]], np.eye(bands // 2))
+        bad_terms = st.lists(st.one_of(junk, st.fixed_dictionaries({
+            "R": st.one_of(junk, st.lists(st.integers(-10 ** 9, 10 ** 9), min_size=dim,
+                                          max_size=dim)),
+            "matrix": st.one_of(matrix(2, st.floats(-1, 1)), bad_matrix)})), min_size=1, max_size=2)
+        return mutated(st.fixed_dictionaries({
+            "dim": st.just(dim), "bands": st.just(bands), "occupied": st.just(bands // 2),
+            "terms": st.lists(st.one_of(onsite, hopping), min_size=1, max_size=3),
+            "time_reversal": st.just(_matrix_doc(theta) if kramers else None)}),
+            {"dim": junk, "bands": st.one_of(junk, st.integers(-2, 10 ** 9)),
+             "occupied": st.one_of(junk, st.integers(-1, 3)), "terms": st.one_of(junk, bad_terms),
+             "time_reversal": bad_matrix, "name": junk})
+
+    # (command, model dimension, Kramers pairs)
+    commands = st.sampled_from([
+        (["chern"], 2, False), (["z2"], 2, True), (["z2", "--lv", "0.1"], 2, True),
+        (["z2-3d"], 3, True), (["edge-parity", "--width", "8"], 2, False),
+        (["chern"], 1, False)])
+
+    def check(argv):
+        code, report = run(argv)
+        assert code in (0, 2, 3), report.invariants
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(kgroup)
+    def check_kgroup(args):
+        check(["kgroup"] + args)
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(st.one_of(flow_docs, junk))
+    def check_spectral_flow(doc):
+        cfg = tmp_path / "path.json"
+        cfg.write_text(json.dumps(doc))
+        check(["spectral-flow", "--config", str(cfg)])
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
+    @hypothesis.given(commands.flatmap(lambda c: st.tuples(st.just(c[0]), model_docs(*c[1:]))))
+    def check_model_json(case):
+        command, doc = case
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps(doc))
+        check(command + ["--config", str(cfg), "--grid", "4"])
+
+    check_kgroup()
+    check_spectral_flow()
+    check_model_json()

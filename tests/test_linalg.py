@@ -6,12 +6,13 @@ import pytest
 from topoindex.errors import NonHermitian, NotSkewSymmetric, OddDimension, PfaffianNearZero
 from topoindex.linalg import (
     eigh,
+    eigvalsh,
     fix_phases,
-    is_hermitian,
-    is_skew_symmetric,
-    is_unitary,
+    hermitian_deviation,
     pfaffian,
     pfaffian_sign,
+    skew_deviation,
+    unitary_deviation,
 )
 
 
@@ -161,11 +162,11 @@ def test_fix_phases_makes_largest_entry_real_positive():
 def test_structure_predicates():
     rng = np.random.default_rng(17)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert is_hermitian(m + m.conj().T)
-    assert is_skew_symmetric(m - m.T)
+    assert hermitian_deviation(m + m.conj().T) <= 1e-12
+    assert skew_deviation(m - m.T) <= 1e-12
     q, _ = np.linalg.qr(m)
-    assert is_unitary(q)
-    assert not is_hermitian(m - m.T + np.eye(4) * 1j)
+    assert unitary_deviation(q) <= 1e-12
+    assert hermitian_deviation(m - m.T + np.eye(4) * 1j) > 1.0
 
 
 def random_hermitian_stack(rng, shape, n):
@@ -196,6 +197,9 @@ def test_eigh_stack_reports_first_non_hermitian_matrix():
     with pytest.raises(NonHermitian) as info:
         eigh(hs)
     assert info.value.index == 3
+    with pytest.raises(NonHermitian) as values_only:
+        eigvalsh(hs)
+    assert values_only.value.index == 3
     with pytest.raises(NonHermitian) as single:
         eigh(hs[1, 0])
     assert info.value.deviation == pytest.approx(single.value.deviation, rel=1e-12)

@@ -358,29 +358,21 @@ def test_pairing_3d_singular_symbol_rejected():
         nc_index_pairing_3d(co, 4)
 
 
-def test_coeffs_from_json_round_trip():
-    from topoindex.nctorus import coeffs_from_json
-
-    doc = [{"n": [1], "matrix": [[[1.0, 0.0]]]},
-           {"n": [0], "matrix": [[[0.25, -0.5]]]}]
-    co = coeffs_from_json(doc)
-    assert set(co) == {(1,), (0,)}
-    assert co[(0,)][0, 0] == 0.25 - 0.5j
-    assert toeplitz_index({(1,): co[(1,)]}, 16) == 1
-    with pytest.raises(InvalidParams):
-        coeffs_from_json([{"n": [0]}])
-
-
 def test_truncated_module_invariants_exact():
-    from topoindex.nctorus import fredholm_module_1d, fredholm_module_3d
+    from topoindex.model import SIGMA
+    from topoindex.nctorus import _dirac_phase_field
 
-    m1 = fredholm_module_1d(16)
-    assert m1.involution_defect() == 0.0
-    assert m1.projection_defect() == 0.0
-    # zero mode carries sign +1: the projection annihilates it
-    zero_index = 16
-    assert m1.projection[zero_index, zero_index] == 0.0
-
-    m3 = fredholm_module_3d(2)
-    assert m3.involution_defect() < 1e-13
-    assert m3.projection_defect() < 1e-13
+    f = _dirac_phase_field(2)
+    eye = np.eye(2)
+    p = 0.5 * (eye - f)  # the Fermi projection of the pairing's phase F
+    assert np.max(np.abs(f @ f - eye)) < 1e-13
+    assert np.max(np.abs(p @ p - p)) < 1e-13
+    # on each axis F = sign(n) sigma_i exactly, and the zero mode carries
+    # sign +1: the projection annihilates it
+    modes = np.arange(-2, 3)
+    for axis in range(3):
+        line = np.moveaxis(f, axis, 0)[:, 2, 2]
+        sign = np.where(modes >= 0, 1.0, -1.0)[:, None, None]
+        assert np.array_equal(line[modes != 0], (sign * SIGMA[axis + 1])[modes != 0])
+        assert np.array_equal(line @ line, np.broadcast_to(eye, line.shape))
+    assert np.array_equal(f[2, 2, 2], eye) and np.array_equal(p[2, 2, 2], np.zeros((2, 2)))

@@ -22,14 +22,20 @@ from topoindex.spectral import (
 )
 
 
+def sampled(fn, closed=False):
+    """A path of fn(t) sampled at 17 evenly spaced t in [0, 1]."""
+    ts = np.linspace(0.0, 1.0, 17)
+    return SpectralPath(ts=ts, samples=[np.asarray(fn(t), dtype=complex) for t in ts],
+                        closed=closed)
+
+
 def test_flow_single_up_crossing():
-    path = SpectralPath.from_function(
-        lambda t: np.diag([t - 0.5, 2.0]).astype(complex))
+    path = sampled(lambda t: np.diag([t - 0.5, 2.0]).astype(complex))
     assert spectral_flow(path) == 1
 
 
 def test_flow_constant_gapped_path():
-    path = SpectralPath.from_function(lambda t: np.diag([0.4, -1.0]).astype(complex))
+    path = sampled(lambda t: np.diag([0.4, -1.0]).astype(complex))
     assert spectral_flow(path) == 0
 
 
@@ -39,12 +45,12 @@ def test_flow_gapless_loop_rejected_then_shifted_is_zero():
                 + np.sin(2 * np.pi * t) * np.array([[0, -1j], [1j, 0]])).astype(complex)
 
     with pytest.raises(EndpointGapless):
-        spectral_flow(SpectralPath.from_function(gapless, closed=True), level=1.0)
+        spectral_flow(sampled(gapless, closed=True), level=1.0)
 
     def shifted(t):
         return gapless(t) + 3.0 * np.eye(2)
 
-    assert spectral_flow(SpectralPath.from_function(shifted, closed=True)) == 0
+    assert spectral_flow(sampled(shifted, closed=True)) == 0
 
 
 def test_flow_homotopy_invariance_under_small_perturbations():
@@ -54,7 +60,7 @@ def test_flow_homotopy_invariance_under_small_perturbations():
         return np.diag([t - 0.5, 1.5, -1.2]).astype(complex)
 
     gap = 0.5
-    flow0 = spectral_flow(SpectralPath.from_function(base))
+    flow0 = spectral_flow(sampled(base))
     for _ in range(5):
         m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         pert = (m + m.conj().T) / np.linalg.norm(m + m.conj().T) * (gap / 4 * 0.9)
@@ -62,16 +68,16 @@ def test_flow_homotopy_invariance_under_small_perturbations():
         def perturbed(t, _p=pert):
             return base(t) + np.sin(np.pi * t) * _p
 
-        assert spectral_flow(SpectralPath.from_function(perturbed)) == flow0
+        assert spectral_flow(sampled(perturbed)) == flow0
 
 
 def test_flow_concatenation_additivity():
     def h(t):
         return np.diag([2 * t - 0.5, 5.0]).astype(complex)  # crossing at t = 0.25
 
-    p_full = SpectralPath.from_function(h)
-    p_a = SpectralPath.from_function(lambda s: h(0.5 * s))
-    p_b = SpectralPath.from_function(lambda s: h(0.5 + 0.5 * s))
+    p_full = sampled(h)
+    p_a = sampled(lambda s: h(0.5 * s))
+    p_b = sampled(lambda s: h(0.5 + 0.5 * s))
     assert spectral_flow(p_full) == spectral_flow(p_a) + spectral_flow(p_b) == 1
 
 
