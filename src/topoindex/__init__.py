@@ -53,7 +53,6 @@ from .z2 import (
     SewingField,
     kane_mele_nu,
     sewing_field,
-    smooth_sewing_field,
     strong_and_weak_indices_3d,
     wannier_center_flow,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "polarization_p3",
     "ribbonize",
     "sewing_field",
-    "smooth_sewing_field",
     "spectral_flow",
     "strong_and_weak_indices_3d",
     "to_json",

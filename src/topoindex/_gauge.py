@@ -236,6 +236,7 @@ class _ColumnChain:
         self.e0[0] = 1.0
         if np.linalg.norm(self.rho + self.e0) < 0.2:
             self.rho = -self.rho  # keep the second leg away from the antipode
+        self._k = self.steps + 1   # no product accumulated yet
 
     def _point(self, t: float) -> np.ndarray:
         if t <= 0.5:
@@ -245,19 +246,22 @@ class _ColumnChain:
         return _chord(rho, e0, 2.0 * t - 1.0)
 
     def rotation(self, t: float) -> np.ndarray:
-        """Unitary U_t with U_t c0 = c_t, smooth in the parameters."""
-        shape = self.c0.shape[:-1] + (self.m, self.m)
-        out = np.broadcast_to(np.eye(self.m), shape).copy()
-        prev = self.c0
+        """Unitary U_t with U_t c0 = c_t, smooth in the parameters, for t in
+        [0, 1]: the product of the whole steps below t, then one partial
+        step.  Growing t only extends the product; a smaller t restarts it."""
         k = int(np.floor(t * self.steps))
-        for j in range(1, k + 1):
-            nxt = self._point(j / self.steps)
-            out = np.einsum("...ij,...jk->...ik", _minimal_rotation(prev, nxt), out)
-            prev = nxt
+        if k < self._k:   # (re)start at c0 with the identity
+            self._k, self._node = 0, self.c0
+            self._product = np.tile(np.eye(self.m), self.c0.shape[:-1] + (1, 1))
+        while self._k < k:
+            nxt = self._point((self._k + 1) / self.steps)
+            rot = _minimal_rotation(self._node, nxt)
+            self._product = np.einsum("...ij,...jk->...ik", rot, self._product)
+            self._k, self._node = self._k + 1, nxt
         if t * self.steps > k:
-            nxt = self._point(t)
-            out = np.einsum("...ij,...jk->...ik", _minimal_rotation(prev, nxt), out)
-        return out
+            rot = _minimal_rotation(self._node, self._point(t))
+            return np.einsum("...ij,...jk->...ik", rot, self._product)
+        return self._product
 
 
 class _GeneralContraction:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._gauge import smooth_frames_2d, smooth_frames_3d, smoothness_report
+from ._gauge import (circle_transport, frame_projectors, smooth_frames_2d, smooth_frames_3d,
+                     smoothness_report)
 from ._stencil import central_diff, levi_civita_sum, neighbour_overlaps, one_forms
 from .errors import GapClosed, GridTooCoarse, InvalidParams, NonHermitian
 from .linalg import eigh, eigvalsh
@@ -86,17 +87,18 @@ def link_dets(frames: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _frame_sheet(frame: OccupiedFrame, axes: tuple[int, int], slice_index: int) -> np.ndarray:
+    """The 2D frame sheet spanned by ``axes``, in their order: a reversed
+    pair swaps the sheet and so flips the orientation."""
     if frame.grid.dim == 2:
         if tuple(sorted(axes)) != (0, 1):
-            raise InvalidParams("axes must be (0, 1) on a 2D grid")
-        return frame.frames
-    if frame.grid.dim == 3:
+            raise InvalidParams("axes must be (0, 1) or (1, 0) on a 2D grid")
+        sheet = frame.frames
+    elif frame.grid.dim == 3:
         other = ({0, 1, 2} - set(axes)).pop()
         sheet = np.take(frame.frames, slice_index, axis=other)
-        if axes[0] > axes[1]:
-            sheet = np.swapaxes(sheet, 0, 1)
-        return sheet
-    raise InvalidParams("Chern numbers need a 2D grid or a 2D slice of a 3D grid")
+    else:
+        raise InvalidParams("Chern numbers need a 2D grid or a 2D slice of a 3D grid")
+    return np.swapaxes(sheet, 0, 1) if axes[0] > axes[1] else sheet
 
 
 def plaquette_field(frame: OccupiedFrame, axes: tuple[int, int] = (0, 1),
@@ -185,12 +187,18 @@ def chern_simons_integral(frames: np.ndarray, grid: MomentumGrid) -> float:
 
 
 def smooth_occupied_frames(frame: OccupiedFrame) -> np.ndarray:
-    """The frame field re-gauged to be smooth and periodic."""
+    """The frame field re-gauged to be smooth and periodic.  A circle is
+    transported from k = 0 (grid index n // 2) and returned in grid order."""
+    if frame.grid.dim == 1:
+        n = frame.grid.sizes[0]
+        rows = (np.arange(n) + n // 2) % n
+        circle = circle_transport(frame_projectors(frame.frames)[rows], frame.frames[n // 2])
+        return np.roll(circle, n // 2, axis=0)
     if frame.grid.dim == 2:
         return smooth_frames_2d(frame.frames)
     if frame.grid.dim == 3:
         return smooth_frames_3d(frame.frames)
-    raise InvalidParams("smooth gauges are built on 2D and 3D grids")
+    raise InvalidParams("smooth gauges are built on 1D, 2D and 3D grids")
 
 
 def polarization_p3(frame: OccupiedFrame) -> float:

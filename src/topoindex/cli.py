@@ -34,6 +34,7 @@ class RunReport:
     checks: list = field(default_factory=list)
     wall_time_s: float = 0.0
     csv: str | None = None  # plot-ready payload for --out csv
+    usage: str | None = None  # the -h/--help text, printed instead of the report
 
     def to_json(self, include_timing: bool = True) -> str:
         doc = {
@@ -184,8 +185,8 @@ def _cmd_z2_3d(args, params, report):
 
 def _cmd_cs_index(args, params, report):
     model, grid = _model_and_grid(args, params, report, 3)
-    sf = z2.smooth_sewing_field(model, grid)
-    res = windex.winding3d(windex.UnitaryField(grid, sf.w))
+    sf = z2.sewing_field(model, grid)
+    res = windex.winding3d(windex.UnitaryField(grid, sf.smooth_w))
     nu = z2.kane_mele_nu(sf)
     report.invariants = {
         "winding": res.value, "rounded": res.rounded, "residue": res.residue,
@@ -323,6 +324,9 @@ def _cmd_audit(args, params, report):
         if name is not None:
             pt_params[name] = value
         model = _build_model(args, pt_params)
+        if model.dim not in (2, 3):
+            raise InvalidParams(f"audit cross-checks 2D and 3D models; {model.name} is"
+                                f" {model.dim}D")
         ribbon_width = _ribbon_width(width, model.bands) if model.dim == 2 else None
         grid = _grid_from_arg(args.grid, model.dim, model.bands)
         entry: dict = {"params": {k: float(v) for k, v in sorted(pt_params.items())}}
@@ -342,8 +346,7 @@ def _cmd_audit(args, params, report):
                                   and (parity == 1) == (nu == -1)),
                 })
             else:
-                ssf = z2.smooth_sewing_field(model, grid, frames=sf.frames)
-                res = windex.winding3d(windex.UnitaryField(grid, ssf.w))
+                res = windex.winding3d(windex.UnitaryField(grid, sf.smooth_w))
                 entry.update({
                     "winding": res.value, "winding_residue": res.residue,
                     "agree": bool((-1) ** res.rounded == nu),
@@ -375,9 +378,16 @@ _COMMANDS = {
 }
 
 
+class _HelpRequested(Exception):
+    """-h/--help: carries the usage text in place of argparse's exit."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # bad input: exit 2 with a JSON report, not argparse's exit
         raise InvalidParams(message)
+
+    def print_help(self, file=None):  # called by the help action just before it exits
+        raise _HelpRequested(self.format_help())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -416,6 +426,8 @@ def run(argv: list[str]) -> tuple[int, RunReport]:
         params = _parse_params(args.params, extras)
         _COMMANDS[args.subcommand][0](args, params, report)
         code = 0
+    except _HelpRequested as exc:
+        report.usage, code = str(exc), 0
     except ValidationError as exc:
         report.invariants = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         code = 2
@@ -430,7 +442,9 @@ def run(argv: list[str]) -> tuple[int, RunReport]:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     code, report = run(argv)
-    if report.csv is not None:  # built only by a successful --out csv command
+    if report.usage is not None:
+        sys.stdout.write(report.usage)
+    elif report.csv is not None:  # built only by a successful --out csv command
         sys.stdout.write(report.csv)
     else:
         print(report.to_json())

@@ -11,11 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import z2
 from ._stencil import levi_civita_sum, neighbour_overlaps, one_forms
 from .errors import BranchUnsafe, InvalidParams, ResidueTooLarge, UnsupportedDegree
 from .linalg import check_unitary
 from .model import MomentumGrid, _smoothstep
+from .z2 import SewingField, _pf_walk
 
 BRANCH_SAFE_DISTANCE = 1.9
 STEP_ARG_SAFE = 0.95 * np.pi
@@ -130,15 +130,20 @@ def odd_chern_character(field: UnitaryField, degree: int) -> float:
     raise UnsupportedDegree(degree)
 
 
-def boundary_index_2d(field) -> int:
+def boundary_index_2d(field: SewingField) -> int:
     """Product of the two boundary-circle indices of a 2D sewing field.
 
     The circles k2 = 0 and k2 = pi bound the effective Brillouin zone;
-    each carries a Z2-valued one-dimensional index whose parities are
-    multiplied.  Evaluated in one globally smooth gauge so the two
-    circles share their winding ambiguity.
+    each contributes the parity of its own anchored half-circle index.
+    Both are walked on one globally smooth gauge (``field.smooth_w``),
+    which ties their winding ambiguities together.
     """
-    return z2.boundary_circle_product(field)
+    if field.grid.dim != 2:
+        raise InvalidParams("the boundary-circle index is a 2D construction")
+    w = field.smooth_w
+    n1, n2 = w.shape[:2]
+    return (_pf_walk(w, (n1 // 2, n2 // 2), [(0, n1 // 2)], "circle k2=0")
+            * _pf_walk(w, (n1 // 2, 0), [(0, n1 // 2)], "circle k2=pi"))
 
 
 # --- reference maps ---

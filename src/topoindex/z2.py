@@ -18,13 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._gauge import (
-    circle_transport,
-    frame_projectors,
-    polar_unitary,
-    smooth_frames_2d,
-    unitary_eig,
-)
+from ._gauge import polar_unitary, smooth_frames_2d, unitary_eig
 from .berry import OccupiedFrame, gapped_hamiltonians, occupied_frame, smooth_occupied_frames
 from .errors import BranchTrackingFailed, InvalidParams, PfaffianNearZero
 from .linalg import PF_MIN, check_unitary, eigh, pfaffian
@@ -58,9 +52,11 @@ class SewingField:
 
     @cached_property
     def smooth_w(self) -> np.ndarray:
-        """Sewing matrices of a 2D field in the smooth periodic gauge of its
-        frames, built once and shared by every index that walks them."""
-        return _sewing_matrices(smooth_frames_2d(self.frames), self.theta.unitary, 2)
+        """Sewing matrices in the smooth periodic gauge of the frames
+        (``berry.smooth_occupied_frames``), built once and shared by every
+        index and winding that reads them."""
+        smooth = smooth_occupied_frames(OccupiedFrame(self.grid, self.frames))
+        return _sewing_matrices(smooth, self.theta.unitary, self.grid.dim)
 
 
 def _sewing_deviations(w: np.ndarray, locate) -> tuple[float, float, float]:
@@ -84,14 +80,6 @@ def sewing_field(model: BlochFamily, grid: MomentumGrid,
         frames = occupied_frame(model, grid).frames
     w = _sewing_matrices(frames, model.time_reversal.unitary, grid.dim)
     return SewingField(grid, w, frames, model.time_reversal, *_sewing_deviations(w, grid.point))
-
-
-def smooth_sewing_field(model: BlochFamily, grid: MomentumGrid,
-                        frames: np.ndarray | None = None) -> SewingField:
-    """Sewing field in a smooth periodic gauge (for winding quadratures),
-    re-gauged from the raw occupied ``frames`` when they are given."""
-    raw = occupied_frame(model, grid) if frames is None else OccupiedFrame(grid, frames)
-    return sewing_field(model, grid, frames=smooth_occupied_frames(raw))
 
 
 # --- pf / sqrt(det w) along a tracked branch ---
@@ -151,29 +139,20 @@ def _nu_smooth_sheet(w: np.ndarray) -> int:
             * _pf_walk(w, origin, [(1, n2 // 2)], "sheet"))
 
 
-def _nu_circle(frames1d: np.ndarray, theta_u: np.ndarray) -> int:
-    """Fixed-point Pfaffian product on a single circle (the 1D case),
-    evaluated in the transported periodic gauge anchored at k = 0."""
-    n = frames1d.shape[0]
-    rows = (np.arange(n) + n // 2) % n
-    frames = circle_transport(frame_projectors(frames1d)[rows], frames1d[n // 2])
-    w = _sewing_matrices(frames, theta_u, 1)
-    return _pf_walk(w, (0,), [(0, n // 2)], "half circle")
-
-
 def kane_mele_nu(field: SewingField) -> int:
     """Product over all 2^d fixed points of pf(w)/sqrt(det w), exactly
-    +1 or -1.  In 3D this is the strong invariant (the product of the
-    k3 = 0 and k3 = pi sheet invariants)."""
-    u = field.theta.unitary
+    +1 or -1, walked on ``field.smooth_w``.  In 3D this is the strong
+    invariant (the product of the k3 = 0 and k3 = pi sheet invariants)."""
     d = field.grid.dim
+    if d not in (1, 2, 3):
+        raise InvalidParams("kane_mele_nu supports dimensions 1-3")
+    w = field.smooth_w
     if d == 1:
-        return _nu_circle(field.frames, u)
+        n = w.shape[0]
+        return _pf_walk(w, (n // 2,), [(0, n // 2)], "half circle")
     if d == 2:
-        return _nu_smooth_sheet(field.smooth_w)
-    if d == 3:
-        return int(np.prod([_nu_sheet(f, u) for f in _fixed_point_sheets(field.frames)[:2]]))
-    raise InvalidParams("kane_mele_nu supports dimensions 1-3")
+        return _nu_smooth_sheet(w)
+    return int(np.prod([_nu_smooth_sheet(s) for s in _fixed_point_sheets(w)[:2]]))
 
 
 @dataclass
@@ -201,22 +180,6 @@ def strong_and_weak_indices_3d(model: BlochFamily, grid: MomentumGrid) -> Z2Indi
     deviations = [_sewing_deviations(_sewing_matrices(f, u, 2), ks.__getitem__)
                   for f, ks in zip(frames, _fixed_point_sheets(grid.points()))]
     return Z2Indices3D(nu_0 * nu_pi, (nu_1, nu_2, nu_pi), *map(max, zip(*deviations)))
-
-
-def boundary_circle_product(field: SewingField) -> int:
-    """The 2D boundary formula: the product of the one-dimensional indices
-    of the two boundary circles k2 = 0 and k2 = pi of the effective zone.
-
-    Both circles are read off one globally smooth gauge, which ties their
-    winding ambiguities together; each circle contributes the parity of
-    its own anchored half-circle index.
-    """
-    if field.grid.dim != 2:
-        raise InvalidParams("the boundary-circle index is a 2D construction")
-    w = field.smooth_w
-    n1, n2 = w.shape[:2]
-    return (_pf_walk(w, (n1 // 2, n2 // 2), [(0, n1 // 2)], "circle k2=0")
-            * _pf_walk(w, (n1 // 2, 0), [(0, n1 // 2)], "circle k2=pi"))
 
 
 # --- Wannier-center-flow oracle ---

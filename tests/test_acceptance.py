@@ -21,7 +21,6 @@ from topoindex.windex import UnitaryField, boundary_index_2d, degree_one_field, 
 from topoindex.z2 import (
     kane_mele_nu,
     sewing_field,
-    smooth_sewing_field,
     wannier_center_flow,
 )
 
@@ -158,10 +157,10 @@ def test_criterion_06_mod2_index_theorem_3d():
     grid = MomentumGrid((24, 24, 24))
     for mass, expected_nu in ((-2.0, -1), (-4.0, 1)):
         model = builtin("fu-kane-mele-3d", m=mass)
-        sewing = smooth_sewing_field(model, grid)
-        result = winding3d(UnitaryField(grid, sewing.w), residue_tol=0.05)
+        sewing = sewing_field(model, grid)
+        result = winding3d(UnitaryField(grid, sewing.smooth_w), residue_tol=0.05)
         assert result.residue < 0.05
-        nu = kane_mele_nu(sewing_field(model, grid))
+        nu = kane_mele_nu(sewing)
         assert nu == expected_nu
         assert (-1) ** result.rounded == nu
     elapsed = time.time() - start

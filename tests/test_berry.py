@@ -57,6 +57,7 @@ def test_occupied_frame_detects_gap_closing():
 
 def test_hopf_chern_number_is_one(hopf_frame):
     assert chern_number(hopf_frame) == 1
+    assert chern_number(hopf_frame, axes=(1, 0)) == -1   # reversed orientation
 
 
 def test_hopf_curvature_sums_to_2pi(hopf_frame):

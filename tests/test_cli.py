@@ -496,21 +496,61 @@ def test_audit_agreement_ignores_skipped_points():
     assert "skipped" in inv["points"][0] and inv["points"][1]["agree"]
 
 
-def test_audit_builds_one_smooth_gauge_per_2d_point(monkeypatch):
-    from topoindex import z2
+def _count_smooth_gauges(monkeypatch) -> list[str]:
+    """Record every smooth_frames_2d/_3d call, at each module that binds them."""
+    from topoindex import _gauge, berry, z2
 
-    original = z2.smooth_frames_2d
     calls = []
+    for name in ("smooth_frames_2d", "smooth_frames_3d"):
+        original = getattr(_gauge, name)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(z2, "smooth_frames_2d", counted)
+        for module in (_gauge, berry, z2):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_audit_builds_one_smooth_gauge_per_2d_point(monkeypatch):
+    calls = _count_smooth_gauges(monkeypatch)
     code, inv = invariants(["audit", "--model", "bhz", "--grid", "10", "--width", "16",
                             "--sweep", "m=1.5:2.5:2"])
     assert code == 0 and all(p["boundary_index"] == p["nu"] == -1 for p in inv["points"])
-    assert len(calls) == 2
+    assert calls == ["smooth_frames_2d"] * 2
+
+
+@pytest.mark.parametrize("command", ["cs-index", "audit"])
+def test_3d_commands_build_one_smooth_gauge(monkeypatch, command):
+    # the winding and nu both read the one smooth cube; the only 2D gauge is
+    # the base sheet that the cube gauge starts from
+    calls = _count_smooth_gauges(monkeypatch)
+    code, _ = invariants([command, "--model", "fu-kane-mele-3d", "--m", "-4.0", "--grid", "10"])
+    assert code == 0
+    assert sorted(calls) == ["smooth_frames_2d", "smooth_frames_3d"]
+
+
+@pytest.mark.parametrize("model,dim", [(["--model", "kitaev-chain"], 1),
+                                       (["--model", "atomic-limit", "--dim", "1"], 1)])
+def test_audit_rejects_a_1d_model(model, dim):
+    code, inv = invariants(["audit"] + model + ["--grid", "16"])
+    assert code == 2
+    assert inv["error"] == {"type": "InvalidParams", "message": (
+        f"invalid model parameters: audit cross-checks 2D and 3D models; {model[1]} is {dim}D")}
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["z2", "-h"],
+                                  ["audit", "--model", "bhz", "--grid", "x", "--help"]])
+def test_help_returns_0_and_main_prints_the_usage(capsys, argv):
+    from topoindex.cli import main
+
+    code, report = run(argv)
+    assert code == 0 and report.invariants == {}
+    assert report.usage.startswith("usage: topoindex")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == report.usage
 
 
 def test_ribbon_commands_fuzz_exit_codes():
@@ -752,8 +792,7 @@ def test_kgroup_spectral_flow_and_model_json_fuzz_exit_codes(tmp_path):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
-    # "-h" would print help and exit: no "h" in the drawn text
-    text = st.text(alphabet="-.0123456789aeinx", max_size=5)
+    text = st.text(alphabet="-.0123456789aehinx", max_size=5)
     floats = st.floats(allow_nan=True, allow_infinity=True)
     junk = st.one_of(st.none(), st.booleans(), floats, text, st.integers(-10 ** 9, 10 ** 9),
                      st.lists(st.integers(-2, 2), max_size=3), st.just({}))

@@ -1,18 +1,22 @@
 """The vectorized gauge guards against the loops they replaced.
 
-The contraction-basepoint scan (`_gauge._pick_basepoint`) and the branch
-guard (`UnitaryField.check_branch_safety`) must give exactly what the
-per-candidate loop and the all-points SVD norm gave: the same arrays,
-the same pass/raise decisions and the same error texts.
+The contraction-basepoint scan (`_gauge._pick_basepoint`), the branch
+guard (`UnitaryField.check_branch_safety`) and the accumulated column-chain
+rotation (`_gauge._ColumnChain.rotation`) must give exactly what the
+per-candidate loop, the all-points SVD norm and the product rebuilt from
+step 1 gave: the same arrays, the same pass/raise decisions and the same
+error texts.
 """
 
 import numpy as np
 import pytest
 
 from topoindex import _gauge
+from topoindex.berry import occupied_frame
 from topoindex.cli import run
 from topoindex.errors import BranchUnsafe, GaugeConstructionFailed, ResidueTooLarge
-from topoindex.model import MomentumGrid
+from topoindex.model import MomentumGrid, builtin, direct_sum
+from topoindex.z2 import kane_mele_nu, sewing_field
 from topoindex.windex import (
     BRANCH_SAFE_DISTANCE,
     UnitaryField,
@@ -264,3 +268,54 @@ def test_reports_identical_with_reference_guards(monkeypatch, argv):
     monkeypatch.setattr(UnitaryField, "check_branch_safety", svd_check_branch_safety)
     ref_code, ref_report = run(argv)
     assert (code, body) == (ref_code, ref_report.to_json(include_timing=False))
+
+
+# --- the column chain: accumulated products against the rebuilt ones ---
+
+def rebuilt_rotation(chain, t):
+    """The column-chain rotation rebuilt from step 1 for every t."""
+    out = np.broadcast_to(np.eye(chain.m), chain.c0.shape[:-1] + (chain.m, chain.m)).copy()
+    prev = chain.c0
+    k = int(np.floor(t * chain.steps))
+    for j in range(1, k + 1):
+        nxt = chain._point(j / chain.steps)
+        out = np.einsum("...ij,...jk->...ik", _gauge._minimal_rotation(prev, nxt), out)
+        prev = nxt
+    if t * chain.steps > k:
+        nxt = chain._point(t)
+        out = np.einsum("...ij,...jk->...ik", _gauge._minimal_rotation(prev, nxt), out)
+    return out
+
+
+RANK4_MODELS = {"atomic-limit-8": builtin("atomic-limit", n=8, dim=2),
+                "kane-mele+bhz": direct_sum(builtin("kane-mele"), builtin("bhz", m=-1.0))}
+
+
+def test_column_chain_rotation_matches_the_rebuilt_product():
+    rng = np.random.default_rng(7)
+    column = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    chain = _gauge._ColumnChain(column / np.linalg.norm(column, axis=-1, keepdims=True))
+    # growing, repeated, falling and whole-step parameters
+    for t in (1.0, 0.01, 0.3, 0.3, 0.5, 0.75, 0.2, 47 / 48, 1.0):
+        assert np.array_equal(chain.rotation(t), rebuilt_rotation(chain, t)), t
+
+
+@pytest.mark.parametrize("name", sorted(RANK4_MODELS))
+def test_rank4_gauges_identical_with_rebuilt_rotations(monkeypatch, name):
+    frames = occupied_frame(RANK4_MODELS[name], MomentumGrid((12, 12))).frames
+    fast = _gauge.smooth_frames_2d(frames)
+    calls = []
+
+    def counted(chain, t):
+        calls.append(t)
+        return rebuilt_rotation(chain, t)
+
+    monkeypatch.setattr(_gauge._ColumnChain, "rotation", counted)
+    assert np.array_equal(fast, _gauge.smooth_frames_2d(frames))
+    assert calls   # the rank-4 contraction ran through the column chain
+
+
+@pytest.mark.parametrize("n", [12, 16, 24])
+def test_rank4_direct_sum_nu(n):
+    sf = sewing_field(RANK4_MODELS["kane-mele+bhz"], MomentumGrid((n, n)))
+    assert kane_mele_nu(sf) == -1

@@ -12,13 +12,12 @@ from topoindex.errors import BranchTrackingFailed, InvalidParams, NotUnitary, Pf
 from topoindex.model import MomentumGrid, builtin, direct_sum
 from topoindex.z2 import (
     _pf_walk,
-    boundary_circle_product,
     kane_mele_nu,
     sewing_field,
-    smooth_sewing_field,
     strong_and_weak_indices_3d,
     wannier_center_flow,
 )
+from topoindex.windex import boundary_index_2d
 
 KM_TOPO = {"t": 1.0, "lso": 0.06, "lv": 0.1}
 KM_TRIV = {"t": 1.0, "lso": 0.06, "lv": 0.4}
@@ -202,7 +201,7 @@ def test_wannier_flow_csv_export(grid16):
 @pytest.mark.parametrize("params,expected", [(KM_TOPO, -1), (KM_TRIV, 1)])
 def test_boundary_circle_product_matches_nu(params, expected, grid16):
     sf = sewing_field(builtin("kane-mele", **params), grid16)
-    assert boundary_circle_product(sf) == expected
+    assert boundary_index_2d(sf) == expected
 
 
 def test_strong_and_weak_3d_phases():
@@ -240,11 +239,15 @@ def test_doubled_model_nu_trivial(grid16):
 
 def test_smooth_sewing_field_is_smooth():
     from topoindex._gauge import smoothness_report
+    from topoindex.linalg import check_unitary
 
-    km = builtin("fu-kane-mele-3d", m=-2.0)
-    sf = smooth_sewing_field(km, MomentumGrid((10, 10, 10)))
-    assert smoothness_report(sf.frames) < 1.6
-    assert sf.unitarity_deviation < 1e-8
+    for name, params, sizes in (("kitaev-chain", {}, (16,)), ("kane-mele", KM_TOPO, (16, 16)),
+                                ("fu-kane-mele-3d", {"m": -2.0}, (16, 16, 16))):
+        sf = sewing_field(builtin(name, **params), MomentumGrid(sizes))
+        assert sf.smooth_w is sf.smooth_w        # built once per field
+        assert sf.smooth_w.shape == sf.w.shape
+        assert smoothness_report(sf.smooth_w) < 1.6
+        assert check_unitary(sf.smooth_w) < 1e-8
 
 
 # --- guards of the fixed-point Pfaffian walk on synthetic skew fields ---
