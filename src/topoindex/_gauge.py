@@ -73,6 +73,17 @@ def frame_projectors(frames: np.ndarray) -> np.ndarray:
     return np.einsum("...im,...jm->...ij", frames, np.conj(frames))
 
 
+def _transport_along_last_axis(out: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """Transport the first frames out[..., 0, :, :] along the last grid
+    axis into `out`, in place; returns the wrap mismatch
+    polar(F_0^dagger F_arrived) of the frame transported back to the start."""
+    n = out.shape[-3]
+    for i in range(1, n):
+        out[..., i, :, :] = transport(out[..., i - 1, :, :], proj[..., i, :, :])
+    arrived = transport(out[..., n - 1, :, :], proj[..., 0, :, :])
+    return polar_unitary(np.conj(np.swapaxes(out[..., 0, :, :], -1, -2)) @ arrived)
+
+
 def circle_transport(projectors: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Smooth gauge around one circle by transport from ``start``.
 
@@ -81,13 +92,9 @@ def circle_transport(projectors: np.ndarray, start: np.ndarray) -> np.ndarray:
     built on top (it drops out of any closed chain of circles).
     """
     n_pts = projectors.shape[0]
-    frames = [start]
-    for t in range(1, n_pts):
-        frames.append(transport(frames[-1], projectors[t]))
-    arrived = transport(frames[-1], projectors[0])
-    hol = polar_unitary(np.conj(start).T @ arrived)
-    out = np.array(frames)
-    angles, q = unitary_eig(hol)
+    out = np.empty((n_pts,) + start.shape, dtype=complex)
+    out[0] = start
+    angles, q = unitary_eig(_transport_along_last_axis(out, projectors))
     for t in range(n_pts):
         frac = q @ np.diag(np.exp(-1j * angles * t / n_pts)) @ np.conj(q).T
         out[t] = out[t] @ frac
@@ -265,7 +272,7 @@ class _ColumnChain:
 
 
 class _GeneralContraction:
-    """Null homotopy of a winding-zero unitary family of any rank, by
+    """Null homotopy of a winding-zero unitary family of rank 2 or more, by
     recursive contraction of the leading column."""
 
     def __init__(self, v: np.ndarray):
@@ -281,19 +288,14 @@ class _GeneralContraction:
             raise GaugeConstructionFailed(
                 f"column reduction left residue {err:.2e}")
         self.child = None
-        if self.m > 1:
-            block = reduced[..., 1:, 1:]
-            if self.m - 1 == 1:
-                self.tail_phase = _unwrap(block[..., 0, 0], "final phase")
-            else:
-                self.child = _GeneralContraction(block)
+        block = reduced[..., 1:, 1:]
+        if self.m - 1 == 1:
+            self.tail_phase = _unwrap(block[..., 0, 0], "final phase")
+        else:
+            self.child = _GeneralContraction(block)
 
     def at(self, t: float) -> np.ndarray:
-        shape = self.phi.shape + (self.m, self.m)
-        out = np.zeros(shape, dtype=complex)
-        if self.m == 1:
-            out[..., 0, 0] = np.exp(1j * t * self.phi)
-            return out
+        out = np.zeros(self.phi.shape + (self.m, self.m), dtype=complex)
         if self.child is not None:
             inner = self.child.at(t)
         else:
@@ -360,10 +362,7 @@ def _sweep_and_close(out: np.ndarray, proj: np.ndarray) -> np.ndarray:
     axis, then spread the contraction of the wrap mismatch over that axis
     so the gauge closes periodically; fills `out` in place."""
     n = out.shape[-3]
-    for i in range(1, n):
-        out[..., i, :, :] = transport(out[..., i - 1, :, :], proj[..., i, :, :])
-    arrived = transport(out[..., n - 1, :, :], proj[..., 0, :, :])
-    mismatch = polar_unitary(np.conj(np.swapaxes(out[..., 0, :, :], -1, -2)) @ arrived)
+    mismatch = _transport_along_last_axis(out, proj)
     homotopy = LoopContraction(np.conj(np.swapaxes(mismatch, -1, -2)))  # to M^dagger
     for i in range(n):
         h = homotopy.at(_smoothstep(i / n))

@@ -121,15 +121,21 @@ def plaquette_field(frame: OccupiedFrame, axes: tuple[int, int] = (0, 1),
     return field
 
 
-def chern_number(frame: OccupiedFrame, axes: tuple[int, int] = (0, 1),
-                 slice_index: int = 0) -> int:
-    """Lattice first Chern number of the occupied bundle; exact integer."""
-    field = plaquette_field(frame, axes, slice_index)
+def plaquette_chern(field: np.ndarray) -> tuple[int, float]:
+    """The Chern number of a plaquette field, the integer nearest its sum
+    over 2 pi, and the residue from that integer; a residue above 1e-6
+    raises GridTooCoarse."""
     total = float(np.sum(field)) / (2.0 * np.pi)
     n = int(np.rint(total))
     if abs(total - n) > 1e-6:
         raise GridTooCoarse(f"plaquette sum {total:.6f} is not an integer")
-    return n
+    return n, abs(total - n)
+
+
+def chern_number(frame: OccupiedFrame, axes: tuple[int, int] = (0, 1),
+                 slice_index: int = 0) -> int:
+    """Lattice first Chern number of the occupied bundle; exact integer."""
+    return plaquette_chern(plaquette_field(frame, axes, slice_index))[0]
 
 
 @dataclass
@@ -141,7 +147,7 @@ class BerryCurvatureField:
     values: np.ndarray  # (N1, N2) phases; sum/(2 pi) = Chern number
 
     def chern(self) -> int:
-        return int(np.rint(np.sum(self.values) / (2.0 * np.pi)))
+        return plaquette_chern(self.values)[0]
 
     def to_csv(self) -> str:
         lines = ["k1,k2,curvature"]

@@ -152,9 +152,8 @@ def _trs_check(model, grid) -> dict:
 def _cmd_chern(args, params, report):
     model, grid = _model_and_grid(args, params, report, 2)
     curvature = berry.berry_curvature_field(berry.occupied_frame(model, grid))
-    total = float(np.sum(curvature.values)) / (2.0 * np.pi)
-    c1 = int(np.rint(total))
-    report.invariants = {"c1": c1, "plaquette_sum_residue": abs(total - c1),
+    c1, residue = berry.plaquette_chern(curvature.values)
+    report.invariants = {"c1": c1, "plaquette_sum_residue": residue,
                          "max_plaquette_phase": float(np.max(np.abs(curvature.values)))}
     if args.out == "csv":
         report.csv = curvature.to_csv()

@@ -57,8 +57,7 @@ class UnknownModel(ValidationError):
 
 
 class InvalidParams(ValidationError):
-    def __init__(self, reason):
-        super().__init__(f"invalid model parameters: {reason}")
+    """Bad input; the message is the reason alone."""
 
 
 class SchemaError(ValidationError):

@@ -82,9 +82,6 @@ class NCElement:
     def omega(self) -> complex:
         return np.exp(2j * np.pi * float(self.theta))
 
-    def copy(self) -> "NCElement":
-        return NCElement(self.theta, dict(self.terms))
-
     def __add__(self, other: "NCElement") -> "NCElement":
         out = dict(self.terms)
         for key, c in other.terms.items():

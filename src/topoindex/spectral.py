@@ -166,35 +166,34 @@ def _chunk_eigenpairs(h: np.ndarray, sectors: list[np.ndarray], window: float) -
     return pairs
 
 
-def _edge_states(ribbon: RibbonFamily, ev: np.ndarray, vec: np.ndarray,
-                 cluster_tol: float):
-    """In-window eigenstates with their energies and left-quarter weights.
+def _edge_states(ribbon: RibbonFamily, pairs: list, cluster_tol: float):
+    """The in-window eigenpairs (ev, vec) of all path points as one table:
+    energies (M,), vector columns (N, M), left-quarter weights (M,), and
+    offsets (points + 1,), point p owning states offsets[p]:offsets[p + 1].
 
-    States degenerate within cluster_tol are rotated to diagonalize the
-    left-quarter weight, which disentangles hybridized or symmetry-paired
-    edge states living on opposite edges.
+    A chain of one point's levels with steps below cluster_tol is a
+    cluster; its states share the mean energy and are rotated to
+    diagonalize the left-quarter weight, which disentangles hybridized or
+    symmetry-paired edge states living on opposite edges.
     """
     L, n = ribbon.transverse_sites, ribbon.bands
     quarter = max(1, L // 4)
-    out = []
-    i = 0
-    while i < len(ev):
-        j = i
-        while j + 1 < len(ev) and ev[j + 1] - ev[j] < cluster_tol:
-            j += 1
-        vs = vec[:, i:j + 1]
-        if j > i:
-            blocks = vs.reshape(L, n, j + 1 - i)
-            ql = np.einsum("sna,snb->ab", np.conj(blocks[:quarter]), blocks[:quarter])
-            _, rot = np.linalg.eigh(ql)
-            vs = vs @ rot
-        e_mean = float(np.mean(ev[i:j + 1]))
-        for a in range(vs.shape[1]):
-            psi = vs[:, a].reshape(L, n)
-            weight = float(np.sum(np.abs(psi[:quarter]) ** 2))
-            out.append((e_mean if j > i else float(ev[i + a]), vs[:, a], weight))
-        i = j + 1
-    return out
+    ev = np.concatenate([e for e, _ in pairs])
+    vec = np.hstack([v for _, v in pairs])
+    offsets = np.cumsum([0] + [len(e) for e, _ in pairs])
+    first = np.ones(len(ev), dtype=bool)
+    first[1:] = ~(np.diff(ev) < cluster_tol)
+    first[offsets[offsets < len(ev)]] = True  # no cluster spans two points
+    starts = np.flatnonzero(first)
+    sizes = np.diff(np.append(starts, len(ev)))
+    energies = np.repeat(np.add.reduceat(ev, starts) / sizes, sizes)
+    for size in np.unique(sizes[sizes > 1]):
+        cols = starts[sizes == size, None] + np.arange(size)  # (clusters, size)
+        blocks = vec[:, cols].reshape(L, n, *cols.shape)[:quarter]
+        ql = np.einsum("snca,sncb->cab", np.conj(blocks), blocks)
+        vec[:, cols] = np.einsum("xca,cab->xcb", vec[:, cols], np.linalg.eigh(ql)[1])
+    weights = np.sum(np.abs(vec.reshape(L, n, -1)[:quarter]) ** 2, axis=(0, 1))
+    return energies, vec, weights, offsets
 
 
 def _crossing_parity_on_path(ribbon: RibbonFamily, path: np.ndarray) -> int:
@@ -204,41 +203,53 @@ def _crossing_parity_on_path(ribbon: RibbonFamily, path: np.ndarray) -> int:
     Crossings of the Fermi level sit exactly at the fixed points (Kramers
     degenerate), so the count probes the symmetric pair of offset levels
     +/- 0.3 * gap instead: the parity is the same by continuity of the
-    edge bands and each Kramers pair is met exactly once.
+    edge bands and each Kramers pair is met exactly once.  A state is
+    matched to its best overlap among the next point's states (one overlap
+    matrix per step) and checked only if that point has states; the first
+    offending state in path order raises.
     """
     gap = _ribbon_bulk_gap(ribbon)
-    window = 0.9 * gap
-    match_window = 0.6 * gap
-    levels = (0.3 * gap, -0.3 * gap)
-
-    states = [_edge_states(ribbon, ev, vec, 0.02 * gap)
-              for ev, vec in _sector_eigenpairs(ribbon, path, window)]
-    counts = [0, 0]
-    for i in range(len(path) - 1):
-        cur, nxt = states[i], states[i + 1]
-        if not nxt:
-            continue
-        for e_a, v_a, w_a in cur:
-            near_level = any(abs(e_a - lvl) < 0.25 * gap for lvl in levels)
-            if near_level and 0.4 < w_a <= 0.6:
-                raise EdgeBandIsolationFailed(
-                    f"state at E={e_a:.4f} has ambiguous weight {w_a:.2f}")
-            if abs(e_a) > match_window or w_a <= 0.6:
-                continue
-            overlaps = [abs(np.vdot(v_a, v_b)) for _, v_b, _ in nxt]
-            j = int(np.argmax(overlaps))
-            if overlaps[j] < 0.5:
-                raise EdgeBandIsolationFailed(
-                    f"edge band lost between path points {i} and {i + 1} "
-                    f"(best overlap {overlaps[j]:.2f})")
-            e_b = nxt[j][0]
-            for li, level in enumerate(levels):
-                if (e_a - level) * (e_b - level) < 0.0:
-                    counts[li] += 1
+    levels = np.array([0.3 * gap, -0.3 * gap])
+    e, vec, w, offsets = _edge_states(
+        ribbon, list(_sector_eigenpairs(ribbon, path, 0.9 * gap)), 0.02 * gap)
+    checked = np.zeros(len(e), dtype=bool)
+    best = np.zeros(len(e), dtype=int)
+    best_overlap = np.zeros(len(e))
+    for a, b, c in zip(offsets, offsets[1:], offsets[2:]):
+        if a < b < c:
+            overlaps = np.abs(np.conj(vec[:, a:b].T) @ vec[:, b:c])
+            checked[a:b] = True
+            best[a:b] = b + np.argmax(overlaps, axis=1)
+            best_overlap[a:b] = np.max(overlaps, axis=1)
+    near_level = np.any(np.abs(e[:, None] - levels) < 0.25 * gap, axis=1)
+    ambiguous = checked & near_level & (0.4 < w) & (w <= 0.6)
+    tracked = checked & ~((np.abs(e) > 0.6 * gap) | (w <= 0.6))
+    bad = np.flatnonzero(ambiguous | (tracked & (best_overlap < 0.5)))
+    if bad.size and ambiguous[bad[0]]:
+        raise EdgeBandIsolationFailed(
+            f"state at E={e[bad[0]]:.4f} has ambiguous weight {w[bad[0]]:.2f}")
+    if bad.size:
+        i = int(np.searchsorted(offsets, bad[0], side="right")) - 1
+        raise EdgeBandIsolationFailed(
+            f"edge band lost between path points {i} and {i + 1} "
+            f"(best overlap {best_overlap[bad[0]]:.2f})")
+    signs = (e[tracked, None] - levels) * (e[best[tracked], None] - levels)
+    counts = np.count_nonzero(signs < 0.0, axis=0)
     if counts[0] % 2 != counts[1] % 2:
         raise EdgeBandIsolationFailed(
-            f"probe levels disagree on the crossing parity {counts}")
-    return counts[0] % 2
+            f"probe levels disagree on the crossing parity {counts.tolist()}")
+    return int(counts[0] % 2)
+
+
+def _staircase(target: np.ndarray, samples: int) -> np.ndarray:
+    """Ribbon momenta from the origin to target (coordinates 0 or pi): one
+    leg of `samples` points, sharing its first with the previous leg's
+    last, per pi coordinate in axis order."""
+    s = np.linspace(0.0, np.pi, samples)
+    legs = np.eye(len(target))[target >= 1e-12]  # (legs, dim) unit rows
+    done = np.cumsum(legs, axis=0) - legs        # the axes already at pi
+    path = np.pi * done[:, None] + s[1:, None] * legs[:, None]
+    return np.concatenate([np.zeros((1, len(target))), *path])
 
 
 def ribbon_spectrum_csv(ribbon: RibbonFamily, samples: int = 81) -> str:
@@ -262,7 +273,7 @@ def edge_crossing_parity(ribbon: RibbonFamily) -> int:
     between the projected fixed points 0 and pi, on 161 momenta."""
     if ribbon.dim != 1:
         raise InvalidParams("edge_crossing_parity expects a 1D-momentum ribbon")
-    return _crossing_parity_on_path(ribbon, np.linspace(0.0, np.pi, 161)[:, None])
+    return _crossing_parity_on_path(ribbon, _staircase(np.array([np.pi]), 161))
 
 
 def mod2_analytical_index(model: BlochFamily, grid: MomentumGrid, trim,
@@ -284,20 +295,8 @@ def mod2_analytical_index(model: BlochFamily, grid: MomentumGrid, trim,
             raise InvalidParams("trim coordinates must be 0 or pi")
     if samples_per_leg is None:
         samples_per_leg = max(161, 8 * max(grid.sizes) + 1)
-    target = np.abs(np.delete(trim, open_axis))
     ribbon = ribbonize(model, open_axis=open_axis, width=width)
-
-    path = []
-    current = np.zeros(model.dim - 1)
-    path.append(current.copy())
-    for axis in range(model.dim - 1):
-        if target[axis] < 1e-12:
-            continue
-        for s in np.linspace(0.0, np.pi, samples_per_leg)[1:]:
-            step = current.copy()
-            step[axis] = s
-            path.append(step)
-        current[axis] = np.pi
+    path = _staircase(np.abs(np.delete(trim, open_axis)), samples_per_leg)
     if len(path) < 2:
         return 0
-    return _crossing_parity_on_path(ribbon, np.array(path))
+    return _crossing_parity_on_path(ribbon, path)

@@ -12,6 +12,7 @@ from topoindex.berry import (
     occupied_frame,
     polarization_p3,
 )
+from topoindex.cli import run
 from topoindex.errors import GapClosed, GridTooCoarse, InvalidParams, NonHermitian
 from topoindex.linalg import eigh, hermitian_deviation
 from topoindex.model import (
@@ -315,8 +316,13 @@ def test_chern_number_on_too_coarse_grids(m, n, detail):
 
 def test_chern_number_rejects_a_non_integer_plaquette_sum(monkeypatch, hopf_frame):
     monkeypatch.setattr(berry, "plaquette_field", lambda *args: np.full((20, 20), 0.01))
-    with pytest.raises(GridTooCoarse, match="plaquette sum 0.636620 is not an integer"):
-        chern_number(hopf_frame)
+    for chern in (chern_number, lambda frame: berry_curvature_field(frame).chern()):
+        with pytest.raises(GridTooCoarse, match="plaquette sum 0.636620 is not an integer"):
+            chern(hopf_frame)
+    code, report = run(["chern", "--model", "hopf-two-band", "--grid", "20"])
+    assert code == 3
+    assert report.invariants["error"]["message"] == (
+        "momentum grid too coarse: plaquette sum 0.636620 is not an integer")
 
 
 def test_p3_on_a_too_coarse_grid():

@@ -538,7 +538,7 @@ def test_audit_rejects_a_1d_model(model, dim):
     code, inv = invariants(["audit"] + model + ["--grid", "16"])
     assert code == 2
     assert inv["error"] == {"type": "InvalidParams", "message": (
-        f"invalid model parameters: audit cross-checks 2D and 3D models; {model[1]} is {dim}D")}
+        f"audit cross-checks 2D and 3D models; {model[1]} is {dim}D")}
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["z2", "-h"],

@@ -371,3 +371,92 @@ def test_ribbon_csv_matches_dense_solve():
     for pair, (energy, weight) in zip(at_zero.reshape(4, 2, 3), pinned):
         assert np.allclose(pair[:, 1], energy, atol=1e-10, rtol=0)
         assert abs(pair[:, 2].sum() - 2 * weight) < 1e-10
+
+
+
+def _per_state_parity(ribbon, tables, gap):
+    """Reference edge parity: states clustered by a while loop into
+    (E, vector, weight) tuples and matched pair by pair with np.vdot."""
+    L, n = ribbon.transverse_sites, ribbon.bands
+    quarter = max(1, L // 4)
+    states = []
+    for ev, vec in tables:
+        out, i = [], 0
+        while i < len(ev):
+            j = i
+            while j + 1 < len(ev) and ev[j + 1] - ev[j] < 0.02 * gap:
+                j += 1
+            vs = vec[:, i:j + 1]
+            if j > i:
+                blocks = vs.reshape(L, n, j + 1 - i)[:quarter]
+                vs = vs @ np.linalg.eigh(np.einsum("sna,snb->ab", np.conj(blocks), blocks))[1]
+            for a in range(vs.shape[1]):
+                weight = float(np.sum(np.abs(vs[:, a].reshape(L, n)[:quarter]) ** 2))
+                out.append((float(np.mean(ev[i:j + 1])), vs[:, a], weight))
+            i = j + 1
+        states.append(out)
+    levels, counts = (0.3 * gap, -0.3 * gap), [0, 0]
+    for i in range(len(states) - 1):
+        if not states[i + 1]:
+            continue
+        for e_a, v_a, w_a in states[i]:
+            if any(abs(e_a - lvl) < 0.25 * gap for lvl in levels) and 0.4 < w_a <= 0.6:
+                raise EdgeBandIsolationFailed(
+                    f"state at E={e_a:.4f} has ambiguous weight {w_a:.2f}")
+            if abs(e_a) > 0.6 * gap or w_a <= 0.6:
+                continue
+            overlaps = [abs(np.vdot(v_a, v_b)) for _, v_b, _ in states[i + 1]]
+            j = int(np.argmax(overlaps))
+            if overlaps[j] < 0.5:
+                raise EdgeBandIsolationFailed(
+                    f"edge band lost between path points {i} and {i + 1} "
+                    f"(best overlap {overlaps[j]:.2f})")
+            counts = [c + ((e_a - lvl) * (states[i + 1][j][0] - lvl) < 0.0)
+                      for c, lvl in zip(counts, levels)]
+    if counts[0] % 2 != counts[1] % 2:
+        raise EdgeBandIsolationFailed(f"probe levels disagree on the crossing parity {counts}")
+    return counts[0] % 2
+
+
+def _synthetic_tables(rng, size):
+    """In-window eigenpairs along a short path: drifting energies with
+    near-degenerate pairs, slowly or suddenly rotating orthonormal columns
+    leaning on the left quarter, and now and then an empty point."""
+    m = int(rng.integers(0, 7))
+    basis = rng.normal(size=(size, m)) + 1j * rng.normal(size=(size, m))
+    basis[: size // 4] *= rng.choice([0.3, 1.7, 4.0, 8.0])
+    energies = np.sort(rng.uniform(-0.89, 0.89, m))
+    tables = []
+    for _ in range(int(rng.integers(2, 12))):
+        basis = basis + rng.choice([0.02, 0.1, 3.0]) * rng.normal(size=basis.shape)
+        energies = np.clip(energies + rng.choice([0.02, 0.2]) * rng.normal(size=m), -0.89, 0.89)
+        if m > 1 and rng.random() < 0.5:
+            i = int(rng.integers(0, m - 1))
+            energies[i + 1] = energies[i] + rng.uniform(0.0, 0.03)
+        energies = np.sort(np.clip(energies, -0.89, 0.89))
+        keep = slice(0, 0 if rng.random() < 0.1 else m)
+        tables.append((energies[keep].copy(), np.linalg.qr(basis)[0][:, keep].copy()))
+    return tables
+
+
+def _outcome_text(fn, *args):
+    try:
+        return fn(*args)
+    except EdgeBandIsolationFailed as exc:
+        return str(exc)
+
+
+def test_edge_state_tables_match_the_per_state_reference(monkeypatch):
+    # unit gap, so the synthetic levels lie in the 0.9 window
+    ribbon = ribbonize(builtin("bhz", m=2.0), 0, 8)
+    monkeypatch.setattr(spectral, "_ribbon_bulk_gap", lambda ribbon: 1.0)
+    rng = np.random.default_rng(11)
+    kinds = set()
+    for _ in range(300):
+        tables = _synthetic_tables(rng, ribbon.transverse_sites * ribbon.bands)
+        monkeypatch.setattr(spectral, "_sector_eigenpairs", lambda *args: iter(tables))
+        got = _outcome_text(spectral._crossing_parity_on_path, ribbon, np.zeros((len(tables), 1)))
+        assert got == _outcome_text(_per_state_parity, ribbon, tables, 1.0)
+        kinds.add(got if isinstance(got, int) else
+                  next(w for w in ("ambiguous", "lost", "disagree") if w in got))
+    assert kinds == {0, 1, "ambiguous", "lost", "disagree"}
