@@ -19,7 +19,7 @@ import numpy as np
 from . import berry, ktable, nctorus, spectral, windex, z2
 from .errors import AdequacyError, InvalidParams, SchemaError, ValidationError
 from .model import (MAX_GRID_ENTRIES, MAX_MATRIX_ROWS, MomentumGrid, _matrix_from_json, builtin,
-                    check_trs, load_model, ribbonize)
+                    builtin_parameters, check_trs, load_model, ribbonize)
 
 REPORT_VERSION = 1
 MAX_SWEEP_POINTS = 256
@@ -50,27 +50,6 @@ class RunReport:
         return json.dumps(doc, sort_keys=True)
 
 
-def _parse_params(pairs: list[str], extras: list[str]) -> dict:
-    params: dict = {}
-    for chunk in pairs:
-        for item in chunk.split(","):
-            if not item:
-                continue
-            if "=" not in item:
-                raise InvalidParams(f"--params entries must be key=value, got {item!r}")
-            k, v = item.split("=", 1)
-            params[k.strip()] = _number(v, k.strip())
-    for i in range(0, len(extras), 2):
-        tok = extras[i]
-        if not tok.startswith("--"):
-            raise InvalidParams(f"unrecognized argument {tok!r}")
-        key = tok[2:].replace("-", "_")
-        if i + 1 >= len(extras):
-            raise InvalidParams(f"flag {tok} needs a value")
-        params[key] = _number(extras[i + 1], key)
-    return params
-
-
 def _number(text: str, name: str) -> float:
     try:
         value = float(text)
@@ -98,8 +77,7 @@ def _read_config(path: str):
 
 def _build_model(args, params):
     if args.config:
-        doc = _read_config(args.config)
-        return load_model({**doc, **params} if isinstance(doc, dict) else doc)
+        return load_model(_read_config(args.config))
     if not args.model:
         raise InvalidParams("need --model NAME or --config FILE")
     return builtin(args.model, **params)
@@ -120,9 +98,9 @@ def _grid_from_arg(arg: str | None, dim: int, bands: int) -> MomentumGrid:
     return grid
 
 
-def _model_and_grid(args, params, report, dim: int):
+def _model_and_grid(args, report, dim: int):
     """Build the model and its dim-dimensional grid, recorded in the report."""
-    model = _build_model(args, params)
+    model = _build_model(args, args.params)
     grid = _grid_from_arg(args.grid, dim, model.bands)
     report.model = _model_descriptor(model)
     report.grid = list(grid.sizes)
@@ -149,8 +127,8 @@ def _trs_check(model, grid) -> dict:
             "pass": rep.passed}
 
 
-def _cmd_chern(args, params, report):
-    model, grid = _model_and_grid(args, params, report, 2)
+def _cmd_chern(args, report):
+    model, grid = _model_and_grid(args, report, 2)
     curvature = berry.berry_curvature_field(berry.occupied_frame(model, grid))
     c1, residue = berry.plaquette_chern(curvature.values)
     report.invariants = {"c1": c1, "plaquette_sum_residue": residue,
@@ -160,8 +138,8 @@ def _cmd_chern(args, params, report):
     return report
 
 
-def _cmd_z2(args, params, report):
-    model, grid = _model_and_grid(args, params, report, 2)
+def _cmd_z2(args, report):
+    model, grid = _model_and_grid(args, report, 2)
     sf = z2.sewing_field(model, grid)
     nu = z2.kane_mele_nu(sf)
     flow = z2.wannier_center_flow(model, grid, frames=sf.frames)
@@ -174,16 +152,16 @@ def _cmd_z2(args, params, report):
     return report
 
 
-def _cmd_z2_3d(args, params, report):
-    model, grid = _model_and_grid(args, params, report, 3)
+def _cmd_z2_3d(args, report):
+    model, grid = _model_and_grid(args, report, 3)
     idx = z2.strong_and_weak_indices_3d(model, grid)
     report.invariants = {"nu0": idx.strong, "weak": list(idx.weak)}
     report.checks = [_trs_check(model, grid)] + _sewing_checks(idx)
     return report
 
 
-def _cmd_cs_index(args, params, report):
-    model, grid = _model_and_grid(args, params, report, 3)
+def _cmd_cs_index(args, report):
+    model, grid = _model_and_grid(args, report, 3)
     sf = z2.sewing_field(model, grid)
     res = windex.winding3d(windex.UnitaryField(grid, sf.smooth_w))
     nu = z2.kane_mele_nu(sf)
@@ -195,8 +173,8 @@ def _cmd_cs_index(args, params, report):
     return report
 
 
-def _cmd_boundary_index(args, params, report):
-    model, grid = _model_and_grid(args, params, report, 2)
+def _cmd_boundary_index(args, report):
+    model, grid = _model_and_grid(args, report, 2)
     sf = z2.sewing_field(model, grid)
     report.invariants = {"boundary_index": windex.boundary_index_2d(sf)}
     report.checks = _sewing_checks(sf)
@@ -217,10 +195,9 @@ def _ribbon_width(width: float | None, bands: int) -> int:
     return _integer(24 if width is None else width, "--width", 8, cap, f" for {bands} bands")
 
 
-def _cmd_edge_parity(args, params, report):
-    width = params.pop("width", None)
-    model = _build_model(args, params)
-    width = _ribbon_width(width, model.bands)
+def _cmd_edge_parity(args, report):
+    model = _build_model(args, args.params)
+    width = _ribbon_width(args.width, model.bands)
     report.model = _model_descriptor(model)
     ribbon = ribbonize(model, open_axis=0, width=width)
     parity = spectral.edge_crossing_parity(ribbon)
@@ -230,7 +207,7 @@ def _cmd_edge_parity(args, params, report):
     return report
 
 
-def _cmd_spectral_flow(args, params, report):
+def _cmd_spectral_flow(args, report):
     if not args.config:
         raise InvalidParams("spectral-flow needs --config FILE with Hermitian samples")
     doc = _read_config(args.config)
@@ -241,9 +218,7 @@ def _cmd_spectral_flow(args, params, report):
     samples = [_matrix_from_json(s, f"$.samples[{i}]") for i, s in enumerate(doc["samples"])]
     if len({s.shape for s in samples}) > 1:
         raise SchemaError("$.samples", "samples must all have one size")
-    path = spectral.SpectralPath(
-        ts=np.linspace(0.0, 1.0, len(samples)), samples=samples,
-        closed=bool(doc.get("closed", False)))
+    path = spectral.SpectralPath(samples=samples, closed=bool(doc.get("closed", False)))
     try:
         level = float(doc.get("level", 0.0))
     except (TypeError, ValueError):
@@ -255,8 +230,11 @@ def _cmd_spectral_flow(args, params, report):
     return report
 
 
-def _cmd_kgroup(args, params, report):
+def _cmd_kgroup(args, report):
     """Degrees are given as superscripts: --kq -1 means KQ^{-1}."""
+    if (args.space or args.dim is not None) and args.kq is None and args.kr is None \
+            or args.space == "pt" and args.dim is not None:
+        raise InvalidParams("--space goes with --kq or --kr, and --dim with a torus or a sphere")
     space = args.space or "torus"
     # documented bound: a torus group is a sum of dim + 1 binomial terms
     dim = _integer(args.dim or 0, "--dim", 0, 1024)
@@ -276,21 +254,21 @@ def _cmd_kgroup(args, params, report):
     return report
 
 
-def _cmd_nc_index(args, params, report):
-    if "winding" in params:
+def _cmd_nc_index(args, report):
+    if args.winding is not None:
         # documented bound; caps the oracle's window
-        cutoff = _integer(params.pop("cutoff", 64), "--cutoff", 4, 1024)
+        cutoff = _integer(64 if args.cutoff is None else args.cutoff, "--cutoff", 4, 1024)
         # the pairings need the cutoff to be at least 4x the Fourier support
-        wdg = _integer(params.pop("winding"), "--winding", -(cutoff // 4), cutoff // 4)
+        wdg = _integer(args.winding, "--winding", -(cutoff // 4), cutoff // 4)
         co = nctorus.winding_loop_coeffs(wdg)
         ti = nctorus.toeplitz_index(co, cutoff)
         pr = nctorus.nc_index_pairing_1d(co, cutoff)
         report.invariants = {"toeplitz_index": ti, "pairing": pr.to_json(),
                              "agree": bool(ti == pr.rounded)}
         return report
-    mass = float(params.pop("mass", -2.0))
-    co = nctorus.lattice_degree_one_coeffs(mass)
-    cutoff = _integer(params.pop("cutoff", 8), "--cutoff", 1, 8)  # fields take 0.8 GB at 8
+    co = nctorus.lattice_degree_one_coeffs(-2.0 if args.mass is None else args.mass)
+    # fields take 0.8 GB at 8
+    cutoff = _integer(8 if args.cutoff is None else args.cutoff, "--cutoff", 1, 8)
     pr = nctorus.nc_index_pairing_3d(co, cutoff, residue_tol=1.0)
     report.invariants = {"pairing_3d": pr.to_json()}
     return report
@@ -311,22 +289,23 @@ def _sweep_values(spec: str):
     return name, np.linspace(a, b, n)
 
 
-def _cmd_audit(args, params, report):
-    width = params.pop("width", None)
+def _cmd_audit(args, report):
     sweep = [(None, None)]
     if args.sweep:
+        if not args.model:
+            raise InvalidParams("--sweep goes with --model; a --config document is read as written")
         name, values = _sweep_values(args.sweep)
         sweep = [(name, float(v)) for v in values]
     points = []
     for name, value in sweep:
-        pt_params = dict(params)
+        pt_params = dict(args.params)
         if name is not None:
             pt_params[name] = value
         model = _build_model(args, pt_params)
         if model.dim not in (2, 3):
             raise InvalidParams(f"audit cross-checks 2D and 3D models; {model.name} is"
                                 f" {model.dim}D")
-        ribbon_width = _ribbon_width(width, model.bands) if model.dim == 2 else None
+        ribbon_width = _ribbon_width(args.width, model.bands) if model.dim == 2 else None
         grid = _grid_from_arg(args.grid, model.dim, model.bands)
         entry: dict = {"params": {k: float(v) for k, v in sorted(pt_params.items())}}
         try:
@@ -363,18 +342,28 @@ def _cmd_audit(args, params, report):
     return report
 
 
+_M = "model config params"  # read by every command that builds a model
+# name: (function, help, the argparse flags it reads, the --name value options it reads)
 _COMMANDS = {
-    "chern": (_cmd_chern, "lattice Chern number of the occupied bundle"),
-    "z2": (_cmd_z2, "Kane-Mele invariant with the Wannier-flow oracle"),
-    "z2-3d": (_cmd_z2_3d, "strong and weak 3D invariants"),
-    "cs-index": (_cmd_cs_index, "3D winding of the sewing field"),
-    "boundary-index": (_cmd_boundary_index, "2D boundary-circle product index"),
-    "spectral-flow": (_cmd_spectral_flow, "spectral flow of a sampled path"),
-    "edge-parity": (_cmd_edge_parity, "ribbon edge-crossing parity"),
-    "kgroup": (_cmd_kgroup, "KO/KR/KQ group calculator"),
-    "nc-index": (_cmd_nc_index, "noncommutative index pairings"),
-    "audit": (_cmd_audit, "cross-check the invariant equivalences"),
+    "chern": (_cmd_chern, "lattice Chern number of the occupied bundle", f"{_M} grid out", ""),
+    "z2": (_cmd_z2, "Kane-Mele invariant with the Wannier-flow oracle", f"{_M} grid out", ""),
+    "z2-3d": (_cmd_z2_3d, "strong and weak 3D invariants", f"{_M} grid", ""),
+    "cs-index": (_cmd_cs_index, "3D winding of the sewing field", f"{_M} grid", ""),
+    "boundary-index": (_cmd_boundary_index, "2D boundary-circle product index", f"{_M} grid", ""),
+    "spectral-flow": (_cmd_spectral_flow, "spectral flow of a sampled path", "config", ""),
+    "edge-parity": (_cmd_edge_parity, "ribbon edge-crossing parity", f"{_M} out", "width"),
+    "kgroup": (_cmd_kgroup, "KO/KR/KQ group calculator", "kq kr ko space dim", ""),
+    "nc-index": (_cmd_nc_index, "noncommutative index pairings", "", "winding mass cutoff"),
+    "audit": (_cmd_audit, "cross-check the invariant equivalences", f"{_M} grid sweep", "width"),
 }
+_FLAGS = {"model": {"help": "builtin model name"}, "config": {"help": "JSON model or input file"},
+          "grid": {"help": "grid size N or N,N[,N]"}, "sweep": {"help": "sweep name=a:b:n"},
+          "params": {"action": "append", "default": [], "help": "model parameters k=v[,k=v...]"},
+          "out": {"choices": ("json", "csv"), "default": "json"}, "dim": {"type": int},
+          "kq": {"type": int}, "kr": {"type": int}, "ko": {"type": int},
+          "space": {"choices": ("pt", "torus", "sphere")}}
+# flags and options of which one invocation gives at most one
+_EXCLUSIVE = (("model", "config"), ("kq", "kr", "ko"), ("winding", "mass"))
 
 
 class _HelpRequested(Exception):
@@ -394,21 +383,11 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="topoindex", allow_abbrev=False,
         description="Topological invariants of time-reversal-invariant insulators.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        p.add_argument("--model", help="builtin model name")
-        p.add_argument("--config", help="JSON model or input file")
-        p.add_argument("--grid", help="grid size N or N,N[,N]")
-        p.add_argument("--params", action="append", default=[],
-                       help="model parameters key=value[,key=value...]")
-        p.add_argument("--out", choices=("json", "csv"), default="json")
-        p.add_argument("--sweep", help="parameter sweep name=a:b:n")
-        if name == "kgroup":
-            p.add_argument("--kq", type=int)
-            p.add_argument("--kr", type=int)
-            p.add_argument("--ko", type=int)
-            p.add_argument("--space", choices=("pt", "torus", "sphere"))
-            p.add_argument("--dim", type=int)
+    for name, (_, help_text, flags, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False,
+                           epilog=options and "also reads --" + ", --".join(options.split()))
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
@@ -416,14 +395,51 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
+def parse(argv: list[str]) -> argparse.Namespace:
+    """The flags of one invocation, each option of its command (None when
+    not given), and as params the model parameters: the --params entries
+    and, with --model, the pairs --name value that name a parameter of that
+    model.  Any other pair raises InvalidParams."""
+    args, extras = _PARSER.parse_known_args(argv)
+    options = _COMMANDS[args.subcommand][3].split()
+    model = getattr(args, "model", None)
+    names = builtin_parameters(model) if model else {}
+    params = {}
+    for item in (x for chunk in getattr(args, "params", []) for x in chunk.split(",") if x):
+        if "=" not in item:
+            raise InvalidParams(f"--params entries must be key=value, got {item!r}")
+        k, v = item.split("=", 1)
+        params[k.strip()] = _number(v, k.strip())
+    if params and not model:
+        raise InvalidParams("--params goes with --model; a --config document is read as written")
+    vars(args).update(dict.fromkeys(options))
+    for i in range(0, len(extras), 2):
+        tok = extras[i]
+        if not tok.startswith("--"):
+            raise InvalidParams(f"unrecognized argument {tok!r}")
+        key = tok[2:].replace("-", "_")
+        if i + 1 >= len(extras):
+            raise InvalidParams(f"flag {tok} needs a value")
+        if key not in options and key not in names:
+            raise InvalidParams(f"{args.subcommand} does not read {tok}" + (
+                f"; {model} parameters are {sorted(names)}" if model else
+                "; model parameters go with --model" if hasattr(args, "model") else ""))
+        (vars(args) if key in options else params)[key] = _number(extras[i + 1], key)
+    for group in _EXCLUSIVE:
+        given = [f"--{name}" for name in group if getattr(args, name, None) is not None]
+        if len(given) > 1:
+            raise InvalidParams(f"{' and '.join(given)} exclude each other")
+    args.params = params
+    return args
+
+
 def run(argv: list[str]) -> tuple[int, RunReport]:
     """Execute one CLI invocation; returns (exit code, report)."""
     report = RunReport(command=list(argv))
     start = time.time()
     try:
-        args, extras = _PARSER.parse_known_args(argv)
-        params = _parse_params(args.params, extras)
-        _COMMANDS[args.subcommand][0](args, params, report)
+        args = parse(argv)
+        _COMMANDS[args.subcommand][0](args, report)
         code = 0
     except _HelpRequested as exc:
         report.usage, code = str(exc), 0

@@ -146,7 +146,16 @@ class BlochFamily:
         return self.evaluate(np.asarray(k, dtype=float))
 
     def min_gap(self, grid: MomentumGrid) -> float:
-        return float(np.min(np.abs(np.linalg.eigvalsh(self.h(grid.points())))))
+        return float(np.min([np.min(np.abs(np.linalg.eigvalsh(self.h(k))))
+                             for k in _grid_chunks(self, grid)]))
+
+
+def _grid_chunks(model: BlochFamily, grid: MomentumGrid):
+    """The grid momenta in flat C-order chunks of at most 2^16 Hamiltonian
+    entries, so a grid-wide check holds one chunk's matrices at a time."""
+    k = grid.points().reshape(-1, grid.dim)
+    step = max(1, (1 << 16) // model.bands ** 2)
+    return (k[i:i + step] for i in range(0, len(k), step))
 
 
 @dataclass
@@ -160,9 +169,9 @@ def check_trs(model: BlochFamily, grid: MomentumGrid) -> TrsReport:
     if model.time_reversal is None:
         raise InvalidParams("model carries no time reversal operator")
     u = model.time_reversal.unitary
-    k = grid.points()
-    lhs = u @ np.conj(model.h(k)) @ u.conj().T
-    worst = float(np.max(np.linalg.norm(lhs - model.h(-k), axis=(-2, -1))))
+    worst = float(np.max([
+        np.max(np.linalg.norm(u @ np.conj(model.h(k)) @ u.conj().T - model.h(-k), axis=(-2, -1)))
+        for k in _grid_chunks(model, grid)]))
     return TrsReport(max_deviation=worst, passed=worst <= 1e-10)
 
 
@@ -208,13 +217,10 @@ def _smoothstep(x: np.ndarray | float) -> np.ndarray | float:
     return x * x * x * (x * (6.0 * x - 15.0) + 10.0)
 
 
-def _hopf_two_band(params) -> BlochFamily:
+def _hopf_two_band() -> BlochFamily:
     # Occupied projector is p(n) = (1 + n.sigma)/2 with n a ball-collapse
     # degree-one map T^2 -> S^2, so the monopole projector is realized
     # verbatim on the lower band.
-    if params:
-        raise InvalidParams(f"hopf-two-band takes no parameters, got {params}")
-
     def ev(k):
         r = np.hypot(k[..., 0], k[..., 1])
         theta = np.pi * _smoothstep(r / np.pi)
@@ -222,17 +228,10 @@ def _hopf_two_band(params) -> BlochFamily:
         s, r = np.where(pole, 0.0, np.sin(theta)), np.where(pole, 1.0, r)
         return -_pauli(s * k[..., 0] / r, s * k[..., 1] / r, np.where(pole, 1.0, np.cos(theta)))
 
-    return BlochFamily(dim=2, bands=2, occupied=1, evaluate=ev,
-                       time_reversal=None, hopping_range=None,
-                       name="hopf-two-band")
+    return BlochFamily(dim=2, bands=2, occupied=1, evaluate=ev, hopping_range=None)
 
 
-def _kane_mele(params) -> BlochFamily:
-    t = float(params.pop("t", 1.0))
-    lso = float(params.pop("lso", 0.06))
-    lv = float(params.pop("lv", 0.1))
-    if params:
-        raise InvalidParams(f"unknown kane-mele parameters {sorted(params)}")
+def _kane_mele(t, lso, lv) -> BlochFamily:
     if t <= 0:
         raise InvalidParams("kane-mele hopping t must be positive")
 
@@ -249,18 +248,10 @@ def _kane_mele(params) -> BlochFamily:
             out[..., b + 1, b] = np.conj(f)
         return out
 
-    return BlochFamily(dim=2, bands=4, occupied=2, evaluate=ev,
-                       time_reversal=standard_theta(4), hopping_range=1,
-                       name="kane-mele", params={"t": t, "lso": lso, "lv": lv})
+    return BlochFamily(dim=2, bands=4, occupied=2, evaluate=ev, time_reversal=standard_theta(4))
 
 
-def _bhz(params) -> BlochFamily:
-    a = float(params.pop("a", 1.0))
-    b = float(params.pop("b", 1.0))
-    m = float(params.pop("m", 2.0))
-    if params:
-        raise InvalidParams(f"unknown bhz parameters {sorted(params)}")
-
+def _bhz(a, b, m) -> BlochFamily:
     def ev(k):
         k1, k2 = k[..., 0], k[..., 1]
         d = (a * np.sin(k1), a * np.sin(k2),
@@ -270,16 +261,10 @@ def _bhz(params) -> BlochFamily:
         out[..., 2:, 2:] = _pauli(-d[0], d[1], d[2])  # conj(h(-k))
         return out
 
-    return BlochFamily(dim=2, bands=4, occupied=2, evaluate=ev,
-                       time_reversal=standard_theta(4), hopping_range=1,
-                       name="bhz", params={"a": a, "b": b, "m": m})
+    return BlochFamily(dim=2, bands=4, occupied=2, evaluate=ev, time_reversal=standard_theta(4))
 
 
-def _fkm3d(params) -> BlochFamily:
-    t = float(params.pop("t", 1.0))
-    m = float(params.pop("m", -2.0))
-    if params:
-        raise InvalidParams(f"unknown fu-kane-mele-3d parameters {sorted(params)}")
+def _fkm3d(t, m) -> BlochFamily:
     # Spin-major Dirac matrices: alpha_i = sigma_i (x) tau_1, beta = I (x) tau_3.
     tau1 = SIGMA[1]
     tau3 = SIGMA[3]
@@ -291,17 +276,10 @@ def _fkm3d(params) -> BlochFamily:
         mass = m + t * sum(np.cos(k[..., i]) for i in range(3))
         return out + mass[..., None, None] * beta
 
-    return BlochFamily(dim=3, bands=4, occupied=2, evaluate=ev,
-                       time_reversal=standard_theta(4), hopping_range=1,
-                       name="fu-kane-mele-3d", params={"t": t, "m": m})
+    return BlochFamily(dim=3, bands=4, occupied=2, evaluate=ev, time_reversal=standard_theta(4))
 
 
-def _kitaev_chain(params) -> BlochFamily:
-    t = float(params.pop("t", 1.0))
-    mu = float(params.pop("mu", 1.0))
-    delta = float(params.pop("delta", 1.0))
-    if params:
-        raise InvalidParams(f"unknown kitaev-chain parameters {sorted(params)}")
+def _kitaev_chain(t, mu, delta) -> BlochFamily:
     if delta == 0.0:
         raise InvalidParams("kitaev-chain needs a nonzero pairing delta")
 
@@ -313,15 +291,10 @@ def _kitaev_chain(params) -> BlochFamily:
         out[..., 2:, 2:] = h
         return out
 
-    return BlochFamily(dim=1, bands=4, occupied=2, evaluate=ev,
-                       time_reversal=standard_theta(4), hopping_range=1,
-                       name="kitaev-chain", params={"t": t, "mu": mu, "delta": delta})
+    return BlochFamily(dim=1, bands=4, occupied=2, evaluate=ev, time_reversal=standard_theta(4))
 
 
-def _atomic_limit(params) -> BlochFamily:
-    n, dim = params.pop("n", 4), params.pop("dim", 2)
-    if params:
-        raise InvalidParams(f"unknown atomic-limit parameters {sorted(params)}")
+def _atomic_limit(n, dim) -> BlochFamily:
     if n % 4 or not 4 <= n <= MAX_MATRIX_ROWS:
         raise InvalidParams(
             f"atomic-limit band count must be a multiple of 4 in [4, {MAX_MATRIX_ROWS}]")
@@ -336,25 +309,38 @@ def _atomic_limit(params) -> BlochFamily:
         return np.broadcast_to(h0, k.shape[:-1] + h0.shape).copy()
 
     return BlochFamily(dim=dim, bands=n, occupied=n // 2, evaluate=ev,
-                       time_reversal=standard_theta(n), hopping_range=0,
-                       name="atomic-limit", params={"n": n, "dim": dim})
+                       time_reversal=standard_theta(n), hopping_range=0)
 
 
+# name: (constructor, its parameters with their defaults)
 _BUILTINS = {
-    "hopf-two-band": _hopf_two_band,
-    "kane-mele": _kane_mele,
-    "bhz": _bhz,
-    "fu-kane-mele-3d": _fkm3d,
-    "kitaev-chain": _kitaev_chain,
-    "atomic-limit": _atomic_limit,
+    "hopf-two-band": (_hopf_two_band, {}),
+    "kane-mele": (_kane_mele, {"t": 1.0, "lso": 0.06, "lv": 0.1}),
+    "bhz": (_bhz, {"a": 1.0, "b": 1.0, "m": 2.0}),
+    "fu-kane-mele-3d": (_fkm3d, {"t": 1.0, "m": -2.0}),
+    "kitaev-chain": (_kitaev_chain, {"t": 1.0, "mu": 1.0, "delta": 1.0}),
+    "atomic-limit": (_atomic_limit, {"n": 4.0, "dim": 2.0}),
 }
 
 
-def builtin(name: str, **params) -> BlochFamily:
-    """Construct a reference model by name with validated parameters."""
+def builtin_parameters(name: str) -> dict:
+    """The parameters of a builtin model with their defaults."""
     if name not in _BUILTINS:
         raise UnknownModel(name, _BUILTINS)
-    return _BUILTINS[name](dict(params))
+    return _BUILTINS[name][1]
+
+
+def builtin(name: str, **params) -> BlochFamily:
+    """Construct a reference model by name; every parameter is a float,
+    defaulted when not given, and the model records its name and params."""
+    defaults = builtin_parameters(name)
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise InvalidParams(f"unknown {name} parameters {unknown}")
+    values = {key: float(params.get(key, value)) for key, value in defaults.items()}
+    model = _BUILTINS[name][0](**values)
+    model.name, model.params = name, values
+    return model
 
 
 # --- ribbons ---

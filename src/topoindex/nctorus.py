@@ -58,8 +58,6 @@ class ClockShiftRep:
 
 
 def clock_shift(p: int, q: int) -> ClockShiftRep:
-    if gcd(abs(p), q) != 1:
-        raise InvalidParams(f"p and q must be coprime, got {p}/{q}")
     return ClockShiftRep(p=p, q=q)
 
 
@@ -182,8 +180,9 @@ class PairingResult:
         }
 
 
-def _coeff_blocks(coeffs: dict) -> tuple[dict, int]:
-    """Normalize symbol data to {offset: block matrix}; returns band limit."""
+def _symbol_1d(coeffs: dict, cutoff: int, caller: str) -> tuple[dict, int]:
+    """Normalize 1D symbol data to {offset: block matrix}; returns the blocks
+    and the band limit, which the cutoff must exceed fourfold."""
     out = {}
     band = 0
     for key, val in coeffs.items():
@@ -191,6 +190,10 @@ def _coeff_blocks(coeffs: dict) -> tuple[dict, int]:
         k = key if isinstance(key, tuple) else (int(key),)
         out[k] = arr
         band = max(band, max(abs(x) for x in k))
+    if any(len(k) != 1 for k in out):
+        raise InvalidParams(f"{caller} expects 1D Fourier data")
+    if cutoff < 4 * max(1, band):
+        raise InvalidParams("cutoff must be at least 4x the Fourier support")
     return out, band
 
 
@@ -210,11 +213,7 @@ def toeplitz_index(coeffs: dict, cutoff: int) -> int:
     smallest singular value of the symbol on the circle, is neither null
     nor bulk and raises.
     """
-    blocks, band = _coeff_blocks(coeffs)
-    if any(len(k) != 1 for k in blocks):
-        raise InvalidParams("toeplitz_index expects 1D Fourier data")
-    if cutoff < 4 * max(1, band):
-        raise InvalidParams("cutoff must be at least 4x the Fourier support")
+    blocks, band = _symbol_1d(coeffs, cutoff, "toeplitz_index")
     offsets = np.array([k[0] for k in blocks])
     b = next(iter(blocks.values())).shape[0]
     table = np.zeros((2 * band + 2, b, b), dtype=complex)  # last entry: no offset
@@ -255,11 +254,7 @@ def nc_index_pairing_1d(coeffs: dict, cutoff: int,
     ||w_e||_F^2, so the trace is 2 sum_e e ||w_e||_F^2 once the cutoff
     clears the Fourier support.
     """
-    blocks, band = _coeff_blocks(coeffs)
-    if any(len(k) != 1 for k in blocks):
-        raise InvalidParams("nc_index_pairing_1d expects 1D Fourier data")
-    if cutoff < 4 * max(1, band):
-        raise InvalidParams("cutoff must be at least 4x the Fourier support")
+    blocks, _ = _symbol_1d(coeffs, cutoff, "nc_index_pairing_1d")
     raw = complex(2.0 * sum(k[0] * np.sum(np.abs(bl) ** 2) for k, bl in blocks.items()))
     calibrated = raw.real / 2.0
     rounded = int(np.rint(calibrated))

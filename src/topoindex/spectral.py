@@ -23,9 +23,8 @@ _STACK_BYTES = 1 << 19  # a (chunk, N, N) matrix stack per ribbon solve, about 5
 
 @dataclass
 class SpectralPath:
-    """Hermitian samples H(t_i) along a parameter in [0, 1]."""
+    """Hermitian samples H(t_i) in order along a parameter in [0, 1]."""
 
-    ts: np.ndarray
     samples: list
     closed: bool = False
 

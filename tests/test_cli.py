@@ -429,7 +429,8 @@ def test_ribbon_width_outside_cap_or_non_integer_exits_2(monkeypatch, command, m
         raise AssertionError("the rejected width reached the ribbon")
 
     monkeypatch.setattr(cli, "ribbonize", never)
-    code, inv = invariants([command] + model + ["--grid", "8", "--width", width])
+    grid = ["--grid", "8"] if command == "audit" else []  # edge-parity reads no --grid
+    code, inv = invariants([command] + model + grid + ["--width", width])
     assert code == 2
     assert inv["error"]["type"] == "InvalidParams"
     assert "--width" in inv["error"]["message"]
@@ -454,11 +455,12 @@ def test_default_width_over_cap_names_the_default(monkeypatch, command):
         raise AssertionError("the rejected width reached the ribbon")
 
     monkeypatch.setattr(cli, "ribbonize", never)
-    code, inv = invariants([command, "--model", "atomic-limit", "--n", "64", "--grid", "4"])
+    grid = ["--grid", "4"] if command == "audit" else []  # edge-parity reads no --grid
+    code, inv = invariants([command, "--model", "atomic-limit", "--n", "64"] + grid)
     assert code == 2 and inv["error"]["type"] == "InvalidParams"
     assert "default --width 24 exceeds 16" in inv["error"]["message"]
-    code, inv = invariants([command, "--model", "atomic-limit", "--n", "256", "--width", "8",
-                            "--grid", "4"])
+    code, inv = invariants([command, "--model", "atomic-limit", "--n", "256", "--width", "8"]
+                           + grid)
     assert code == 2 and "no ribbon width fits 256 bands" in inv["error"]["message"]
 
 
@@ -816,10 +818,14 @@ def test_kgroup_spectral_flow_and_model_json_fuzz_exit_codes(tmp_path):
                            st.lists(st.lists(st.lists(st.floats(-1, 1), max_size=3), max_size=3),
                                     max_size=3))
 
+    # --space goes with --kq or --kr, and --dim with a torus or a sphere
+    degree = st.tuples(st.sampled_from(["--kq", "--kr"]), st.integers(-20, 20).map(str))
     kgroup = st.one_of(
-        st.tuples(st.sampled_from(["--kq", "--kr", "--ko"]), st.integers(-20, 20).map(str),
-                  st.just("--space"), st.sampled_from(["torus", "sphere", "pt"]),
-                  st.just("--dim"), st.one_of(st.integers(-2, 1100).map(str), text)).map(list),
+        st.tuples(degree, st.sampled_from(["torus", "sphere"]),
+                  st.one_of(st.integers(-2, 1100).map(str), text)).map(
+            lambda t: [*t[0], "--space", t[1], "--dim", t[2]]),
+        degree.map(lambda t: [*t, "--space", "pt"]),
+        st.tuples(st.just("--ko"), st.integers(-20, 20).map(str)).map(list),
         st.lists(st.one_of(
             st.sampled_from(["--kq", "--kr", "--ko", "--space", "--dim", "--out", "--grid"]),
             st.sampled_from(["torus", "sphere", "pt", "csv", "-1", "3", "100000", "2.5"]),
@@ -857,6 +863,7 @@ def test_kgroup_spectral_flow_and_model_json_fuzz_exit_codes(tmp_path):
         (["chern"], 2, False), (["z2"], 2, True), (["z2", "--lv", "0.1"], 2, True),
         (["z2-3d"], 3, True), (["edge-parity", "--width", "8"], 2, False),
         (["chern"], 1, False)])
+    grids = {"edge-parity": []}  # edge-parity reads no --grid
 
     def check(argv):
         code, report = run(argv)
@@ -880,8 +887,53 @@ def test_kgroup_spectral_flow_and_model_json_fuzz_exit_codes(tmp_path):
         command, doc = case
         cfg = tmp_path / "model.json"
         cfg.write_text(json.dumps(doc))
-        check(command + ["--config", str(cfg), "--grid", "4"])
+        check(command + ["--config", str(cfg)] + grids.get(command[0], ["--grid", "4"]))
 
     check_kgroup()
     check_spectral_flow()
     check_model_json()
+
+
+@pytest.fixture
+def km_json(tmp_path):
+    from topoindex.model import builtin, to_json
+
+    cfg = tmp_path / "km.json"
+    cfg.write_text(json.dumps(to_json(builtin("kane-mele"))))
+    return str(cfg)
+
+
+@pytest.mark.parametrize("argv", [
+    ["z2", "--model", "kane-mele", "--grid", "8", "--sweep", "lv=0:1:3"],
+    ["chern", "--model", "hopf-two-band", "--grid", "8", "--sweep", "x=1:2:2"],
+    ["edge-parity", "--model", "kane-mele", "--width", "16", "--grid", "8"],
+    ["boundary-index", "--model", "bhz", "--grid", "8", "--out", "csv"],
+    ["audit", "--model", "bhz", "--grid", "8", "--width", "16", "--out", "csv"],
+    ["kgroup", "--space", "torus", "--dim", "2"],
+    ["kgroup", "--ko", "1", "--space", "torus", "--dim", "3"],
+    ["kgroup", "--kq", "1", "--kr", "2"],
+    ["kgroup", "--kq", "1", "--space", "pt", "--dim", "5"],
+    ["kgroup", "--kq", "-1", "--foo", "3"],
+    ["nc-index", "--winding", "2", "--mass", "3"],
+    ["nc-index", "--mass", "-2", "--cutoff", "2", "--foo", "1"],
+    ["nc-index", "--winding", "1", "--model", "bhz"],
+    ["z2", "--config", "KM", "--lv", "3"],
+    ["audit", "--config", "KM", "--sweep", "lv=0.1:3:3"],
+    ["z2", "--model", "bhz", "--config", "KM"],
+    ["edge-parity", "--model", "kane-mele", "--params", "width=9"],
+], ids=lambda argv: " ".join(argv))
+def test_inputs_the_command_does_not_read_exit_2(km_json, argv):
+    code, inv = invariants([km_json if a == "KM" else a for a in argv])
+    assert code == 2 and inv["error"]["type"] == "InvalidParams"
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["nc-index", "--mass", "-1e-3", "--cutoff", "2"], 0),
+    (["z2", "--model", "bhz", "--m", "-1e-3", "--grid", "8"], 0),
+    (["edge-parity", "--model", "bhz", "--width", "-1e1"], 2),
+], ids=["nc-index-mass", "z2-bhz-m", "edge-parity-width"])
+def test_negative_scientific_values_are_values(argv, code):
+    got, inv = invariants(argv)
+    assert got == code
+    if code == 2:
+        assert "--width must be an integer" in inv["error"]["message"]

@@ -370,3 +370,58 @@ def test_broadcast_evaluation_equals_pointwise(family):
     assert stacked.shape == (3, 5, family.bands, family.bands)
     for idx in np.ndindex(3, 5):
         assert np.max(np.abs(stacked[idx] - family.h(ks[idx]))) < 1e-14
+
+
+def _whole_grid_trs_deviation(model, grid):
+    """check_trs's deviation computed on the whole grid at once."""
+    u = model.time_reversal.unitary
+    k = grid.points()
+    lhs = u @ np.conj(model.h(k)) @ u.conj().T
+    return float(np.max(np.linalg.norm(lhs - model.h(-k), axis=(-2, -1))))
+
+
+def _whole_grid_min_gap(model, grid):
+    return float(np.min(np.abs(np.linalg.eigvalsh(model.h(grid.points())))))
+
+
+@pytest.mark.parametrize("model,sizes", [
+    (lambda: builtin("kane-mele"), (24, 24)),
+    (lambda: builtin("bhz", m=1.0), (32, 32)),
+    (lambda: builtin("fu-kane-mele-3d", m=-1.5), (12, 12, 12)),
+    (lambda: builtin("atomic-limit", n=8), (8, 8)),
+    # several chunks of 2^16 Hamiltonian entries each
+    (lambda: builtin("kane-mele", lv=0.3), (96, 64)),
+    (lambda: builtin("atomic-limit", n=8), (40, 40)),
+], ids=["kane-mele", "bhz", "fkm3d", "atomic-limit", "kane-mele-chunks", "atomic-limit-chunks"])
+def test_chunked_grid_checks_match_the_whole_grid(model, sizes):
+    model, grid = model(), MomentumGrid(sizes)
+    assert check_trs(model, grid).max_deviation == _whole_grid_trs_deviation(model, grid)
+    assert model.min_gap(grid) == _whole_grid_min_gap(model, grid)
+
+
+def test_chunked_trs_check_keeps_a_non_finite_entry_of_a_later_chunk():
+    model = builtin("kane-mele")
+    base = model.evaluate
+
+    def poisoned(k):
+        h = base(k)
+        h[np.all(k == 0.0, axis=-1)] = np.nan
+        return h
+
+    model.evaluate = poisoned
+    grid = MomentumGrid((128, 128))  # k = 0 sits in the third of four chunks
+    report = check_trs(model, grid)
+    assert np.isnan(report.max_deviation) and not report.passed
+
+
+def test_trs_check_memory_is_bounded_by_its_chunk():
+    import tracemalloc
+
+    model, grid = builtin("kane-mele"), MomentumGrid((256, 256))
+    tracemalloc.start()
+    try:
+        assert check_trs(model, grid).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20

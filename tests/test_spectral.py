@@ -24,9 +24,8 @@ from topoindex.spectral import (
 
 def sampled(fn, closed=False):
     """A path of fn(t) sampled at 17 evenly spaced t in [0, 1]."""
-    ts = np.linspace(0.0, 1.0, 17)
-    return SpectralPath(ts=ts, samples=[np.asarray(fn(t), dtype=complex) for t in ts],
-                        closed=closed)
+    return SpectralPath(samples=[np.asarray(fn(t), dtype=complex)
+                                 for t in np.linspace(0.0, 1.0, 17)], closed=closed)
 
 
 def test_flow_single_up_crossing():
