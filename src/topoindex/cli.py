@@ -398,8 +398,8 @@ _PARSER = _build_parser()
 def parse(argv: list[str]) -> argparse.Namespace:
     """The flags of one invocation, each option of its command (None when
     not given), and as params the model parameters: the --params entries
-    and, with --model, the pairs --name value that name a parameter of that
-    model.  Any other pair raises InvalidParams."""
+    and, with --model, the pairs --name value (or --name=value) that name a
+    parameter of that model.  Any other pair raises InvalidParams."""
     args, extras = _PARSER.parse_known_args(argv)
     options = _COMMANDS[args.subcommand][3].split()
     model = getattr(args, "model", None)
@@ -413,18 +413,19 @@ def parse(argv: list[str]) -> argparse.Namespace:
     if params and not model:
         raise InvalidParams("--params goes with --model; a --config document is read as written")
     vars(args).update(dict.fromkeys(options))
-    for i in range(0, len(extras), 2):
-        tok = extras[i]
+    tokens = iter(extras)
+    for tok in tokens:
         if not tok.startswith("--"):
             raise InvalidParams(f"unrecognized argument {tok!r}")
-        key = tok[2:].replace("-", "_")
-        if i + 1 >= len(extras):
+        flag, eq, value = tok.partition("=")
+        key = flag[2:].replace("-", "_")
+        if not eq and (value := next(tokens, None)) is None:
             raise InvalidParams(f"flag {tok} needs a value")
         if key not in options and key not in names:
-            raise InvalidParams(f"{args.subcommand} does not read {tok}" + (
+            raise InvalidParams(f"{args.subcommand} does not read {flag}" + (
                 f"; {model} parameters are {sorted(names)}" if model else
                 "; model parameters go with --model" if hasattr(args, "model") else ""))
-        (vars(args) if key in options else params)[key] = _number(extras[i + 1], key)
+        (vars(args) if key in options else params)[key] = _number(value, key)
     for group in _EXCLUSIVE:
         given = [f"--{name}" for name in group if getattr(args, name, None) is not None]
         if len(given) > 1:

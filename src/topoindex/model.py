@@ -353,7 +353,8 @@ class RibbonFamily:
     ``hoppings`` maps momenta (..., dim) to the hopping blocks
     (..., 2R+1, n, n) of offsets d = -R..R, offset d at index d + R;
     ``evaluate`` and ``evaluate_periodic`` map momenta (..., dim) to
-    matrices (..., L*n, L*n), site-major.
+    matrices (..., L*n, L*n), site-major; ``assemble`` places given
+    blocks (..., 2R+1, m, m), of any m (a subset of the orbitals).
     """
 
     transverse_sites: int
@@ -363,9 +364,8 @@ class RibbonFamily:
     hopping_range: int
     name: str = "ribbon"
 
-    def _assemble(self, k, periodic: bool) -> np.ndarray:
-        blocks = self.hoppings(np.atleast_1d(np.asarray(k, dtype=float)))
-        L, n, R = self.transverse_sites, self.bands, self.hopping_range
+    def assemble(self, blocks: np.ndarray, periodic: bool = False) -> np.ndarray:
+        L, n, R = self.transverse_sites, blocks.shape[-1], self.hopping_range
         out = np.zeros(blocks.shape[:-3] + (L, n, L, n), dtype=complex)
         sites = np.arange(L)
         for d in range(-R, R + 1):
@@ -379,13 +379,13 @@ class RibbonFamily:
         return out.reshape(blocks.shape[:-3] + (L * n, L * n))
 
     def evaluate(self, k) -> np.ndarray:
-        return self._assemble(k, periodic=False)
+        return self.assemble(self.hoppings(np.atleast_1d(np.asarray(k, dtype=float))))
 
     def evaluate_periodic(self, k) -> np.ndarray:
         """Same blocks with the hopping across the cut restored (indices
         mod L); its spectrum is the union of bulk spectra at the L
         commensurate momenta of the reperiodized direction."""
-        return self._assemble(k, periodic=True)
+        return self.assemble(self.hoppings(np.atleast_1d(np.asarray(k, dtype=float))), True)
 
 
 def _fourier_axis(hopping_range: int) -> np.ndarray:

@@ -18,7 +18,8 @@ from .errors import EdgeBandIsolationFailed, EndpointGapless, InvalidParams
 from .linalg import eigvalsh
 from .model import BlochFamily, MomentumGrid, RibbonFamily, ribbonize
 
-_STACK_BYTES = 1 << 19  # a (chunk, N, N) matrix stack per ribbon solve, about 512 KB
+_STACK_BYTES = 1 << 19  # the sector matrices of one ribbon solve, about 512 KB
+_PIVOT_FLOOR = 1e-6  # times the largest hopping entry: a smaller screen pivot flags its matrix
 
 
 @dataclass
@@ -103,65 +104,94 @@ def _ribbon_bulk_gap(ribbon: RibbonFamily) -> float:
     return gap
 
 
-def _ribbon_sectors(ribbon: RibbonFamily, ks: np.ndarray) -> list[np.ndarray]:
-    """Ribbon rows of the decoupled orbital sectors over the momenta ks.
+def _ribbon_sectors(blocks: np.ndarray) -> list[np.ndarray]:
+    """Orbitals of the decoupled sectors of the ribbon hopping blocks
+    (..., 2R+1, n, n) of a set of momenta.
 
     Two orbitals share a sector when a hopping block couples them (an
     exact nonzero entry at any offset and momentum); sectors are the
-    connected components, and every ribbon matrix on ks is block diagonal
-    over them.  S_z-conserving models split into two sectors.
+    connected components, and every ribbon matrix of the set is block
+    diagonal over them.  S_z-conserving models split into two sectors.
     """
-    blocks = ribbon.hoppings(ks)
     coupled = np.any(blocks != 0, axis=tuple(range(blocks.ndim - 2)))
-    n = ribbon.bands
-    label = list(range(n))
+    label = list(range(blocks.shape[-1]))
     for a, b in zip(*np.nonzero(coupled)):
         la, lb = label[a], label[b]
         if la != lb:
             label = [la if x == lb else x for x in label]
     label = np.array(label)
-    site_rows = n * np.arange(ribbon.transverse_sites)[:, None]
-    return [(site_rows + np.flatnonzero(label == lab)).ravel()
-            for lab in np.unique(label)]
+    return [np.flatnonzero(label == lab) for lab in np.unique(label)]
+
+
+def _window_flags(blocks: np.ndarray, sites: int, window: float) -> np.ndarray:
+    """Flags (...) of the matrices H of hopping blocks (..., 2R+1, m, m) on
+    `sites` sites that may have a level with |E| < window.  The negative
+    LDL^H pivots of H - lam (Haynsworth's Schur complements, a row at a
+    time) count its levels below lam (Sylvester's law of inertia).  H has
+    b = (R+1) m - 1 upper diagonals: a (b+1)-row window slides down H,
+    after b+1 decoupled unit rows, for all matrices and lam = +-window
+    (widened by 1e-6) at once.  Where the counts differ, or a pivot is not
+    finite or below _PIVOT_FLOOR times the largest entry, eigh decides."""
+    m, R = blocks.shape[-1], blocks.shape[-3] // 2
+    b, size = (R + 1) * m - 1, sites * m
+    # H[t-b..t, t] for a row t of orbital r: row t-k is orbital c, -d sites up
+    r = np.arange(m)[:, None]
+    d, c = np.divmod(r - np.arange(b, -1, -1), m)
+    col = np.where(d >= -R, blocks[..., R - np.maximum(d, -R), c, r], 0.0)
+    lam = window * (1 + 1e-6) * np.array([1.0, -1.0]).reshape((2,) + (1,) * (col.ndim - 2))
+    col = col - lam[..., None, None] * (np.arange(b + 1) == b)
+    win = np.broadcast_to(np.eye(b + 1, dtype=complex), col.shape[:-2] + (b + 1, b + 1)).copy()
+    pivots = np.empty((size + b + 1,) + col.shape[:-2])
+    with np.errstate(all="ignore"):  # only the upper triangle of win is kept
+        for t in range(size + b + 1):
+            pivots[t] = win[..., 0, 0].real
+            v = win[..., 0, 1:] / pivots[t][..., None]
+            win[..., :-1, :-1] = win[..., 1:, 1:] - np.conj(win[..., 0, 1:, None]) * v[..., None, :]
+            win[..., :, -1] = col[..., t % m, :] if t < size else np.eye(b + 1)[-1]
+            win[..., :max(b - t, 0), -1] = 0.0
+    pivots = pivots[b + 1:]
+    below = np.count_nonzero(pivots < 0, axis=0)
+    trusted = np.isfinite(pivots) & (np.abs(pivots) >= _PIVOT_FLOOR * np.max(np.abs(blocks)))
+    return (below[0] != below[1]) | ~np.all(trusted, axis=(0, 1))
 
 
 def _sector_eigenpairs(ribbon: RibbonFamily, ks: np.ndarray, window: float = np.inf):
     """Yield, for each row k of ks, the eigenpairs (ev, vec) of
     ribbon.evaluate(k) with |E| < window, ascending, in the ribbon basis.
-    Momenta are evaluated in chunks of about _STACK_BYTES of matrices,
-    freed before the chunk's eigenpairs are handed on."""
-    sectors = _ribbon_sectors(ribbon, ks)
-    size = ribbon.transverse_sites * ribbon.bands
-    chunk = max(1, _STACK_BYTES // (16 * size * size))
-    for start in range(0, len(ks), chunk):
-        yield from _chunk_eigenpairs(ribbon.evaluate(ks[start:start + chunk]), sectors, window)
+    One hoppings call feeds the sectors, the _window_flags screen of each
+    (momentum, sector) pair (sectors of one size stacked; an infinite window
+    passes all) and the solve, in runs of about _STACK_BYTES of flagged ones."""
+    blocks = ribbon.hoppings(ks)
+    sectors = _ribbon_sectors(blocks)
+    flags = np.ones((len(sectors), len(ks)), dtype=bool)
+    for m in {len(orbs) for orbs in sectors} if np.isfinite(window) else ():
+        same = [i for i, orbs in enumerate(sectors) if len(orbs) == m]
+        sub = np.stack([blocks[..., sectors[i][:, None], sectors[i]] for i in same])
+        flags[same] = _window_flags(sub, ribbon.transverse_sites, window)
+    stack = 16 * ribbon.transverse_sites ** 2 * np.array([len(o) ** 2 for o in sectors]) @ flags
+    cuts = np.flatnonzero(np.diff((np.cumsum(stack) - stack) // _STACK_BYTES)) + 1
+    for part in np.split(np.arange(len(ks)), cuts):
+        yield from _chunk_eigenpairs(ribbon, blocks[part], flags[:, part], sectors, window)
 
 
-def _chunk_eigenpairs(h: np.ndarray, sectors: list[np.ndarray], window: float) -> list:
-    """In-window eigenpairs of a (chunk, N, N) ribbon stack.  Per sector,
-    one stacked eigvalsh screens for matrices with a level in the window
-    (widened by 1e-6, so no level eigh places in it is missed) and one
-    stacked eigh solves those; a stable sort of the sectors' in-window
-    levels keeps the order of a full stable argsort cut to the window."""
-    size = h.shape[-1]
-    found = [([np.empty(0)], [np.empty((size, 0))]) for _ in h]
-    for rows in sectors:
-        hs = h[:, rows[:, None], rows]
-        hit = np.arange(len(hs))
-        if np.isfinite(window):
-            levels = np.abs(np.linalg.eigvalsh(hs))
-            hit = np.flatnonzero(np.any(levels < window * (1 + 1e-6), axis=-1))
-        for i, ev, vec in zip(hit, *np.linalg.eigh(hs[hit])):
+def _chunk_eigenpairs(ribbon: RibbonFamily, blocks: np.ndarray, flags: np.ndarray,
+                      sectors: list[np.ndarray], window: float) -> list:
+    """In-window eigenpairs at a chunk of momenta with hopping blocks
+    (chunk, 2R+1, n, n): per sector, one stacked eigh of the flagged
+    momenta's sector matrices, each point's levels merged by a stable sort
+    (the order of a full stable argsort cut to the window)."""
+    L, n = ribbon.transverse_sites, ribbon.bands
+    pairs = [(np.empty(0), np.empty((L * n, 0)))] * len(blocks)
+    for orbs, hit in zip(sectors, flags):
+        hit, rows = np.flatnonzero(hit), (n * np.arange(L)[:, None] + orbs).ravel()
+        sector = ribbon.assemble(blocks[hit][..., orbs[:, None], orbs])
+        for i, ev, vec in zip(hit, *np.linalg.eigh(sector)):
             keep = np.abs(ev) < window
-            full = np.zeros((size, np.count_nonzero(keep)), dtype=complex)
+            full = np.zeros((L * n, np.count_nonzero(keep)), dtype=complex)
             full[rows] = vec[:, keep]
-            found[i][0].append(ev[keep])
-            found[i][1].append(full)
-    pairs = []
-    for evs, vecs in found:
-        ev = np.concatenate(evs)
-        order = np.argsort(ev, kind="stable")
-        pairs.append((ev[order], np.hstack(vecs)[:, order]))
+            ev = np.append(pairs[i][0], ev[keep])
+            order = np.argsort(ev, kind="stable")
+            pairs[i] = (ev[order], np.hstack([pairs[i][1], full])[:, order])
     return pairs
 
 

@@ -937,3 +937,26 @@ def test_negative_scientific_values_are_values(argv, code):
     assert got == code
     if code == 2:
         assert "--width must be an integer" in inv["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["edge-parity", "--model", "bhz", "--width=16"],
+    ["z2", "--model", "bhz", "--m=1", "--grid", "8"],
+    ["nc-index", "--winding=-1", "--cutoff=64"],
+], ids=lambda argv: " ".join(argv))
+def test_name_equals_value_options_read_like_spaced_ones(argv):
+    spaced = [part for tok in argv for part in (tok.split("=", 1) if "=" in tok else [tok])]
+    (code, report), (ref_code, ref) = run(argv), run(spaced)
+    assert code == ref_code == 0
+    report.command = ref.command
+    assert report.to_json(include_timing=False) == ref.to_json(include_timing=False)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["edge-parity", "--model", "bhz", "--width="], "width must be a number"),
+    (["z2", "--model", "bhz", "--q=1", "--grid", "8"], "z2 does not read --q"),
+])
+def test_name_equals_value_faults_exit_2(argv, message):
+    code, inv = invariants(argv)
+    assert code == 2 and inv["error"]["type"] == "InvalidParams"
+    assert message in inv["error"]["message"]

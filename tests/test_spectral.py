@@ -1,6 +1,7 @@
 """Spectral flow, the effective Hamiltonian and edge-crossing parities."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,13 +9,14 @@ import pytest
 from test_model import _rashba_kane_mele_doc
 from topoindex import spectral
 from topoindex.errors import EdgeBandIsolationFailed, EndpointGapless, InvalidParams
-from topoindex.model import MomentumGrid, builtin, direct_sum, load_model, ribbonize
+from topoindex.model import MomentumGrid, RibbonFamily, builtin, direct_sum, load_model, ribbonize
 from topoindex.spectral import (
     EffectiveHamiltonian,
     SpectralPath,
     _ribbon_bulk_gap,
     _ribbon_sectors,
     _sector_eigenpairs,
+    _window_flags,
     edge_crossing_parity,
     mod2_analytical_index,
     ribbon_spectrum_csv,
@@ -188,10 +190,9 @@ SECTOR_CASES = [
 @pytest.mark.parametrize("make,count", [pytest.param(m, c, id=n) for n, m, c in SECTOR_CASES])
 def test_ribbon_sector_count(make, count):
     ribbon = ribbonize(make(), 0, 12)
-    sectors = _ribbon_sectors(ribbon, _staircase(ribbon.dim))
+    sectors = _ribbon_sectors(ribbon.hoppings(_staircase(ribbon.dim)))
     assert len(sectors) == count
-    rows = np.sort(np.concatenate(sectors))
-    assert np.array_equal(rows, np.arange(12 * ribbon.bands))
+    assert np.array_equal(np.sort(np.concatenate(sectors)), np.arange(ribbon.bands))
 
 
 @pytest.mark.parametrize("make", [pytest.param(m, id=n) for n, m, _ in SECTOR_CASES])
@@ -220,7 +221,9 @@ def test_sector_solve_matches_full_eigh(make):
 def _per_point_eigenpairs(ribbon, ks, window=np.inf):
     """Reference solver: one evaluate and one eigh per sector at each
     momentum, levels merged by a stable argsort, then cut to the window."""
-    sectors = _ribbon_sectors(ribbon, ks)
+    L, n = ribbon.transverse_sites, ribbon.bands
+    sectors = [(n * np.arange(L)[:, None] + orbs).ravel()
+               for orbs in _ribbon_sectors(ribbon.hoppings(ks))]
     for k in ks:
         h = ribbon.evaluate(k)
         ev = np.empty(h.shape[-1])
@@ -264,6 +267,14 @@ LV_C = 3 * np.sqrt(3) * 0.06
     ("bhz", {"m": 7.9556}, 25, "EdgeBandIsolationFailed"),
     ("bhz", {"m": 4.0}, 32, "EdgeBandIsolationFailed"),
     ("bhz", {"m": 10.0}, 25, 0),
+    ("kane-mele", {"lso": 0.06, "lv": 0.1 * LV_C}, 8, 1),
+    ("kane-mele", {"lso": 0.06, "lv": 0.5 * LV_C}, 8, "EdgeBandIsolationFailed"),
+    ("kane-mele", {"lso": 0.06, "lv": 2.0 * LV_C}, 8, 0),
+    ("kane-mele", {"lso": 0.08, "lv": 0.3 * LV_C}, 20, 1),
+    ("kane-mele", {"lso": 0.06, "lv": 0.5 * LV_C}, 48, 1),
+    ("bhz", {"m": 2.0}, 8, 1),
+    ("bhz", {"m": -1.0}, 20, 0),
+    ("bhz", {"m": 2.0}, 48, 1),
 ])
 def test_edge_parity_matches_per_point_reference(monkeypatch, name, params, width, expected):
     ribbon = ribbonize(builtin(name, **params), 0, width)
@@ -275,11 +286,16 @@ def test_edge_parity_matches_per_point_reference(monkeypatch, name, params, widt
     (-2.0, (np.pi, 0.0, 0.0), 0),
     (-4.0, (0.0, np.pi, np.pi), 0),
 ])
-def test_mod2_staircase_matches_per_point_reference(monkeypatch, mass, trim, expected):
+def test_mod2_staircase_matches_per_point_reference(monkeypatch, mass, trim, expected, width=16):
     got = _against_reference(monkeypatch, mod2_analytical_index,
                              builtin("fu-kane-mele-3d", m=mass), MomentumGrid((8, 8, 8)),
-                             trim, width=16, samples_per_leg=81)
+                             trim, width=width, samples_per_leg=81)
     assert got == (expected, expected)
+
+
+def test_mod2_staircase_at_an_odd_width_matches_per_point_reference(monkeypatch):
+    # 11 sites of one 4-orbital sector: the screen's window holds 8 rows
+    test_mod2_staircase_matches_per_point_reference(monkeypatch, -2.0, (np.pi,) * 3, 1, width=11)
 
 
 @pytest.mark.parametrize("name,params,width,samples", [
@@ -305,6 +321,77 @@ def test_edge_parity_memory_does_not_grow_with_the_path():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def _eigvalsh_flags(blocks, sites, window):
+    """Reference screen: one dense eigvalsh per matrix of hopping blocks
+    (..., 2R+1, m, m), flagging a level below window widened by 1e-6."""
+    ribbon = RibbonFamily(sites, blocks.shape[-1], 1, None, blocks.shape[-3] // 2)
+    levels = np.abs(np.linalg.eigvalsh(ribbon.assemble(blocks)))
+    return np.any(levels < window * (1 + 1e-6), axis=-1)
+
+
+def test_window_flags_include_every_eigvalsh_flag():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+                      st.integers(8, 19), st.integers(0, 2**32 - 1), st.booleans())
+    def check(R, m, sectors, sites, seed, on_a_level):
+        hypothesis.assume(R == 1 or sites % R)  # a partial last group of R sites
+        rng = np.random.default_rng(seed)
+        shape = (sectors, 4, R + 1, m, m)  # 4 momenta, offsets 0..R
+        up = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        up *= rng.choice([0.0, 0.1, 1.0], size=(R + 1, 1, 1))  # some offsets vanish
+        up[..., 0, :, :] += np.conj(np.swapaxes(up[..., 0, :, :], -1, -2))
+        blocks = np.concatenate([np.conj(np.swapaxes(up[..., :0:-1, :, :], -1, -2)), up], axis=-3)
+        levels = np.abs(np.linalg.eigvalsh(RibbonFamily(sites, m, 1, None, R).assemble(blocks)))
+        # a window through a level of the first matrix (one not lost in its
+        # rounding, 1e-6 of the largest), or below most levels
+        through = levels[0, 0][levels[0, 0] > 1e-6 * levels.max()]
+        window = rng.choice(through) if on_a_level and through.size else \
+            float(np.quantile(levels, rng.uniform(0.0, 0.2)))
+        flags = _window_flags(blocks, sites, window)
+        assert flags.shape == (sectors, 4)
+        assert np.all(flags | ~_eigvalsh_flags(blocks, sites, window))
+
+    check()
+
+
+def test_near_singular_pivot_is_flagged():
+    # no level within 1 of zero, but the first pivot of H - lam is 1e-9
+    window = 0.1
+    on_site = np.array([[window * (1 + 1e-6) + 1e-9, 3.0], [3.0, -5.0]])
+    hop = np.array([[0.1, 0.05j], [0.0, -0.1]])
+    blocks = np.array([hop.conj().T, on_site, hop])[None]
+    assert not _eigvalsh_flags(blocks, 12, window)[0]
+    assert _window_flags(blocks, 12, window)[0]
+    blocks[0, 1, 0, 0] += 1e-3  # the same ribbon with a sound pivot passes
+    assert not _window_flags(blocks, 12, window)[0]
+
+
+def test_overflowing_pivots_flag_every_momentum():
+    blocks = np.zeros((5, 3, 1, 1), dtype=complex)
+    blocks[:, 1] = np.linspace(-1e-300, 1e-300, 5)[:, None, None]
+    blocks[:, 0] = blocks[:, 2] = 1e300  # the second pivot overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(_window_flags(blocks, 9, 0.1))
+
+
+def test_huge_spin_orbit_ribbon_screen_warns_nothing_and_misses_nothing(monkeypatch):
+    # lso = 1e300: its parity is not pinned here, only its agreement with eigh
+    ribbon = ribbonize(builtin("kane-mele", lso=1e300), 0, 16)
+    window = 0.9 * _ribbon_bulk_gap(ribbon)
+    blocks = ribbon.hoppings(spectral._staircase(np.array([np.pi]), 161))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for orbs in _ribbon_sectors(blocks):
+            sector = blocks[..., orbs[:, None], orbs]
+            assert np.all(_window_flags(sector, 16, window) | ~_eigvalsh_flags(sector, 16, window))
+        got, ref = _against_reference(monkeypatch, edge_crossing_parity, ribbon)
+    assert got == ref
 
 
 @pytest.mark.parametrize("make", [pytest.param(m, id=n) for n, m, _ in SECTOR_CASES])
