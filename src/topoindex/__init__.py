@@ -20,7 +20,7 @@ from .berry import (
     polarization_p3,
 )
 from .ktable import AbelianGroupExpr
-from .linalg import EigenSystem, eigh, pfaffian, pfaffian_sign
+from .linalg import EigenSystem, eigh, pfaffian
 from .model import (
     BlochFamily,
     MomentumGrid,
@@ -45,7 +45,6 @@ from .windex import (
     boundary_index_2d,
     degree_one_field,
     field_from_map,
-    odd_chern_character,
     winding1d,
     winding3d,
 )
@@ -82,9 +81,7 @@ __all__ = [
     "load_model",
     "mod2_analytical_index",
     "occupied_frame",
-    "odd_chern_character",
     "pfaffian",
-    "pfaffian_sign",
     "polarization_p3",
     "ribbonize",
     "sewing_field",

@@ -2,7 +2,13 @@
 
 Parallel transport gives gauges that are smooth along lines; periodicity
 and cross-line smoothness are restored by explicit null-homotopies of the
-wrap-mismatch unitaries.  All the obstructions vanish for the families
+wrap-mismatch unitaries.  A line sweep works on m x m matrices only: it
+takes the link overlaps O_i = G_i^dagger G_{i-1} of the raw frames G of
+the whole field along one axis in one batch, their polar factors from one
+kernel (a closed form for m <= 2, the SVD above), and the product scan
+u_i = polar(O_i) u_{i-1}; the smooth frames are G u.  This equals Löwdin
+transport of projected frames step by step, and the Wilson links of
+`z2` use the same kernel.  All the obstructions vanish for the families
 handled here (every 2D slice Chern number is zero for time-reversal
 invariant models), so the construction either succeeds or fails loudly
 with GaugeConstructionFailed.
@@ -26,17 +32,43 @@ from .model import _smoothstep
 OVERLAP_MIN = 1e-3
 
 
-def lowdin(frame: np.ndarray) -> tuple[np.ndarray, float]:
-    """Orthonormalize the columns of a frame or a stack (..., n, m) of
-    frames; returns (frames, smallest singular value over the stack)."""
-    u, s, vh = np.linalg.svd(frame, full_matrices=False)
-    return u @ vh, float(np.min(s[..., -1]))
+def polar_unitary(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unitary polar factors of a stack (..., k, k) of matrices and their
+    smallest singular values (...,).
 
+    k = 1 is z/|z|.  k = 2 is the Cayley-Hamilton closed form: with
+    A = e^{i arg det M} adj(M)^dagger, M +- A = W diag(s1 +- s2, s2 +- s1) V^dagger
+    for the SVD M = W diag(s1, s2) V^dagger, so U = (M + A) / (s1 + s2), unitary
+    for any phase of a singular M, and |M -+ A|_F = sqrt(2) (s1 -+ s2) give
+    s_max without cancellation and s_min = |det M| / s_max.  Larger k use
+    the SVD.  An all-zero block maps to the identity, as the SVD does.
+    """
+    k = m.shape[-1]
+    if k > 2:
+        u, s, vh = np.linalg.svd(m)
+        return u @ vh, s[..., -1]
+    if k == 1:
+        r = np.abs(m)
+        return np.where(r > 0.0, m / np.where(r > 0.0, r, 1.0), 1.0), r[..., 0, 0]
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    det = a * d - b * c
+    adet = np.abs(det)
+    phase = np.where(adet > 0.0, det / np.where(adet > 0.0, adet, 1.0), 1.0)
+    pa, pb, pc, pd = (phase * np.conj(x) for x in (a, b, c, d))
 
-def polar_unitary(m: np.ndarray) -> np.ndarray:
-    """Unitary polar factor of a matrix or of a stack (..., m, m)."""
-    u, _, vh = np.linalg.svd(m)
-    return u @ vh
+    def norm2(*xs):
+        return sum(x.real ** 2 + x.imag ** 2 for x in xs)
+
+    # entry by entry: numpy ufuncs broadcast over a trailing (2, 2) slowly
+    ssum = np.sqrt(norm2(a, b, c, d) + 2.0 * adet)
+    smax = 0.5 * (ssum + np.sqrt(0.5 * norm2(a - pd, b + pc, c + pb, d - pa)))
+    nonzero = ssum > 0.0
+    safe = np.where(nonzero, ssum, 1.0)
+    u = np.empty(m.shape, dtype=complex)
+    for (i, j), x, e in zip(((0, 0), (0, 1), (1, 0), (1, 1)),
+                            (a + pd, b - pc, c - pb, d + pa), (1.0, 0.0, 0.0, 1.0)):
+        u[..., i, j] = np.where(nonzero, x / safe, e)
+    return u, np.where(nonzero, adet / np.where(nonzero, smax, 1.0), 0.0)
 
 
 def unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -58,47 +90,57 @@ def unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     raise GaugeConstructionFailed("could not diagonalize a unitary holonomy")
 
 
-def transport(frame: np.ndarray, projector: np.ndarray) -> np.ndarray:
-    """Parallel transport a frame (or a stack of frames) onto the range of
-    the next projector(s); the overlap guard holds for every frame."""
-    out, smin = lowdin(projector @ frame)
-    if smin < OVERLAP_MIN:
-        raise GaugeConstructionFailed(
-            f"transport overlap {smin:.2e} below {OVERLAP_MIN:.0e}")
+def _dagger(a: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(a, -1, -2))
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks of small matrices, as a sum over the inner index;
+    np.matmul's per-matrix overhead dominates on 2 x 2 and 4 x 2 blocks."""
+    out = a[..., :, :1] * b[..., :1, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j:j + 1] * b[..., j:j + 1, :]
     return out
 
 
-def frame_projectors(frames: np.ndarray) -> np.ndarray:
-    """P(k) = F(k) F(k)^dagger for a frame field (..., n, m)."""
-    return np.einsum("...im,...jm->...ij", frames, np.conj(frames))
-
-
-def _transport_along_last_axis(out: np.ndarray, proj: np.ndarray) -> np.ndarray:
-    """Transport the first frames out[..., 0, :, :] along the last grid
-    axis into `out`, in place; returns the wrap mismatch
-    polar(F_0^dagger F_arrived) of the frame transported back to the start."""
-    n = out.shape[-3]
+def transport(frames: np.ndarray, u0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parallel transport from F_0 = G_0 u0 along the last grid axis of a
+    frame field G (..., N, n, m): Löwdin transport lowdin(G_i G_i^dagger F_{i-1})
+    is G_i u_i with u_i = polar(O_i) u_{i-1} for the links O_i = G_i^dagger G_{i-1}
+    (O_0 = G_0^dagger G_{N-1}), whose singular values the overlap guard reads.
+    Returns u (..., N, m, m) and the wrap mismatch polar(u_0^dagger polar(O_0) u_{N-1})
+    of the frame transported back to the start."""
+    n = frames.shape[-3]
+    links, smin = polar_unitary(_mul(_dagger(frames), np.roll(frames, 1, axis=-3)))
+    step_min = np.roll(np.min(smin.reshape(-1, n), axis=0), -1)  # steps 1, ..., N-1, wrap
+    low = np.flatnonzero(~(step_min >= OVERLAP_MIN))
+    if low.size:
+        raise GaugeConstructionFailed(
+            f"transport overlap {step_min[low[0]]:.2e} below {OVERLAP_MIN:.0e}")
+    u = np.empty(links.shape, dtype=complex)
+    u[..., 0, :, :] = u0
     for i in range(1, n):
-        out[..., i, :, :] = transport(out[..., i - 1, :, :], proj[..., i, :, :])
-    arrived = transport(out[..., n - 1, :, :], proj[..., 0, :, :])
-    return polar_unitary(np.conj(np.swapaxes(out[..., 0, :, :], -1, -2)) @ arrived)
+        u[..., i, :, :] = _mul(links[..., i, :, :], u[..., i - 1, :, :])
+    mismatch, _ = polar_unitary(_dagger(u0) @ links[..., 0, :, :] @ u[..., n - 1, :, :])
+    return u, mismatch
 
 
-def circle_transport(projectors: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Smooth gauge around one circle by transport from ``start``.
+def circle_transport(frames: np.ndarray) -> np.ndarray:
+    """Smooth gauge u (N, m, m) around one circle of frames (N, n, m) by
+    transport from frames[0]; the smooth frames are frames @ u.
 
     The loop holonomy is spread as Hol^{-t/N} so the gauge closes
     periodically; the eigenphase branch is immaterial for the invariants
-    built on top (it drops out of any closed chain of circles).
+    built on top (it drops out of any closed chain of circles).  Phases lie
+    in (-pi + 1e-8, pi + 1e-8], so a Kramers pair with holonomy -1, whose
+    phases rounding splits into +-pi, spreads as a scalar whatever its basis.
     """
-    n_pts = projectors.shape[0]
-    out = np.empty((n_pts,) + start.shape, dtype=complex)
-    out[0] = start
-    angles, q = unitary_eig(_transport_along_last_axis(out, projectors))
-    for t in range(n_pts):
-        frac = q @ np.diag(np.exp(-1j * angles * t / n_pts)) @ np.conj(q).T
-        out[t] = out[t] @ frac
-    return out
+    n_pts, m = frames.shape[0], frames.shape[-1]
+    u, mismatch = transport(frames, np.eye(m, dtype=complex))
+    angles, q = unitary_eig(mismatch)
+    angles = np.where(angles <= -np.pi + 1e-8, angles + 2.0 * np.pi, angles)
+    spread = np.exp(-1j * np.outer(np.arange(n_pts), angles) / n_pts)
+    return u @ (q * spread[:, None, :]) @ np.conj(q).T
 
 
 # --- null homotopies of wrap mismatches ---
@@ -357,17 +399,16 @@ class LoopContraction:
         return self.general.at(t)
 
 
-def _sweep_and_close(out: np.ndarray, proj: np.ndarray) -> np.ndarray:
-    """Transport the first sheet out[..., 0, :, :] along the last grid
-    axis, then spread the contraction of the wrap mismatch over that axis
-    so the gauge closes periodically; fills `out` in place."""
-    n = out.shape[-3]
-    mismatch = _transport_along_last_axis(out, proj)
-    homotopy = LoopContraction(np.conj(np.swapaxes(mismatch, -1, -2)))  # to M^dagger
+def _sweep_and_close(frames: np.ndarray, u0: np.ndarray) -> np.ndarray:
+    """The gauge u of `frames` transported from G_0 u0 along the last grid
+    axis, with the contraction of the wrap mismatch spread over that axis
+    so the gauge closes periodically."""
+    n = frames.shape[-3]
+    u, mismatch = transport(frames, u0)
+    homotopy = LoopContraction(_dagger(mismatch))
     for i in range(n):
-        h = homotopy.at(_smoothstep(i / n))
-        out[..., i, :, :] = np.einsum("...ij,...jk->...ik", out[..., i, :, :], h)
-    return out
+        u[..., i, :, :] = _mul(u[..., i, :, :], homotopy.at(_smoothstep(i / n)))
+    return u
 
 
 def smooth_frames_2d(frames_raw: np.ndarray) -> np.ndarray:
@@ -377,18 +418,14 @@ def smooth_frames_2d(frames_raw: np.ndarray) -> np.ndarray:
     otherwise the wrap mismatch has a winding determinant and the
     contraction fails loudly.
     """
-    proj = frame_projectors(frames_raw)
-    out = np.empty_like(frames_raw)
-    out[:, 0] = circle_transport(proj[:, 0], frames_raw[0, 0])
-    return _sweep_and_close(out, proj)
+    return _mul(frames_raw, _sweep_and_close(frames_raw, circle_transport(frames_raw[:, 0])))
 
 
 def smooth_frames_3d(frames_raw: np.ndarray) -> np.ndarray:
     """Smooth periodic gauge for a 3D frame field (N1, N2, N3, n, m)."""
-    proj = frame_projectors(frames_raw)
-    out = np.empty_like(frames_raw)
-    out[:, :, 0] = smooth_frames_2d(frames_raw[:, :, 0])
-    return _sweep_and_close(out, proj)
+    base = frames_raw[:, :, 0]
+    u0 = _dagger(base) @ smooth_frames_2d(base)
+    return _mul(frames_raw, _sweep_and_close(frames_raw, u0))
 
 
 def smoothness_report(frames: np.ndarray) -> float:

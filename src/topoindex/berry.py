@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._gauge import (circle_transport, frame_projectors, smooth_frames_2d, smooth_frames_3d,
-                     smoothness_report)
+from ._gauge import circle_transport, smooth_frames_2d, smooth_frames_3d, smoothness_report
 from ._stencil import central_diff, levi_civita_sum, neighbour_overlaps, one_forms
 from .errors import GapClosed, GridTooCoarse, InvalidParams, NonHermitian
 from .linalg import eigh, eigvalsh
@@ -198,8 +197,8 @@ def smooth_occupied_frames(frame: OccupiedFrame) -> np.ndarray:
     if frame.grid.dim == 1:
         n = frame.grid.sizes[0]
         rows = (np.arange(n) + n // 2) % n
-        circle = circle_transport(frame_projectors(frame.frames)[rows], frame.frames[n // 2])
-        return np.roll(circle, n // 2, axis=0)
+        circle = frame.frames[rows]
+        return np.roll(circle @ circle_transport(circle), n // 2, axis=0)
     if frame.grid.dim == 2:
         return smooth_frames_2d(frame.frames)
     if frame.grid.dim == 3:

@@ -126,11 +126,6 @@ class ResidueTooLarge(AdequacyError):
         )
 
 
-class UnsupportedDegree(ValidationError):
-    def __init__(self, degree):
-        super().__init__(f"odd Chern character implemented for degrees 1 and 3, got {degree}")
-
-
 # --- spectral ---
 
 class EndpointGapless(ValidationError):

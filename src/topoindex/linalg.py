@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonHermitian, NotSkewSymmetric, NotUnitary, OddDimension, PfaffianNearZero
+from .errors import NonHermitian, NotSkewSymmetric, NotUnitary, OddDimension
 
 STRUCT_TOL = 1e-9
 PF_MIN = 1e-6  # |pf| at or below this is an accidental gap closing at a fixed point
@@ -145,17 +145,3 @@ def pfaffian(a: np.ndarray) -> complex:
         col = A[k + 2:, k + 1]
         A[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
     return pf * A[n - 2, n - 1]
-
-
-def pfaffian_sign(a: np.ndarray) -> int:
-    """Sign of a (phase-aligned, real) Pfaffian.
-
-    Raises PfaffianNearZero if |pf| <= PF_MIN, the signature of an
-    accidental gap closing at a fixed point.
-    """
-    pf = pfaffian(a)
-    if abs(pf) <= PF_MIN:
-        raise PfaffianNearZero(abs(pf))
-    if abs(pf.imag) > PF_MIN * max(1.0, abs(pf.real)):
-        raise PfaffianNearZero(abs(pf), where="complex Pfaffian; align phases first")
-    return 1 if pf.real > 0 else -1

@@ -1,8 +1,8 @@
 """Odd topological indices of unitary fields.
 
 Winding numbers over the circle and 3-torus, the boundary-circle product
-index of a 2D sewing field, the odd Chern character quadrature, and the
-periodized degree-one SU(2) reference map.
+index of a 2D sewing field, and the periodized degree-one SU(2) reference
+map.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._stencil import levi_civita_sum, neighbour_overlaps, one_forms
-from .errors import BranchUnsafe, InvalidParams, ResidueTooLarge, UnsupportedDegree
+from ._stencil import neighbour_overlaps, one_forms
+from .errors import BranchUnsafe, InvalidParams, ResidueTooLarge
 from .linalg import check_unitary
 from .model import MomentumGrid, _smoothstep
 from .z2 import SewingField, _pf_walk
@@ -84,12 +84,14 @@ class WindingResult:
 
 def _cubic_trace_sum(field: UnitaryField) -> tuple[complex, tuple[float, ...]]:
     """Sum over the grid of tr(g^{-1} dg)^3 by central differences,
-    antisymmetrized over the 3! axis orderings, with the grid steps."""
+    antisymmetrized over the 3! axis orderings, with the grid steps.  The
+    trace is cyclic, so the even orderings all equal tr(L0 L1 L2) and the
+    odd ones tr(L0 L2 L1) pointwise: the sum is 3 [tr(L0 L1 L2) - tr(L0 L2 L1)]."""
     field.check_branch_safety()
     steps = tuple(2.0 * np.pi / n for n in field.grid.sizes)
-    ls = one_forms(field.values, steps)
-    total = levi_civita_sum(
-        lambda a, b, c: np.sum(np.einsum("...ij,...jk,...ki->...", ls[a], ls[b], ls[c])))
+    l0, l1, l2 = one_forms(field.values, steps)
+    total = 3.0 * np.sum(np.einsum("...ij,...jk,...ki->...", l0, l1, l2)
+                         - np.einsum("...ij,...jk,...ki->...", l0, l2, l1))
     return total, steps
 
 
@@ -106,28 +108,6 @@ def winding3d(field: UnitaryField, residue_tol: float = 0.1) -> WindingResult:
     if residue > residue_tol:
         raise ResidueTooLarge(value, residue, residue_tol)
     return WindingResult(value=value, rounded=rounded, residue=residue)
-
-
-def odd_chern_character(field: UnitaryField, degree: int) -> float:
-    """Integral of the degree-(2k+1) odd Chern character component.
-
-    Degree 1 returns Int tr(g^{-1}dg)/i (2 pi for a unit winding); degree
-    3 returns the value whose division by 4 pi^2 reproduces winding3d
-    (coefficient 1/6 from k = 1).
-    """
-    if degree == 1:
-        if field.grid.dim != 1:
-            raise InvalidParams("degree-1 component needs a 1D field")
-        field.check_branch_safety()
-        h = 2.0 * np.pi / field.grid.sizes[0]
-        l = one_forms(field.values, (h,))[0]
-        return float((h * np.einsum("tii->", l) / 1j).real)
-    if degree == 3:
-        if field.grid.dim != 3:
-            raise InvalidParams("degree-3 component needs a 3D field")
-        total, steps = _cubic_trace_sum(field)
-        return float((np.prod(steps) * total / 6.0).real)
-    raise UnsupportedDegree(degree)
 
 
 def boundary_index_2d(field: SewingField) -> int:

@@ -205,7 +205,7 @@ def _wilson_loop_phases(frames: np.ndarray) -> np.ndarray:
     """Sorted Wilson-loop eigenphases of every line of a stack
     (lines, steps, n, m), each loop running over its steps."""
     ov = np.conj(np.swapaxes(frames, -1, -2)) @ np.roll(frames, -1, axis=1)
-    links = polar_unitary(ov)
+    links, _ = polar_unitary(ov)
     loop = np.broadcast_to(np.eye(links.shape[-1], dtype=complex), links[:, 0].shape)
     for t in range(links.shape[1]):
         loop = loop @ links[:, t]

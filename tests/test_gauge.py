@@ -1,0 +1,193 @@
+"""The polar kernel and link-product transport against their references.
+
+`_gauge.polar_unitary` must agree with the SVD polar factor and smallest
+singular value, and stay unitary on singular blocks.  The smooth gauges of
+`berry.smooth_occupied_frames` must agree with the per-step Löwdin
+transport of projected frames kept below as the reference, and raise the
+same overlap guard.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from topoindex import _gauge
+from topoindex.berry import OccupiedFrame, occupied_frame, smooth_occupied_frames
+from topoindex.errors import GaugeConstructionFailed
+from topoindex.model import MomentumGrid, _smoothstep, builtin, direct_sum
+
+
+# --- reference: Löwdin transport of projected frames, one step at a time ---
+
+def ref_lowdin(frame):
+    u, s, vh = np.linalg.svd(frame, full_matrices=False)
+    return u @ vh, float(np.min(s[..., -1]))
+
+
+def ref_polar(m):
+    u, _, vh = np.linalg.svd(m)
+    return u @ vh
+
+
+def ref_transport(frame, projector):
+    out, smin = ref_lowdin(projector @ frame)
+    if smin < _gauge.OVERLAP_MIN:
+        raise GaugeConstructionFailed(
+            f"transport overlap {smin:.2e} below {_gauge.OVERLAP_MIN:.0e}")
+    return out
+
+
+def ref_projectors(frames):
+    return np.einsum("...im,...jm->...ij", frames, np.conj(frames))
+
+
+def ref_transport_along_last_axis(out, proj):
+    n = out.shape[-3]
+    for i in range(1, n):
+        out[..., i, :, :] = ref_transport(out[..., i - 1, :, :], proj[..., i, :, :])
+    arrived = ref_transport(out[..., n - 1, :, :], proj[..., 0, :, :])
+    return ref_polar(np.conj(np.swapaxes(out[..., 0, :, :], -1, -2)) @ arrived)
+
+
+def ref_circle_transport(projectors, start):
+    n_pts = projectors.shape[0]
+    out = np.empty((n_pts,) + start.shape, dtype=complex)
+    out[0] = start
+    angles, q = _gauge.unitary_eig(ref_transport_along_last_axis(out, projectors))
+    # the branch rule of _gauge.circle_transport, see test_gauge_is_stable_at_a_pi_holonomy
+    angles = np.where(angles <= -np.pi + 1e-8, angles + 2.0 * np.pi, angles)
+    for t in range(n_pts):
+        out[t] = out[t] @ q @ np.diag(np.exp(-1j * angles * t / n_pts)) @ np.conj(q).T
+    return out
+
+
+def ref_sweep_and_close(out, proj):
+    n = out.shape[-3]
+    mismatch = ref_transport_along_last_axis(out, proj)
+    homotopy = _gauge.LoopContraction(np.conj(np.swapaxes(mismatch, -1, -2)))
+    for i in range(n):
+        out[..., i, :, :] = out[..., i, :, :] @ homotopy.at(_smoothstep(i / n))
+    return out
+
+
+def ref_smooth_frames_2d(frames):
+    proj = ref_projectors(frames)
+    out = np.empty_like(frames)
+    out[:, 0] = ref_circle_transport(proj[:, 0], frames[0, 0])
+    return ref_sweep_and_close(out, proj)
+
+
+def ref_smooth_frames(frames):
+    if frames.ndim == 3:
+        n = frames.shape[0]
+        rows = (np.arange(n) + n // 2) % n
+        circle = ref_circle_transport(ref_projectors(frames)[rows], frames[n // 2])
+        return np.roll(circle, n // 2, axis=0)
+    if frames.ndim == 4:
+        return ref_smooth_frames_2d(frames)
+    out = np.empty_like(frames)
+    out[:, :, 0] = ref_smooth_frames_2d(frames[:, :, 0])
+    return ref_sweep_and_close(out, ref_projectors(frames))
+
+
+# --- the kernel ---
+
+def _unitaries(rng, count, k):
+    z = rng.normal(size=(count, k, k)) + 1j * rng.normal(size=(count, k, k))
+    return np.linalg.qr(z)[0]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_polar_kernel_matches_the_svd(k):
+    rng = np.random.default_rng(100 + k)
+    count = 200
+    smin = np.logspace(-3, 0, count)
+    s = np.sort(np.concatenate([smin[:, None], rng.uniform(smin[:, None], 1.0, (count, k - 1))],
+                               axis=1), axis=1)[:, ::-1]
+    m = _unitaries(rng, count, k) @ (s[..., None] * _unitaries(rng, count, k))
+    u, got_smin = _gauge.polar_unitary(m.reshape(10, 20, k, k))
+    su, ss, svh = np.linalg.svd(m)
+    assert np.max(np.abs(u.reshape(count, k, k) - su @ svh)) < 1e-12
+    assert np.max(np.abs(got_smin.reshape(count) - ss[:, -1])) < 1e-12
+
+
+def test_polar_kernel_is_unitary_on_singular_blocks():
+    rng = np.random.default_rng(5)
+    x, y = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    blocks = np.array([
+        np.zeros((2, 2)),
+        [[1.0, 2.0], [2.0, 4.0]],
+        [[1.0, 0.0], [0.0, 0.0]],
+        [[0.0, 1j], [0.0, 0.0]],
+        np.outer(x, np.conj(y)),
+        [[1e-300, 0.0], [0.0, 0.0]],
+    ], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, smin = _gauge.polar_unitary(blocks)
+        u1, smin1 = _gauge.polar_unitary(np.zeros((3, 1, 1), dtype=complex))
+    assert np.all(np.isfinite(u)) and np.all(np.isfinite(smin))
+    assert np.max(np.abs(np.conj(np.swapaxes(u, -1, -2)) @ u - np.eye(2))) < 1e-12
+    assert np.array_equal(u[0], np.eye(2)) and np.array_equal(u1, np.ones((3, 1, 1)))
+    assert np.max(np.abs(smin)) < 1e-12 and np.array_equal(smin1, np.zeros(3))
+    # U^dagger M is the positive factor of the polar decomposition
+    p = np.conj(np.swapaxes(u, -1, -2)) @ blocks
+    assert np.max(np.abs(p - np.conj(np.swapaxes(p, -1, -2)))) < 1e-12
+    assert np.min(np.linalg.eigvalsh(p)) > -1e-12
+
+
+# --- the transport ---
+
+FKM_PHASES = {"trivial": -3.5, "strong-": -2.0, "weak": 0.0, "strong+": 2.0}
+FIELDS = {
+    "kitaev-chain": (builtin("kitaev-chain"), (24,)),
+    "kane-mele": (builtin("kane-mele", t=1.0, lso=0.06, lv=0.1), (16, 16)),
+    "bhz": (builtin("bhz", m=2.0), (16, 16)),
+    "kane-mele+bhz": (direct_sum(builtin("kane-mele"), builtin("bhz", m=-1.0)), (12, 12)),
+    **{f"fkm3d-{phase}": (builtin("fu-kane-mele-3d", m=m), (10, 10, 10))
+       for phase, m in FKM_PHASES.items()},
+}
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_smooth_frames_match_the_lowdin_reference(name):
+    model, sizes = FIELDS[name]
+    frame = occupied_frame(model, MomentumGrid(sizes))
+    got = smooth_occupied_frames(frame)
+    assert np.max(np.abs(got - ref_smooth_frames(frame.frames))) < 1e-10
+
+
+def _near_orthogonal_field(where):
+    """Constant frames e0, e1 of C^4 on an 8 x 8 grid, except at `where`,
+    whose frame overlaps them only by about 1e-4."""
+    frames = np.zeros((8, 8, 4, 2), dtype=complex)
+    frames[..., 0, 0] = frames[..., 1, 1] = 1.0
+    bad = np.zeros((4, 2), dtype=complex)
+    bad[2, 0] = bad[3, 1] = 1.0
+    bad[0, 0] = bad[1, 1] = 1e-4
+    frames[where] = bad / np.linalg.norm(bad, axis=0)
+    return frames
+
+
+@pytest.mark.parametrize("where", [(3, 5), (0, 0), (5, 0), (2, 7)])
+def test_a_near_orthogonal_step_raises_like_the_reference(where):
+    frames = _near_orthogonal_field(where)
+    with pytest.raises(GaugeConstructionFailed, match=r"transport overlap .* below 1e-03") as got:
+        smooth_occupied_frames(OccupiedFrame(MomentumGrid((8, 8)), frames))
+    with pytest.raises(GaugeConstructionFailed) as ref:
+        ref_smooth_frames(frames)
+    assert str(got.value) == str(ref.value)
+
+
+def test_gauge_is_stable_at_a_pi_holonomy():
+    # Every strong+ Fu-Kane-Mele circle k2 = k3 = 0 has the holonomy -1 on its
+    # Kramers pair, whose eigenphases rounding splits into +-pi; a 1e-12
+    # rephasing of the frames must not move the gauge or the winding.
+    grid = MomentumGrid((10, 10, 10))
+    frames = occupied_frame(builtin("fu-kane-mele-3d", m=2.0), grid).frames
+    phases = np.random.default_rng(3).normal(size=frames.shape[:-2])
+    rephased = frames * np.exp(1e-12j * phases)[..., None, None]
+    a = smooth_occupied_frames(OccupiedFrame(grid, frames))
+    b = smooth_occupied_frames(OccupiedFrame(grid, rephased))
+    assert np.max(np.abs(a - b)) < 1e-10

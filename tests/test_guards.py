@@ -21,7 +21,6 @@ from topoindex.windex import (
     BRANCH_SAFE_DISTANCE,
     UnitaryField,
     degree_one_field,
-    odd_chern_character,
     winding1d,
     winding3d,
 )
@@ -239,10 +238,8 @@ def _fields_3d():
 
 @pytest.mark.parametrize("fn,fields", [
     (winding1d, _fields_1d),
-    (lambda f: odd_chern_character(f, 1), _fields_1d),
     (winding3d, _fields_3d),
-    (lambda f: odd_chern_character(f, 3), _fields_3d),
-], ids=["winding1d", "odd_chern_1", "winding3d", "odd_chern_3"])
+], ids=["winding1d", "winding3d"])
 def test_windings_match_under_svd_guard(monkeypatch, fn, fields):
     fast = [outcome(fn, f) for f in fields()]
     monkeypatch.setattr(UnitaryField, "check_branch_safety", svd_check_branch_safety)

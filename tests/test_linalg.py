@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from topoindex.errors import NonHermitian, NotSkewSymmetric, OddDimension, PfaffianNearZero
+from topoindex.errors import NonHermitian, NotSkewSymmetric, OddDimension
 from topoindex.linalg import (
     eigh,
     eigvalsh,
     fix_phases,
     hermitian_deviation,
     pfaffian,
-    pfaffian_sign,
     skew_deviation,
     unitary_deviation,
 )
@@ -91,24 +90,6 @@ def test_pfaffian_rejects_odd_dimension():
 def test_pfaffian_rejects_non_skew():
     with pytest.raises(NotSkewSymmetric):
         pfaffian(np.eye(4))
-
-
-def test_pfaffian_sign_basic():
-    assert pfaffian_sign(np.array([[0.0, 1.0], [-1.0, 0.0]])) == 1
-    assert pfaffian_sign(np.array([[0.0, -1.0], [1.0, 0.0]])) == -1
-
-
-def test_pfaffian_sign_four_by_four():
-    rng = np.random.default_rng(3)
-    m = rng.normal(size=(4, 4))
-    a = m - m.T
-    oracle = pfaffian_cofactor(a).real
-    assert pfaffian_sign(a) == (1 if oracle > 0 else -1)
-
-
-def test_pfaffian_sign_near_zero_raises():
-    with pytest.raises(PfaffianNearZero):
-        pfaffian_sign(np.array([[0.0, 1e-9], [-1e-9, 0.0]]))
 
 
 def test_eigh_pauli_z():

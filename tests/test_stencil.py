@@ -117,9 +117,12 @@ def test_quadratures_match_the_inline_sums(sizes):
                   * ref_chern_simons_sum(a, steps)).real)
     assert chern_simons_integral(frames, grid) == want
 
+    # two triple traces in place of six orderings: equal up to rounding, on
+    # the scale of the winding number
     field = degree_one_field(grid)
     total, _ = _cubic_trace_sum(field)
-    assert total == ref_cubic_sum(ref_winding_forms(field.values, steps))
+    ref = ref_cubic_sum(ref_winding_forms(field.values, steps))
+    assert abs(total - ref) * np.prod(steps) / (24.0 * np.pi ** 2) < 1e-12
 
 
 def test_levi_civita_sum_signs():

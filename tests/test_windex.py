@@ -1,9 +1,10 @@
-"""Winding numbers, the odd Chern character and the boundary-circle index."""
+"""Winding numbers and the boundary-circle index."""
 
 import numpy as np
 import pytest
 
-from topoindex.errors import BranchUnsafe, NotUnitary, ResidueTooLarge, UnsupportedDegree
+from topoindex._stencil import levi_civita_sum, one_forms
+from topoindex.errors import BranchUnsafe, NotUnitary, ResidueTooLarge
 from topoindex.model import MomentumGrid, _smoothstep, builtin
 from topoindex.windex import (
     UnitaryField,
@@ -11,7 +12,6 @@ from topoindex.windex import (
     degree_one_field,
     degree_one_map,
     field_from_map,
-    odd_chern_character,
     winding1d,
     winding3d,
 )
@@ -101,6 +101,29 @@ def test_winding3d_residue_shrinks_with_refinement():
     assert residues[1] < residues[0]
 
 
+def _six_ordering_winding(field):
+    """The winding3d value summed over all 3! orderings of the triple trace."""
+    steps = tuple(2.0 * np.pi / n for n in field.grid.sizes)
+    ls = one_forms(field.values, steps)
+    total = levi_civita_sum(
+        lambda a, b, c: np.sum(np.einsum("...ij,...jk,...ki->...", ls[a], ls[b], ls[c])))
+    return float((total * np.prod(steps) / (24.0 * np.pi ** 2)).real)
+
+
+def _cs_index_field():
+    grid = MomentumGrid((12, 12, 12))
+    return UnitaryField(grid, sewing_field(builtin("fu-kane-mele-3d", m=-2.0), grid).smooth_w)
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda p=p: degree_one_field(MomentumGrid((12, 12, 12)), p) for p in (1, -1, 2, -2)],
+    _cs_index_field], ids=["power+1", "power-1", "power+2", "power-2", "cs-index"])
+def test_winding3d_two_traces_match_the_six_orderings(make):
+    field = make()
+    value = winding3d(field, residue_tol=0.5).value
+    assert abs(value - _six_ordering_winding(field)) < 1e-12
+
+
 def test_winding3d_inverse_map_flips_sign():
     grid = MomentumGrid((12, 12, 12))
     plus = winding3d(degree_one_field(grid), residue_tol=0.5)
@@ -185,34 +208,6 @@ def test_unitary_field_names_a_bad_point_by_plain_grid_indices():
     with pytest.raises(NotUnitary) as scaled_point:
         UnitaryField(MomentumGrid((8,)), values)
     assert str(scaled_point.value) == "matrix field not unitary at (2,) (deviation 4.243e+00)"
-
-
-def test_odd_chern_character_degree_one():
-    grid = MomentumGrid((32,))
-    fld = field_from_map(grid, _loop)
-    value = odd_chern_character(fld, 1)
-    assert value == pytest.approx(2.0 * np.pi, rel=1e-3)
-
-
-def test_odd_chern_character_identity_3d():
-    grid = MomentumGrid((8, 8, 8))
-    fld = field_from_map(grid, _identity)
-    assert odd_chern_character(fld, 3) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_odd_chern_character_consistent_with_winding3d():
-    grid = MomentumGrid((16, 16, 16))
-    fld = degree_one_field(grid)
-    ch3 = odd_chern_character(fld, 3)
-    res = winding3d(fld)
-    assert ch3 / (4.0 * np.pi ** 2) == pytest.approx(res.value, abs=1e-10)
-
-
-def test_odd_chern_character_unsupported_degree():
-    grid = MomentumGrid((8, 8, 8))
-    fld = field_from_map(grid, _identity)
-    with pytest.raises(UnsupportedDegree):
-        odd_chern_character(fld, 5)
 
 
 def test_boundary_index_matches_nu_on_builtins():

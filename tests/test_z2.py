@@ -135,7 +135,7 @@ def _reference_wannier_flow(frames):
         line = frames[:, (n2 // 2 + t) % n2]
         loop = np.eye(line.shape[-1], dtype=complex)
         for s in range(n1):
-            loop = loop @ polar_unitary(np.conj(line[s]).T @ line[(s + 1) % n1])
+            loop = loop @ polar_unitary(np.conj(line[s]).T @ line[(s + 1) % n1])[0]
         angles = np.sort(unitary_eig(loop)[0])
         ext = np.concatenate([angles, [angles[0] + 2.0 * np.pi]])
         gaps = np.diff(ext)
