@@ -5,7 +5,7 @@ and cross-line smoothness are restored by explicit null-homotopies of the
 wrap-mismatch unitaries.  A line sweep works on m x m matrices only: it
 takes the link overlaps O_i = G_i^dagger G_{i-1} of the raw frames G of
 the whole field along one axis in one batch, their polar factors from one
-kernel (a closed form for m <= 2, the SVD above), and the product scan
+kernel (a closed form for m = 2, the SVD otherwise), and the product scan
 u_i = polar(O_i) u_{i-1}; the smooth frames are G u.  This equals Löwdin
 transport of projected frames step by step, and the Wilson links of
 `z2` use the same kernel.  All the obstructions vanish for the families
@@ -36,20 +36,17 @@ def polar_unitary(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unitary polar factors of a stack (..., k, k) of matrices and their
     smallest singular values (...,).
 
-    k = 1 is z/|z|.  k = 2 is the Cayley-Hamilton closed form: with
+    k = 2 (every Kramers pair) is the Cayley-Hamilton closed form: with
     A = e^{i arg det M} adj(M)^dagger, M +- A = W diag(s1 +- s2, s2 +- s1) V^dagger
     for the SVD M = W diag(s1, s2) V^dagger, so U = (M + A) / (s1 + s2), unitary
     for any phase of a singular M, and |M -+ A|_F = sqrt(2) (s1 -+ s2) give
-    s_max without cancellation and s_min = |det M| / s_max.  Larger k use
+    s_max without cancellation and s_min = |det M| / s_max.  Other k use
     the SVD.  An all-zero block maps to the identity, as the SVD does.
     """
     k = m.shape[-1]
-    if k > 2:
+    if k != 2:
         u, s, vh = np.linalg.svd(m)
         return u @ vh, s[..., -1]
-    if k == 1:
-        r = np.abs(m)
-        return np.where(r > 0.0, m / np.where(r > 0.0, r, 1.0), 1.0), r[..., 0, 0]
     a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
     det = a * d - b * c
     adet = np.abs(det)

@@ -3,8 +3,9 @@
 Each helper must give bit for bit what its copies computed in place: the
 link-variable overlap of `berry.link_dets`, `_gauge.smoothness_report`,
 `UnitaryField.check_branch_safety` and `winding1d`; the F^dagger dF
-one-forms of the Chern-Simons and winding quadratures; and their signed
-sum over the 3! axis orderings.
+one-forms of the Chern-Simons and winding quadratures.  The winding's
+signed sum over the 3! axis orderings, which `_cubic_trace_sum` takes as
+two triple traces, must agree to rounding.
 """
 
 from itertools import permutations
@@ -14,8 +15,9 @@ import pytest
 
 from topoindex._stencil import central_diff, levi_civita_sum, neighbour_overlaps, one_forms
 from topoindex.berry import chern_simons_integral
-from topoindex.model import MomentumGrid
-from topoindex.windex import _cubic_trace_sum, degree_one_field
+from topoindex.model import MomentumGrid, builtin
+from topoindex.windex import UnitaryField, _cubic_trace_sum, degree_one_field
+from topoindex.z2 import sewing_field
 
 
 # --- reference expressions, as they stood in each module ---
@@ -117,9 +119,23 @@ def test_quadratures_match_the_inline_sums(sizes):
                   * ref_chern_simons_sum(a, steps)).real)
     assert chern_simons_integral(frames, grid) == want
 
+
+def _cs_index_field():
+    grid = MomentumGrid((12, 12, 12))
+    return UnitaryField(grid, sewing_field(builtin("fu-kane-mele-3d", m=-2.0), grid).smooth_w)
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda s=s, p=p: degree_one_field(MomentumGrid(s), p)
+      for s, p in [((8, 6, 8), 1), ((6, 8, 10), 1), ((12, 12, 12), -1),
+                   ((12, 12, 12), 2), ((12, 12, 12), -2)]],
+    _cs_index_field], ids=["power+1", "power+1-skew", "power-1", "power+2", "power-2",
+                           "cs-index"])
+def test_cubic_trace_sum_matches_the_six_orderings(make):
     # two triple traces in place of six orderings: equal up to rounding, on
     # the scale of the winding number
-    field = degree_one_field(grid)
+    field = make()
+    steps = tuple(2.0 * np.pi / s for s in field.grid.sizes)
     total, _ = _cubic_trace_sum(field)
     ref = ref_cubic_sum(ref_winding_forms(field.values, steps))
     assert abs(total - ref) * np.prod(steps) / (24.0 * np.pi ** 2) < 1e-12

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from topoindex._stencil import levi_civita_sum, one_forms
 from topoindex.errors import BranchUnsafe, NotUnitary, ResidueTooLarge
 from topoindex.model import MomentumGrid, _smoothstep, builtin
 from topoindex.windex import (
@@ -99,29 +98,6 @@ def test_winding3d_residue_shrinks_with_refinement():
     residues = [winding3d(degree_one_field(MomentumGrid((n, n, n))),
                           residue_tol=0.5).residue for n in (8, 16)]
     assert residues[1] < residues[0]
-
-
-def _six_ordering_winding(field):
-    """The winding3d value summed over all 3! orderings of the triple trace."""
-    steps = tuple(2.0 * np.pi / n for n in field.grid.sizes)
-    ls = one_forms(field.values, steps)
-    total = levi_civita_sum(
-        lambda a, b, c: np.sum(np.einsum("...ij,...jk,...ki->...", ls[a], ls[b], ls[c])))
-    return float((total * np.prod(steps) / (24.0 * np.pi ** 2)).real)
-
-
-def _cs_index_field():
-    grid = MomentumGrid((12, 12, 12))
-    return UnitaryField(grid, sewing_field(builtin("fu-kane-mele-3d", m=-2.0), grid).smooth_w)
-
-
-@pytest.mark.parametrize("make", [
-    *[lambda p=p: degree_one_field(MomentumGrid((12, 12, 12)), p) for p in (1, -1, 2, -2)],
-    _cs_index_field], ids=["power+1", "power-1", "power+2", "power-2", "cs-index"])
-def test_winding3d_two_traces_match_the_six_orderings(make):
-    field = make()
-    value = winding3d(field, residue_tol=0.5).value
-    assert abs(value - _six_ordering_winding(field)) < 1e-12
 
 
 def test_winding3d_inverse_map_flips_sign():
