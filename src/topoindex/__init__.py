@@ -20,7 +20,7 @@ from .berry import (
     polarization_p3,
 )
 from .ktable import AbelianGroupExpr
-from .linalg import EigenSystem, eigh, pfaffian
+from .linalg import eigh, pfaffian
 from .model import (
     BlochFamily,
     MomentumGrid,
@@ -34,7 +34,6 @@ from .model import (
     trim_points,
 )
 from .spectral import (
-    EffectiveHamiltonian,
     SpectralPath,
     edge_crossing_parity,
     mod2_analytical_index,
@@ -59,8 +58,6 @@ from .z2 import (
 __all__ = [
     "AbelianGroupExpr",
     "BlochFamily",
-    "EffectiveHamiltonian",
-    "EigenSystem",
     "MomentumGrid",
     "RibbonFamily",
     "SewingField",

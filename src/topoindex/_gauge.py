@@ -6,9 +6,11 @@ wrap-mismatch unitaries.  A line sweep works on m x m matrices only: it
 takes the link overlaps O_i = G_i^dagger G_{i-1} of the raw frames G of
 the whole field along one axis in one batch, their polar factors from one
 kernel (a closed form for m = 2, the SVD otherwise), and the product scan
-u_i = polar(O_i) u_{i-1}; the smooth frames are G u.  This equals Löwdin
-transport of projected frames step by step, and the Wilson links of
-`z2` use the same kernel.  All the obstructions vanish for the families
+u_i = polar(O_i) u_{i-1}.  A smooth gauge is returned as that m x m unitary
+field u, not as the smooth frames G u: the sewing matrices of `z2` are
+re-gauged by u, and only the Chern-Simons integral of `berry` forms G u.
+The transport equals Löwdin transport of projected frames step by step,
+and the Wilson links of `z2` use the same kernel.  All the obstructions vanish for the families
 handled here (every 2D slice Chern number is zero for time-reversal
 invariant models), so the construction either succeeds or fails loudly
 with GaugeConstructionFailed.
@@ -409,20 +411,21 @@ def _sweep_and_close(frames: np.ndarray, u0: np.ndarray) -> np.ndarray:
 
 
 def smooth_frames_2d(frames_raw: np.ndarray) -> np.ndarray:
-    """Smooth periodic gauge for a 2D frame field (N1, N2, n, m).
+    """Smooth periodic gauge u (N1, N2, m, m) of a 2D frame field G
+    (N1, N2, n, m): the frames G u are smooth and periodic.
 
     Requires the total occupied Chern number of the plane to vanish;
     otherwise the wrap mismatch has a winding determinant and the
     contraction fails loudly.
     """
-    return _mul(frames_raw, _sweep_and_close(frames_raw, circle_transport(frames_raw[:, 0])))
+    return _sweep_and_close(frames_raw, circle_transport(frames_raw[:, 0]))
 
 
 def smooth_frames_3d(frames_raw: np.ndarray) -> np.ndarray:
-    """Smooth periodic gauge for a 3D frame field (N1, N2, N3, n, m)."""
-    base = frames_raw[:, :, 0]
-    u0 = _dagger(base) @ smooth_frames_2d(base)
-    return _mul(frames_raw, _sweep_and_close(frames_raw, u0))
+    """Smooth periodic gauge u (N1, N2, N3, m, m) of a 3D frame field G
+    (N1, N2, N3, n, m), swept along axis 2 from the gauge of the k3 = 0
+    sheet."""
+    return _sweep_and_close(frames_raw, smooth_frames_2d(frames_raw[:, :, 0]))
 
 
 def smoothness_report(frames: np.ndarray) -> float:

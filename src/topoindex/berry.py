@@ -3,7 +3,8 @@
 Chern numbers come from gauge-invariant lattice link variables (exact
 integers on adequate grids); the magneto-electric polarization is the
 Chern-Simons integral of the non-abelian Berry connection evaluated in an
-explicitly constructed smooth periodic gauge.
+explicitly constructed smooth periodic gauge, a unitary field u that turns
+the frames G into the smooth frames G u.
 """
 
 from __future__ import annotations
@@ -191,14 +192,14 @@ def chern_simons_integral(frames: np.ndarray, grid: MomentumGrid) -> float:
     return float((-(1.0 / (8.0 * np.pi ** 2)) * cell * total).real)
 
 
-def smooth_occupied_frames(frame: OccupiedFrame) -> np.ndarray:
-    """The frame field re-gauged to be smooth and periodic.  A circle is
-    transported from k = 0 (grid index n // 2) and returned in grid order."""
+def smooth_gauge(frame: OccupiedFrame) -> np.ndarray:
+    """The unitary field u (*sizes, m, m) that makes the frames G u smooth
+    and periodic.  A circle is transported from k = 0 (grid index n // 2)
+    and returned in grid order."""
     if frame.grid.dim == 1:
         n = frame.grid.sizes[0]
         rows = (np.arange(n) + n // 2) % n
-        circle = frame.frames[rows]
-        return np.roll(circle @ circle_transport(circle), n // 2, axis=0)
+        return np.roll(circle_transport(frame.frames[rows]), n // 2, axis=0)
     if frame.grid.dim == 2:
         return smooth_frames_2d(frame.frames)
     if frame.grid.dim == 3:
@@ -214,7 +215,7 @@ def polarization_p3(frame: OccupiedFrame) -> float:
     """
     if frame.grid.dim != 3:
         raise InvalidParams("P3 is defined on 3D grids")
-    frames_s = smooth_occupied_frames(frame)
+    frames_s = frame.frames @ smooth_gauge(frame)
     rough = smoothness_report(frames_s)
     if rough > 1.5:
         raise GridTooCoarse(f"smooth gauge still varies by {rough:.2f} per step")
@@ -236,7 +237,7 @@ def delta_p3(frame: OccupiedFrame, gauge: np.ndarray) -> float:
     step = smoothness_report(g)
     if step > 1.9:
         raise GridTooCoarse(f"gauge map varies by {step:.2f} per grid step")
-    frames_s = smooth_occupied_frames(frame)
+    frames_s = frame.frames @ smooth_gauge(frame)
     dressed = np.einsum("...nm,...mk->...nk", frames_s, g)
     base = chern_simons_integral(frames_s, frame.grid)
     return chern_simons_integral(dressed, frame.grid) - base

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, ldexp
 
 import numpy as np
 
@@ -397,9 +397,13 @@ def _inverse_symbol_blocks(blocks: dict) -> dict:
     for r, bl in blocks.items():
         phase = np.exp(1j * (r[0] * k1 + r[1] * k2 + r[2] * k3))
         w += phase[..., None, None] * bl
-    smallest = float(np.min(np.abs(np.linalg.det(w))))
-    if smallest < 1e-6:
-        raise InvalidParams(f"symbol is numerically singular (|det| = {smallest:.2e})")
+    # |det w| < 1e-6, tested on w / 2^e with |w / 2^e| < 1: an exact scaling,
+    # the identity at |w| < 1, under which no determinant overflows
+    e = max(0, int(np.frexp(np.max(np.abs(w)))[1]))
+    smallest = float(np.min(np.abs(np.linalg.det(w * ldexp(1.0, -e)))))
+    if smallest < ldexp(1e-6, -2 * e):
+        raise InvalidParams(
+            f"symbol is numerically singular (|det| = {ldexp(smallest, 2 * e):.2e})")
     winv = np.linalg.inv(w)
     # c_r = (1/M^3) sum_k winv(k) e^{-i k.r}, which is fftn up to 1/M^3
     co = np.fft.fftn(winv, axes=(0, 1, 2)) / samples ** 3

@@ -46,33 +46,6 @@ def spectral_flow(path: SpectralPath, level: float = 0.0) -> int:
     return 0 if path.closed else int(below[0] - below[-1])
 
 
-# --- effective Hamiltonian ---
-
-@dataclass
-class EffectiveHamiltonian:
-    """Block off-diagonal pairing of H with its time-reversal image:
-    [[0, Theta H Theta*], [H, 0]]."""
-
-    model: BlochFamily
-
-    def evaluate(self, k) -> np.ndarray:
-        if self.model.time_reversal is None:
-            raise InvalidParams("effective Hamiltonian needs time reversal")
-        h = self.model.h(k)
-        u = self.model.time_reversal.unitary
-        n = h.shape[-1]
-        out = np.zeros(h.shape[:-2] + (2 * n, 2 * n), dtype=complex)
-        out[..., :n, n:] = u @ np.conj(h) @ u.conj().T
-        out[..., n:, :n] = h
-        return out
-
-    def adjoint_relation_deviation(self, grid: MomentumGrid) -> float:
-        """max over the grid of || Htilde(k)^dagger - Htilde(-k) ||."""
-        k = grid.points()
-        lhs = np.conj(np.swapaxes(self.evaluate(k), -1, -2))
-        return float(np.max(np.linalg.norm(lhs - self.evaluate(-k), axis=(-2, -1))))
-
-
 # --- edge-crossing parity ---
 
 def _ribbon_bulk_gap(ribbon: RibbonFamily) -> float:

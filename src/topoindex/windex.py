@@ -39,8 +39,10 @@ class UnitaryField:
         """Neighboring overlaps must stay within spectral distance 1.9 of
         the identity on every axis.  As |A|_2 <= |A|_F, only overlaps whose
         Frobenius distance is above 1.9 - 1e-9 (a rounding allowance) or
-        NaN get the exact ord=2 norm, an SVD per matrix; the first worst of
-        those is reported at its grid index."""
+        NaN get the exact ord=2 norm, an SVD per matrix.  The report names
+        the first link in C order within 1e-12 of the axis' worst distance:
+        time reversal pairs every link with an image of equal distance, so
+        the worst is a tie that rounding alone would break."""
         n = self.values.shape[-1]
         for axis in range(self.grid.dim):
             dev = neighbour_overlaps(self.values, axis) - np.eye(n)
@@ -48,7 +50,7 @@ class UnitaryField:
             rough = np.flatnonzero(~(frob <= BRANCH_SAFE_DISTANCE - 1e-9))
             dist = np.linalg.norm(dev.reshape(-1, n, n)[rough], ord=2, axis=(-2, -1))
             if rough.size and dist.max() > BRANCH_SAFE_DISTANCE:
-                worst = int(np.argmax(dist))
+                worst = int(np.flatnonzero(dist >= dist.max() - 1e-12)[0])
                 where = tuple(int(i) for i in np.unravel_index(rough[worst], frob.shape))
                 raise BranchUnsafe(where, f"(axis {axis}, distance {dist[worst]:.2f})")
 

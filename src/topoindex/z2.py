@@ -1,11 +1,12 @@
 """Kane-Mele invariant from the sewing matrix field.
 
 The invariant is the product over fixed points of pf(w)/sqrt(det w).  The
-square-root branch is fixed by re-gauging the occupied frames to be
-globally smooth and periodic, anchoring sqrt(det w) = pf(w) at the origin
-fixed point, and continuing the phase of det w along axis-aligned grid
-paths to every other fixed point.  Every branch step is checked; jumps
-beyond pi/2 abort loudly.
+square-root branch is fixed by re-gauging w by the smooth periodic gauge u
+of the occupied frames G, w -> u(-k)^dagger w(k) conj(u(k)) (the sewing
+matrices of the smooth frames G u, which are never formed), anchoring
+sqrt(det w) = pf(w) at the origin fixed point, and continuing the phase of
+det w along axis-aligned grid paths to every other fixed point.  Every
+branch step is checked; jumps beyond pi/2 abort loudly.
 
 An independent Wannier-center-flow oracle (Wilson-loop eigenphase
 tracking over half the zone) cross-checks every verdict.
@@ -18,11 +19,11 @@ from functools import cached_property
 
 import numpy as np
 
-from ._gauge import polar_unitary, smooth_frames_2d, unitary_eig
-from .berry import OccupiedFrame, gapped_hamiltonians, occupied_frame, smooth_occupied_frames
+from ._gauge import _dagger, _mul, polar_unitary, smooth_frames_2d, unitary_eig
+from .berry import OccupiedFrame, gapped_hamiltonians, occupied_frame, smooth_gauge
 from .errors import BranchTrackingFailed, InvalidParams, PfaffianNearZero
 from .linalg import PF_MIN, check_unitary, eigh, pfaffian
-from .model import BlochFamily, MomentumGrid, TimeReversal
+from .model import BlochFamily, MomentumGrid
 
 
 def _negate_field(arr: np.ndarray, ndim: int) -> np.ndarray:
@@ -38,6 +39,12 @@ def _sewing_matrices(frames: np.ndarray, theta_u: np.ndarray, ndim: int) -> np.n
     return np.einsum("...nm,...nk->...mk", np.conj(neg), tf)
 
 
+def _regauge(w: np.ndarray, u: np.ndarray, ndim: int) -> np.ndarray:
+    """u(-k)^dagger w(k) conj(u(k)): the sewing matrices of the frames G u,
+    from those of G and the gauge field u (*sizes, m, m)."""
+    return _mul(_dagger(_negate_field(u, ndim)), _mul(w, np.conj(u)))
+
+
 @dataclass
 class SewingField:
     """Sewing matrices on a grid plus the frames that produced them."""
@@ -45,18 +52,17 @@ class SewingField:
     grid: MomentumGrid
     w: np.ndarray
     frames: np.ndarray
-    theta: TimeReversal
     unitarity_deviation: float
     relation_deviation: float
     trim_skew_deviation: float
 
     @cached_property
     def smooth_w(self) -> np.ndarray:
-        """Sewing matrices in the smooth periodic gauge of the frames
-        (``berry.smooth_occupied_frames``), built once and shared by every
-        index and winding that reads them."""
-        smooth = smooth_occupied_frames(OccupiedFrame(self.grid, self.frames))
-        return _sewing_matrices(smooth, self.theta.unitary, self.grid.dim)
+        """``w`` re-gauged by the smooth periodic gauge of the frames
+        (``berry.smooth_gauge``), built once and shared by every index and
+        winding that reads it."""
+        return _regauge(self.w, smooth_gauge(OccupiedFrame(self.grid, self.frames)),
+                        self.grid.dim)
 
 
 def _sewing_deviations(w: np.ndarray, locate) -> tuple[float, float, float]:
@@ -79,7 +85,7 @@ def sewing_field(model: BlochFamily, grid: MomentumGrid,
     if frames is None:
         frames = occupied_frame(model, grid).frames
     w = _sewing_matrices(frames, model.time_reversal.unitary, grid.dim)
-    return SewingField(grid, w, frames, model.time_reversal, *_sewing_deviations(w, grid.point))
+    return SewingField(grid, w, frames, *_sewing_deviations(w, grid.point))
 
 
 # --- pf / sqrt(det w) along a tracked branch ---
@@ -124,9 +130,10 @@ def _fixed_point_sheets(cube: np.ndarray) -> list[np.ndarray]:
     return [cube[:, :, cube.shape[2] // 2], cube[:, :, 0], cube[0], cube[:, 0]]
 
 
-def _nu_sheet(frames2d: np.ndarray, theta_u: np.ndarray) -> int:
-    """Kane-Mele invariant of one 2D frame sheet, re-gauged smoothly."""
-    return _nu_smooth_sheet(_sewing_matrices(smooth_frames_2d(frames2d), theta_u, 2))
+def _nu_sheet(frames2d: np.ndarray, w: np.ndarray) -> int:
+    """Kane-Mele invariant of one 2D frame sheet from its sewing matrices w,
+    re-gauged by the sheet's smooth gauge."""
+    return _nu_smooth_sheet(_regauge(w, smooth_frames_2d(frames2d), 2))
 
 
 def _nu_smooth_sheet(w: np.ndarray) -> int:
@@ -176,9 +183,10 @@ def strong_and_weak_indices_3d(model: BlochFamily, grid: MomentumGrid) -> Z2Indi
         raise InvalidParams("Z2 indices need a time-reversal invariant model")
     u = model.time_reversal.unitary
     frames = [eigh(hs).vectors[..., : model.occupied] for hs in _fixed_point_sheets(h)]
-    nu_0, nu_pi, nu_1, nu_2 = (_nu_sheet(f, u) for f in frames)
-    deviations = [_sewing_deviations(_sewing_matrices(f, u, 2), ks.__getitem__)
-                  for f, ks in zip(frames, _fixed_point_sheets(grid.points()))]
+    ws = [_sewing_matrices(f, u, 2) for f in frames]
+    nu_0, nu_pi, nu_1, nu_2 = (_nu_sheet(f, w) for f, w in zip(frames, ws))
+    deviations = [_sewing_deviations(w, ks.__getitem__)
+                  for w, ks in zip(ws, _fixed_point_sheets(grid.points()))]
     return Z2Indices3D(nu_0 * nu_pi, (nu_1, nu_2, nu_pi), *map(max, zip(*deviations)))
 
 

@@ -2,6 +2,7 @@
 
 import json
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -534,6 +535,24 @@ def test_3d_commands_build_one_smooth_gauge(monkeypatch, command):
     assert sorted(calls) == ["smooth_frames_2d", "smooth_frames_3d"]
 
 
+@pytest.mark.parametrize("argv,count", [
+    (["z2-3d", "--model", "fu-kane-mele-3d", "--m", "-2.0", "--grid", "8"], 4),
+    (["cs-index", "--model", "fu-kane-mele-3d", "--m", "-4.0", "--grid", "10"], 1)])
+def test_sewing_matrices_are_built_once_per_frame_field(monkeypatch, argv, count):
+    # the smooth gauge re-gauges w; it never rebuilds it from smooth frames
+    from topoindex import z2
+
+    calls, original = [], z2._sewing_matrices
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(z2, "_sewing_matrices", counted)
+    code, _ = invariants(argv)
+    assert code == 0 and len(calls) == count
+
+
 @pytest.mark.parametrize("model,dim", [(["--model", "kitaev-chain"], 1),
                                        (["--model", "atomic-limit", "--dim", "1"], 1)])
 def test_audit_rejects_a_1d_model(model, dim):
@@ -670,7 +689,18 @@ def test_branch_unsafe_message_names_plain_grid_indices():
     assert code == 3
     assert inv["error"] == {
         "type": "BranchUnsafe",
-        "message": "unitary field varies too fast at (2, 2, 2) (axis 0, distance 1.97)"}
+        "message": "unitary field varies too fast at (1, 2, 2) (axis 0, distance 1.97)"}
+
+
+@pytest.mark.parametrize("mass", ["1e155", "1e200", "1e300", "-1e300", "1.7e308"])
+def test_nc_index_huge_mass_exits_2_without_warnings(mass):
+    # the singularity check scales the symbol so that no determinant overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, inv = invariants(["nc-index", "--mass", mass, "--cutoff", "2"])
+    assert code == 2 and inv["error"] == {
+        "type": "InvalidParams",
+        "message": "symbol too large: no inverse coefficient is above 1e-12"}
 
 
 def test_nc_index_and_sweep_fuzz_exit_codes():

@@ -1,10 +1,11 @@
 """The polar kernel and link-product transport against their references.
 
 `_gauge.polar_unitary` must agree with the SVD polar factor and smallest
-singular value, and stay unitary on singular blocks.  The smooth gauges of
-`berry.smooth_occupied_frames` must agree with the per-step Löwdin
-transport of projected frames kept below as the reference, and raise the
-same overlap guard.
+singular value, and stay unitary on singular blocks.  The smooth frames
+G u, for the gauge u of `berry.smooth_gauge`, must agree with the per-step
+Löwdin transport of projected frames kept below as the reference, and raise
+the same overlap guard.  The smooth sewing matrices, re-gauged by u, must
+agree with those rebuilt from the frames G u.
 """
 
 import warnings
@@ -13,9 +14,10 @@ import numpy as np
 import pytest
 
 from topoindex import _gauge
-from topoindex.berry import OccupiedFrame, occupied_frame, smooth_occupied_frames
+from topoindex.berry import OccupiedFrame, occupied_frame, smooth_gauge
 from topoindex.errors import GaugeConstructionFailed
 from topoindex.model import MomentumGrid, _smoothstep, builtin, direct_sum
+from topoindex.z2 import _sewing_matrices, sewing_field
 
 
 # --- reference: Löwdin transport of projected frames, one step at a time ---
@@ -154,8 +156,18 @@ FIELDS = {
 def test_smooth_frames_match_the_lowdin_reference(name):
     model, sizes = FIELDS[name]
     frame = occupied_frame(model, MomentumGrid(sizes))
-    got = smooth_occupied_frames(frame)
+    got = frame.frames @ smooth_gauge(frame)
     assert np.max(np.abs(got - ref_smooth_frames(frame.frames))) < 1e-10
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_smooth_sewing_matrices_match_those_of_the_smooth_frames(name):
+    model, sizes = FIELDS[name]
+    grid = MomentumGrid(sizes)
+    sf = sewing_field(model, grid)
+    smooth = sf.frames @ smooth_gauge(OccupiedFrame(grid, sf.frames))
+    rebuilt = _sewing_matrices(smooth, model.time_reversal.unitary, grid.dim)
+    assert np.max(np.abs(sf.smooth_w - rebuilt)) < 1e-12
 
 
 def _near_orthogonal_field(where):
@@ -174,7 +186,7 @@ def _near_orthogonal_field(where):
 def test_a_near_orthogonal_step_raises_like_the_reference(where):
     frames = _near_orthogonal_field(where)
     with pytest.raises(GaugeConstructionFailed, match=r"transport overlap .* below 1e-03") as got:
-        smooth_occupied_frames(OccupiedFrame(MomentumGrid((8, 8)), frames))
+        smooth_gauge(OccupiedFrame(MomentumGrid((8, 8)), frames))
     with pytest.raises(GaugeConstructionFailed) as ref:
         ref_smooth_frames(frames)
     assert str(got.value) == str(ref.value)
@@ -188,6 +200,6 @@ def test_gauge_is_stable_at_a_pi_holonomy():
     frames = occupied_frame(builtin("fu-kane-mele-3d", m=2.0), grid).frames
     phases = np.random.default_rng(3).normal(size=frames.shape[:-2])
     rephased = frames * np.exp(1e-12j * phases)[..., None, None]
-    a = smooth_occupied_frames(OccupiedFrame(grid, frames))
-    b = smooth_occupied_frames(OccupiedFrame(grid, rephased))
+    a = frames @ smooth_gauge(OccupiedFrame(grid, frames))
+    b = rephased @ smooth_gauge(OccupiedFrame(grid, rephased))
     assert np.max(np.abs(a - b)) < 1e-10

@@ -73,7 +73,7 @@ def svd_check_branch_safety(self):
         ahead = np.roll(self.values, -1, axis=axis)
         ov = np.einsum("...ij,...ik->...jk", np.conj(self.values), ahead)
         dist = np.linalg.norm(ov - np.eye(n), ord=2, axis=(-2, -1))
-        worst = int(np.argmax(dist))
+        worst = int(np.flatnonzero(dist.ravel() >= dist.max() - 1e-12)[0])
         if dist.flat[worst] > BRANCH_SAFE_DISTANCE:
             where = tuple(int(i) for i in np.unravel_index(worst, dist.shape))
             raise BranchUnsafe(where, f"(axis {axis}, distance {dist.flat[worst]:.2f})")

@@ -1,4 +1,4 @@
-"""Spectral flow, the effective Hamiltonian and edge-crossing parities."""
+"""Spectral flow and edge-crossing parities."""
 
 import tracemalloc
 import warnings
@@ -11,7 +11,6 @@ from topoindex import spectral
 from topoindex.errors import EdgeBandIsolationFailed, EndpointGapless, InvalidParams
 from topoindex.model import MomentumGrid, RibbonFamily, builtin, direct_sum, load_model, ribbonize
 from topoindex.spectral import (
-    EffectiveHamiltonian,
     SpectralPath,
     _ribbon_bulk_gap,
     _ribbon_sectors,
@@ -80,21 +79,6 @@ def test_flow_concatenation_additivity():
     p_a = sampled(lambda s: h(0.5 * s))
     p_b = sampled(lambda s: h(0.5 + 0.5 * s))
     assert spectral_flow(p_full) == spectral_flow(p_a) + spectral_flow(p_b) == 1
-
-
-def test_effective_hamiltonian_adjoint_relation():
-    km = builtin("kane-mele", t=1.0, lso=0.06, lv=0.1)
-    eh = EffectiveHamiltonian(km)
-    assert eh.adjoint_relation_deviation(MomentumGrid((6, 6))) < 1e-12
-
-
-def test_effective_hamiltonian_block_structure():
-    km = builtin("kane-mele")
-    eh = EffectiveHamiltonian(km)
-    h = eh.evaluate([0.3, -0.7])
-    assert np.allclose(h[:4, :4], 0.0)
-    assert np.allclose(h[4:, 4:], 0.0)
-    assert np.allclose(h[4:, :4], km.h([0.3, -0.7]))
 
 
 @pytest.mark.parametrize("params,expected", [

@@ -75,6 +75,26 @@ def test_winding1d_branch_safety():
         winding1d(field_from_map(grid, lambda k: _loop(k, 2)))
 
 
+def _phase_field(distances):
+    """A U(1) field on a circle whose link k has |u_k^* u_{k+1} - 1| = distances[k]
+    for every link but the wrap."""
+    steps = 2.0 * np.arcsin(np.asarray(distances) / 2.0)
+    phases = np.concatenate([[0.0], np.cumsum(steps[:-1])])
+    return UnitaryField(MomentumGrid((len(steps),)), np.exp(1j * phases)[:, None, None])
+
+
+@pytest.mark.parametrize("link", [1, 4])
+@pytest.mark.parametrize("eps", [-1e-15, 0.0, 1e-15])
+def test_branch_report_names_the_first_of_a_tie(link, eps):
+    # links 1 and 4 tie at distance 1.95; a 1e-15 change to either, which
+    # moves the argmax between them, still names the first in grid order
+    distances = [0.1, 1.95, 0.1, 0.1, 1.95, 0.1, 0.1, 0.1]
+    distances[link] += eps
+    with pytest.raises(BranchUnsafe) as exc:
+        _phase_field(distances).check_branch_safety()
+    assert str(exc.value) == "unitary field varies too fast at (1,) (axis 0, distance 1.95)"
+
+
 def test_unitary_field_rejects_non_unitary():
     grid = MomentumGrid((8,))
     with pytest.raises(NotUnitary):
