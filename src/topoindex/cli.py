@@ -267,7 +267,7 @@ def _cmd_nc_index(args, report):
                              "agree": bool(ti == pr.rounded)}
         return report
     co = nctorus.lattice_degree_one_coeffs(-2.0 if args.mass is None else args.mass)
-    # fields take 0.8 GB at 8
+    # fields take 0.54 GB at 8
     cutoff = _integer(8 if args.cutoff is None else args.cutoff, "--cutoff", 1, 8)
     pr = nctorus.nc_index_pairing_3d(co, cutoff, residue_tol=1.0)
     report.invariants = {"pairing_3d": pr.to_json()}

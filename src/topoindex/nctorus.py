@@ -21,6 +21,7 @@ from fractions import Fraction
 from math import gcd, ldexp
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParams, NumericallySingular, ResidueTooLarge
 from .model import SIGMA
@@ -280,12 +281,6 @@ def _dirac_phase_field(cutoff: int) -> np.ndarray:
     return f
 
 
-def _box_overlap(r, L: int) -> tuple[tuple, tuple]:
-    """Slices (dst, src) of the sites m and m - r that both lie in the box."""
-    return (tuple(slice(max(0, d), L + min(0, d)) for d in r),
-            tuple(slice(max(0, -d), L - max(0, d)) for d in r))
-
-
 def _hopping_fields(blocks: dict, inv_blocks: dict, cutoff: int):
     """Offset fields of A = w^{-1}[F, w] on the truncated mode cube.
 
@@ -293,81 +288,93 @@ def _hopping_fields(blocks: dict, inv_blocks: dict, cutoff: int):
     and composing with the constant inverse-symbol fields under hard
     truncation gives a_r(m) = sum_{r1 + e = r} [m - r1 in box]
     (F(m - r1) - F(m - r1 - e)) x (w^{-1}_{r1} w_e).  Returns the offsets
-    (n, 3) and the fields (n, L, L, L, 4, 4), spinor slot first.
-    """
+    (n, 3), the max of each |a_r| over the whole box (n,), and the fields on
+    their operator domains (m and m - r in the box), spinor slot first: C
+    order, offset after offset, in one (rows + 1, 4, 4) array whose last row
+    is zero."""
     L = 2 * cutoff + 1
-    f = _dirac_phase_field(cutoff)
-    diffs = np.repeat(f[None], len(blocks), axis=0)
-    for d, e in zip(diffs, blocks):
-        dst, src = _box_overlap(e, L)
-        d[dst] -= f[src]
-    sums = [np.add(r1, e) for r1 in inv_blocks for e in blocks]
-    offsets, slot = np.unique(sums, axis=0, return_inverse=True)
-    fields = np.zeros((len(offsets), L, L, L, 2, 2, 2, 2), dtype=complex)
-    for (r1, winv), targets in zip(inv_blocks.items(), slot.reshape(len(inv_blocks), -1)):
-        aux = np.stack([winv @ bl for bl in blocks.values()])
-        dst, src = _box_overlap(r1, L)
-        fields[(targets,) + dst] += (diffs[(slice(None),) + src][..., :, None, :, None]
-                                     * aux[:, None, None, None, None, :, None, :])
-    return offsets, fields.reshape(len(offsets), L, L, L, 4, 4)
+    offsets = np.unique([np.add(r1, e) for r1 in inv_blocks for e in blocks], axis=0)
+    # term q of a_r: window pad - r1 of diffs[q] is [m - r1 in box] (F - F(. - e_q))(m - r1)
+    r1 = offsets[:, None] - np.array(list(blocks))
+    pad = int(max(np.max(np.abs(r1)), np.max(np.abs(list(blocks)))))
+    f = np.pad(_dirac_phase_field(cutoff), [(pad, pad)] * 3 + [(0, 0)] * 2)
+    inside = np.pad(np.ones((L,) * 3), pad)[..., None, None]
+    diffs = np.stack([(f - np.roll(f, e, axis=(0, 1, 2))) * inside for e in blocks])
+    windows = np.moveaxis(sliding_window_view(diffs, (L, L, L), axis=(1, 2, 3)), (4, 5), (7, 8))
+    winv = np.zeros((2 * pad + 1,) * 3 + (2, 2), dtype=complex)  # zero where no coefficient sits
+    winv[tuple(np.add(list(inv_blocks), pad).T)] = list(inv_blocks.values())
+    aux = (winv[tuple(np.moveaxis(r1 + pad, -1, 0))]
+           @ np.stack(list(blocks.values()))).reshape(len(offsets), len(blocks), 4)
+    ok = (np.arange(L) >= offsets[..., None]) & (np.arange(L) < L + offsets[..., None])
+    fields = np.zeros((np.prod(ok.sum(axis=2), axis=1).sum() + 1, 4, 4), dtype=complex)
+    norms = np.empty(len(offsets))
+    row, batch = 0, max(1, 2048 // L ** 3)
+    for x in (slice(lo, lo + batch) for lo in range(0, len(offsets), batch)):
+        g = windows[(np.arange(len(blocks)),) + tuple(np.moveaxis(pad - r1[x], -1, 0))]
+        # full[(m, s, u), (t, v)] = sum_q diffs_q[s, u](m - r1) aux_q[t, v]
+        full = np.matmul(g.reshape(*g.shape[:2], -1).transpose(0, 2, 1), aux[x])
+        norms[x] = np.max(np.abs(full), axis=(1, 2))
+        dom = ok[x, 0, :, None, None] & ok[x, 1, None, :, None] & ok[x, 2, None, None, :]
+        block = full.reshape(len(g), -1, 2, 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+        fields[row:row + dom.sum()] = block[dom.reshape(len(g), -1)].reshape(-1, 4, 4)
+        row += dom.sum()
+    return offsets, norms, fields
 
 
-def _trace_of_triple(offsets: np.ndarray, fields: np.ndarray,
-                     prune: float = 1e-7) -> complex:
-    """Tr(A^3) for A_{m, m - r} = a_r(m), fields[i] = a_r for r = offsets[i].
+def _trace_of_triple(offsets: np.ndarray, norms: np.ndarray, fields: np.ndarray,
+                     L: int, prune: float = 1e-7) -> complex:
+    """Tr(A^3) for A_{m, m - r} = a_r(m) on an L^3 box, with the offsets,
+    whole-box norms and compact fields of _hopping_fields.
 
     Each closed triangle (r1, r2, r3 = -r1-r2) adds sum_m tr a_r1(m)
     a_r2(m - r1) a_r3(m + r3) over its own box, where all three hops stay in
     the truncation; triangles whose norm product is negligible at working
     precision are pruned (fields below 1e-14 always are).  Cyclic rotations
     touch the same sites, so one per orbit is summed with weight 3 (1 for
-    r1 = r2 = r3): the one whose first hop leaves the fewest sites.  These
-    are grouped by r1 and contracted over the sites m, m - r1 in the box,
-    one matmul of inner dimension b |r2| per m; the third factor is
-    weighted by 0 where m + r3 leaves the box.
-    """
-    n, L, b = len(offsets), fields.shape[1], fields.shape[-1]
-    sites = L ** 3
-    flat = fields.reshape(n * sites, b, b)
-    norms = np.array([np.max(np.abs(x)) for x in fields])
+    r1 = r2 = r3 = 0): the one whose first hop leaves the fewest sites.  The
+    partners of each r1, found by looking up r3, are contracted over the
+    domain of a_r1, one matmul of inner dimension b |r2| per m; a third site
+    m + r3 outside the box reads the zero row."""
+    b = fields.shape[-1]
+    floor = prune * np.max(norms) ** 3
+    shape = np.maximum(L - np.abs(offsets), 0)
+    # an offset that leaves no site in the box has no rows and closes no triangle
+    offsets, norms, shape = (x[np.all(shape > 0, axis=1)] for x in (offsets, norms, shape))
+    room = np.prod(shape, axis=1)
+    starts = np.cumsum(room) - room
+    n = len(offsets)
+    strides = np.stack([shape[:, 1] * shape[:, 2], shape[:, 2], np.ones_like(room)], axis=1)
 
     # closed triangles, via integer codes that add like the offsets
-    radix = 4 * int(np.max(np.abs(offsets))) + 1
+    radix = 4 * int(np.max(np.abs(offsets), initial=0)) + 1
     codes = offsets @ np.array([radix * radix, radix, 1])
+    mid = radix ** 3 // 2
     lookup = np.full(radix ** 3, -1)
-    lookup[codes + radix ** 3 // 2] = np.arange(n)
-    k = lookup[radix ** 3 // 2 - codes[:, None] - codes[None, :]]
-    i, j = np.nonzero(k >= 0)
-    k = k[i, j]
-    room = np.prod(L - np.abs(offsets), axis=1)
-    order = [((room[x] * n + x) * n + y) * n + z for x, y, z in ((i, j, k), (j, k, i), (k, i, j))]
-    fixed = (i == j) & (j == k)
-    short = np.max(np.abs(offsets), axis=1) < L  # else no box holds the hop
-    keep = ((norms[i] * norms[j] * norms[k] >= prune * np.max(norms) ** 3)
-            & short[i] & short[j] & short[k]
-            & (fixed | ((order[0] < order[1]) & (order[0] < order[2]))))
-    i, j, k, weight = i[keep], j[keep], k[keep], np.where(fixed, 1.0, 3.0)[keep]
-
-    strides = np.array([L * L, L, 1])
-    total = 0.0 + 0.0j
-    starts = np.unique(i, return_index=True)[1]  # nonzero keeps i sorted
-    for lo, hi in zip(starts, np.append(starts[1:], len(i))):
-        p = i[lo]
-        r1, r2s, r3s, w = offsets[p], j[lo:hi], offsets[k[lo:hi]], weight[lo:hi]
-        base3 = k[lo:hi] * sites + r3s @ strides
-        m = np.indices(L - np.abs(r1)).reshape(3, -1).T + np.maximum(0, r1)
-        mflat = m @ strides
-        step = max(1, 4096 // len(r2s))  # gathered factors of about 1 MB each
-        for c in range(0, len(m), step):
-            mc, mf = m[c:c + step], mflat[c:c + step]
-            y = mc[:, None, :] + r3s[None]
-            inside = np.all((y >= 0) & (y < L), axis=2)
-            third = np.take(flat, np.where(inside, mf[:, None] + base3, 0), axis=0)
-            third *= (inside * w)[:, :, None, None]
-            second = np.take(flat, (mf - r1 @ strides)[:, None] + r2s * sites, axis=0)
-            row = np.ascontiguousarray(second.transpose(0, 2, 1, 3))
-            pair = np.matmul(row.reshape(len(mf), b, -1), third.reshape(len(mf), -1, b))
-            total += np.einsum("sij,sji->", np.take(flat, p * sites + mf, axis=0), pair)
+    lookup[codes + mid] = np.arange(n)
+    key = (room * n + np.arange(n)) * n  # rotations compare by (room, index) of the first hop
+    z = lookup[mid]  # r1 = r2 = r3 = 0, an orbit of one
+    a = fields[starts[z]:][:room[z]] if z >= 0 and norms[z] ** 3 >= floor else fields[:0]
+    total = complex(np.einsum("sij,sjk,ski->", a, a, a))
+    for i in range(n):
+        j, k = np.arange(n), lookup[mid - codes[i] - codes]
+        order = (key[i] + j) * n + k
+        j = np.flatnonzero((k >= 0) & (norms[i] * norms * norms[k] >= floor)
+                           & (order < (key + k) * n + i) & (order < (key[k] + i) * n + j))
+        k = k[j]
+        # u: coordinates of m - r1 | m + r3 in the domains of a_r2 | a_r3, for m in that of a_r1
+        t = np.concatenate([j, k])
+        u = np.maximum(0, offsets[i])[:, None, None] + np.arange(L)[:, None] + np.concatenate(
+            [-np.maximum(0, offsets[j]) - offsets[i], np.minimum(0, offsets[k])]).T[:, None]
+        part = np.where(u.view(np.uint64) < shape.T[:, None, t].astype(np.uint64),
+                        u * strides.T[:, None, t], len(fields) - 1)
+        pairs = (starts[t] + part[0, :shape[i, 0], None, None] + part[1, None, :shape[i, 1], None]
+                 + part[2, None, None, :shape[i, 2]]).reshape(room[i], len(t))
+        step = 1024 // max(1, len(j))  # gathered factors of 256 kB each
+        for c in range(0, room[i], step):
+            both = np.take(fields, pairs[c:c + step], axis=0, mode="clip")
+            row = np.ascontiguousarray(both[:, :len(j)].transpose(0, 2, 1, 3))
+            pair = row.reshape(len(both), b, -1) @ both[:, len(j):].reshape(len(both), -1, b)
+            total += 3.0 * np.einsum("sij,sji->", fields[starts[i] + c:][:len(both)], pair)
     return complex(total)
 
 
@@ -391,24 +398,26 @@ def _inverse_symbol_blocks(blocks: dict) -> dict:
     values on a 32^3 mesh, truncated at offsets |r_i| <= 3; the symbol
     must be invertible everywhere."""
     samples, band_limit = 32, 3
-    ks = 2.0 * np.pi * np.arange(samples) / samples
-    k1, k2, k3 = np.meshgrid(ks, ks, ks, indexing="ij")
-    w = np.zeros((samples, samples, samples, 2, 2), dtype=complex)
-    for r, bl in blocks.items():
-        phase = np.exp(1j * (r[0] * k1 + r[1] * k2 + r[2] * k3))
-        w += phase[..., None, None] * bl
-    # |det w| < 1e-6, tested on w / 2^e with |w / 2^e| < 1: an exact scaling,
-    # the identity at |w| < 1, under which no determinant overflows
+    w = np.zeros((samples,) * 3 + (2, 2), dtype=complex)
+    np.add.at(w, tuple(np.mod(list(blocks), samples).T), list(blocks.values()))
+    # w(k) = sum_r w_r e^{i k.r}, an unnormalised inverse FFT; |det w| < 1e-6 is tested on
+    # w / 2^e < 1, an exact scaling (none at |w| < 1) under which no determinant overflows
+    w = np.fft.ifftn(w, axes=(0, 1, 2), norm="forward")
     e = max(0, int(np.frexp(np.max(np.abs(w)))[1]))
-    smallest = float(np.min(np.abs(np.linalg.det(w * ldexp(1.0, -e)))))
+    w *= ldexp(1.0, -e)
+    det = w[..., 0, 0] * w[..., 1, 1] - w[..., 0, 1] * w[..., 1, 0]
+    smallest = float(np.min(np.abs(det)))
     if smallest < ldexp(1e-6, -2 * e):
         raise InvalidParams(
             f"symbol is numerically singular (|det| = {ldexp(smallest, 2 * e):.2e})")
-    winv = np.linalg.inv(w)
-    # c_r = (1/M^3) sum_k winv(k) e^{-i k.r}, which is fftn up to 1/M^3
-    co = np.fft.fftn(winv, axes=(0, 1, 2)) / samples ** 3
+    # w^{-1} = adj(w) / det, in place, with the scaling undone
+    w[..., [0, 1], [0, 1]] = w[..., [1, 0], [1, 0]]
+    w[..., [0, 1], [1, 0]] *= -1.0
+    w *= (ldexp(1.0, -e) / det)[..., None, None]
+    # c_r = (1/M^3) sum_k winv(k) e^{-i k.r}
+    co = np.fft.fftn(w, axes=(0, 1, 2), norm="forward")
     span = range(-band_limit, band_limit + 1)
-    out = {r: co[tuple(np.mod(r, samples))] for r in itertools.product(span, span, span)}
+    out = {r: co[tuple(np.mod(r, samples))].copy() for r in itertools.product(span, span, span)}
     out = {r: bl for r, bl in out.items() if float(np.max(np.abs(bl))) > 1e-12}
     if not out:
         raise InvalidParams("symbol too large: no inverse coefficient is above 1e-12")
@@ -430,7 +439,8 @@ def nc_index_pairing_3d(coeffs: dict, cutoff: int,
     blocks, band = _blocks_3d(coeffs)
     if band * 4 > max(4, cutoff):
         raise InvalidParams("symbol support must stay within cutoff/4")
-    raw = _trace_of_triple(*_hopping_fields(blocks, _inverse_symbol_blocks(blocks), cutoff))
+    raw = _trace_of_triple(*_hopping_fields(blocks, _inverse_symbol_blocks(blocks), cutoff),
+                          2 * cutoff + 1)
     calibrated = -float(raw.real) / 8.0
     rounded = int(np.rint(calibrated))
     residue = abs(calibrated - rounded)

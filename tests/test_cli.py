@@ -692,15 +692,27 @@ def test_branch_unsafe_message_names_plain_grid_indices():
         "message": "unitary field varies too fast at (1, 2, 2) (axis 0, distance 1.97)"}
 
 
-@pytest.mark.parametrize("mass", ["1e155", "1e200", "1e300", "-1e300", "1.7e308"])
+@pytest.mark.parametrize("mass", ["1e155", "1e200", "1e300", "-1e300", "1.7e308", "-1e308"])
 def test_nc_index_huge_mass_exits_2_without_warnings(mass):
-    # the singularity check scales the symbol so that no determinant overflows
+    # the singularity check and the closed-form inverse scale the symbol so
+    # that no determinant overflows
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, inv = invariants(["nc-index", "--mass", mass, "--cutoff", "2"])
     assert code == 2 and inv["error"] == {
         "type": "InvalidParams",
         "message": "symbol too large: no inverse coefficient is above 1e-12"}
+
+
+def test_nc_index_near_singular_and_tiny_mass_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, inv = invariants(["nc-index", "--mass", "2.9999999", "--cutoff", "2"])
+        assert code == 2 and inv["error"] == {
+            "type": "InvalidParams",
+            "message": "symbol is numerically singular (|det| = 1.00e-14)"}
+        code, inv = invariants(["nc-index", "--mass", "1e-300", "--cutoff", "2"])
+        assert code == 0 and inv["pairing_3d"]["rounded"] == -2
 
 
 def test_nc_index_and_sweep_fuzz_exit_codes():

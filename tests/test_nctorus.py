@@ -1,5 +1,6 @@
 """Noncommutative torus algebra and truncated index pairings."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -305,11 +306,18 @@ def test_pairing_3d_degree_one_symbol():
 
 def test_trace_of_triple_matches_dense_operator():
     # A_{m, m - r} = a_r(m) on a 3^3 box, assembled densely; offsets of
-    # length 2 leave some triangles with partial or empty boxes
+    # length 2 leave some triangles with partial or empty boxes, two added
+    # triangles of three distinct hops have sites whose third hop leaves the
+    # box, and the offsets of length 3 and 4 have no site in the box at all.
+    # The random fields fill the whole box, also the sites where m - r leaves
+    # it: the dense operator never holds those, the compact layout drops
+    # them, and only the norms read them
     rng = np.random.default_rng(11)
     L, b = 3, 3
     offsets = np.unique(rng.integers(-2, 3, size=(14, 3)), axis=0)
-    offsets = np.unique(np.vstack([offsets, -offsets[:4], [[0, 0, 0]]]), axis=0)
+    triangles = [[2, -1, 0], [-1, 2, 0], [-1, -1, 0], [1, 1, -2], [-2, 0, 1], [1, -1, 1]]
+    offsets = np.unique(np.vstack([offsets, -offsets[:4], triangles,
+                                   [[0, 0, 0], [3, 0, 0], [0, -4, 1]]]), axis=0)
     fields = (rng.normal(size=(len(offsets), L, L, L, b, b))
               + 1j * rng.normal(size=(len(offsets), L, L, L, b, b)))
     sites = [tuple(s) for s in np.ndindex(L, L, L)]
@@ -320,7 +328,24 @@ def test_trace_of_triple_matches_dense_operator():
             if len(hits):
                 dense[row * b:(row + 1) * b, col * b:(col + 1) * b] = fields[hits[0]][m]
     expected = np.trace(dense @ dense @ dense)
-    assert abs(_trace_of_triple(offsets, fields, prune=0.0) - expected) < 1e-9 * abs(expected)
+    domains = [tuple(slice(max(0, d), max(0, L + min(0, d))) for d in r) for r in offsets]
+    compact = np.concatenate([x[dom].reshape(-1, b, b) for x, dom in zip(fields, domains)]
+                             + [np.zeros((1, b, b))])
+    norms = np.max(np.abs(fields), axis=(1, 2, 3, 4, 5))
+    got = _trace_of_triple(offsets, norms, compact, L, prune=0.0)
+    assert abs(got - expected) < 1e-9 * abs(expected)
+
+
+def test_pairing_3d_heap_peak():
+    # fields kept only on their operator domains, triangles found per first
+    # hop: about 7 MB at cutoff 2, where the full-box field stack took 31 MB
+    tracemalloc.start()
+    try:
+        nc_index_pairing_3d(lattice_degree_one_coeffs(-2.0), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20
 
 
 # Raw 3D traces Tr[(w^{-1}[F, w])^3] of the degree-one lattice symbol, recorded
