@@ -19,6 +19,10 @@ Rank-2 blocks (the generic Kramers case) are contracted through the
 quaternion 3-sphere; rank-1 through the circle.  Higher ranks are only
 supported when the mismatch loop is close to constant, which covers
 atomic-limit-like inputs.
+
+`smooth_frames_2d` gauges a stack of sheets on leading axes in one pass,
+each exactly as it is gauged alone; a guard fires if any sheet fails it, so
+a caller that must name the first failing sheet replays them one by one.
 """
 
 from __future__ import annotations
@@ -125,8 +129,8 @@ def transport(frames: np.ndarray, u0: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def circle_transport(frames: np.ndarray) -> np.ndarray:
-    """Smooth gauge u (N, m, m) around one circle of frames (N, n, m) by
-    transport from frames[0]; the smooth frames are frames @ u.
+    """Smooth gauge u (..., N, m, m) of each circle of frames (..., N, n, m),
+    transported from its first frame: the smooth frames are frames @ u.
 
     The loop holonomy is spread as Hol^{-t/N} so the gauge closes
     periodically; the eigenphase branch is immaterial for the invariants
@@ -134,42 +138,46 @@ def circle_transport(frames: np.ndarray) -> np.ndarray:
     in (-pi + 1e-8, pi + 1e-8], so a Kramers pair with holonomy -1, whose
     phases rounding splits into +-pi, spreads as a scalar whatever its basis.
     """
-    n_pts, m = frames.shape[0], frames.shape[-1]
+    n_pts, m = frames.shape[-3], frames.shape[-1]
     u, mismatch = transport(frames, np.eye(m, dtype=complex))
-    angles, q = unitary_eig(mismatch)
+    angles, q = np.empty(mismatch.shape[:-1]), np.empty(mismatch.shape, dtype=complex)
+    for idx in np.ndindex(mismatch.shape[:-2]):
+        angles[idx], q[idx] = unitary_eig(mismatch[idx])
     angles = np.where(angles <= -np.pi + 1e-8, angles + 2.0 * np.pi, angles)
-    spread = np.exp(-1j * np.outer(np.arange(n_pts), angles) / n_pts)
-    return u @ (q * spread[:, None, :]) @ np.conj(q).T
+    spread = np.exp(-1j * (np.arange(n_pts)[:, None] * angles[..., None, :]) / n_pts)
+    return u @ (q[..., None, :, :] * spread[..., None, :]) @ _dagger(q)[..., None, :, :]
 
 
 # --- null homotopies of wrap mismatches ---
 
 def _unwrap_1d(z: np.ndarray, label: str) -> np.ndarray:
-    """Continuous periodic phase of a winding-zero circle of unit complex
-    numbers."""
-    steps = np.angle(z / np.roll(z, 1))
-    if np.max(np.abs(steps)) > 2.5:
-        raise GaugeConstructionFailed(f"{label}: phase steps too large to unwrap")
-    total = float(np.sum(steps))
-    if abs(total) > np.pi:
-        raise GaugeConstructionFailed(
-            f"{label}: determinant winding {total / (2 * np.pi):+.2f} is nonzero")
-    phi = np.angle(z[0]) + np.concatenate([[0.0], np.cumsum(steps[1:])])
-    phi -= total * np.arange(len(z)) / len(z)  # remove the float closure defect
+    """Continuous periodic phase of each winding-zero circle (..., N) of
+    unit complex numbers.  The first failing circle in C order raises, its
+    flat index formatted into ``label``."""
+    steps = np.angle(z / np.roll(z, 1, axis=-1))
+    large, total = np.max(np.abs(steps), axis=-1) > 2.5, np.sum(steps, axis=-1)
+    bad = np.flatnonzero(large | (np.abs(total) > np.pi))
+    if bad.size:
+        i = bad[0]
+        detail = ("phase steps too large to unwrap" if large.flat[i] else
+                  f"determinant winding {total.flat[i] / (2 * np.pi):+.2f} is nonzero")
+        raise GaugeConstructionFailed(f"{label.format(i)}: {detail}")
+    phi = np.angle(z[..., :1]) + np.concatenate(
+        [np.zeros(z.shape[:-1] + (1,)), np.cumsum(steps[..., 1:], axis=-1)], axis=-1)
+    phi -= total[..., None] * np.arange(z.shape[-1]) / z.shape[-1]  # the float closure defect
     return phi
 
 
-def _unwrap(z: np.ndarray, label: str) -> np.ndarray:
-    """Continuous periodic phase on a circle or torus of parameters."""
-    if z.ndim == 1:
+def _unwrap(z: np.ndarray, label: str, batch: int = 0) -> np.ndarray:
+    """Continuous periodic phase on a circle or torus of parameters after
+    ``batch`` leading axes of z."""
+    if z.ndim - batch == 1:
         return _unwrap_1d(z, label)
-    if z.ndim == 2:
-        phi = np.empty(z.shape)
-        phi[:, 0] = _unwrap_1d(z[:, 0], label + " (edge)")
-        for i in range(z.shape[0]):
-            col = _unwrap_1d(z[i, :] / z[i, 0], label + f" (column {i})")
-            phi[i, :] = phi[i, 0] + col - col[0]
-        jumps = np.abs(phi - np.roll(phi, 1, axis=0))
+    if z.ndim - batch == 2:
+        edge = _unwrap_1d(z[..., 0], label + " (edge)")
+        col = _unwrap_1d(z / z[..., :1], label + " (column {})")
+        phi = edge[..., None] + col - col[..., :1]
+        jumps = np.abs(phi - np.roll(phi, 1, axis=-2))
         if np.max(jumps) > 2.5:
             raise GaugeConstructionFailed(f"{label}: unwrapped sheet is discontinuous")
         return phi
@@ -351,30 +359,35 @@ class _GeneralContraction:
 
 class LoopContraction:
     """Explicit homotopy H(t) with H(0) = I and H(1) = V for a periodic
-    unitary family V over a circle or torus with zero det windings."""
+    unitary family V over a circle or torus with zero det windings, or for
+    a stack of such families on ``batch`` leading axes of V."""
 
-    def __init__(self, v: np.ndarray):
+    def __init__(self, v: np.ndarray, batch: int = 0):
         v = np.asarray(v, dtype=complex)
         self.shape = v.shape
         self.m = v.shape[-1]
         self.v = v
+        sheets = v.shape[:batch]
         if self.m == 1:
-            self.phi = _unwrap(v[..., 0, 0], "rank-1 mismatch")
+            self.phi = _unwrap(v[..., 0, 0], "rank-1 mismatch", batch)
             self.mode = "phase"
         elif self.m == 2:
             det = np.linalg.det(v)
-            self.phi = _unwrap(det, "rank-2 mismatch determinant")
+            self.phi = _unwrap(det, "rank-2 mismatch determinant", batch)
             su2 = v * np.exp(-0.5j * self.phi)[..., None, None]
             self.q = _su2_to_quat(su2)
             residual = np.max(np.abs(_quat_to_su2(self.q) - su2))
             if residual > 1e-8:
                 raise GaugeConstructionFailed(
                     f"mismatch not special-unitary after det removal ({residual:.2e})")
-            self.rho, self.basepoint_margin = _pick_basepoint(self.q, "quaternion")
+            picks = [_pick_basepoint(self.q[i], "quaternion") for i in np.ndindex(sheets)]
+            params = (1,) * (v.ndim - 2 - batch)
+            self.rho = np.reshape([c for c, _ in picks], sheets + params + (4,))
+            self.basepoint_margin = min(margin for _, margin in picks)   # the stack's worst
             self.identity_q = np.array([1.0, 0.0, 0.0, 0.0])
             self.mode = "quaternion"
         else:
-            self.general = _GeneralContraction(v)
+            self.general = [_GeneralContraction(v[idx]) for idx in np.ndindex(sheets)]
             self.mode = "general"
 
     def at(self, t: float) -> np.ndarray:
@@ -395,30 +408,32 @@ class LoopContraction:
                 rho = np.broadcast_to(self.rho, self.q.shape)
                 q = _chord(rho, self.q, 2.0 * t - 1.0)
             return _quat_to_su2(q) * np.exp(0.5j * t * self.phi)[..., None, None]
-        return self.general.at(t)
+        return np.stack([g.at(t) for g in self.general]).reshape(self.shape)
 
 
-def _sweep_and_close(frames: np.ndarray, u0: np.ndarray) -> np.ndarray:
-    """The gauge u of `frames` transported from G_0 u0 along the last grid
-    axis, with the contraction of the wrap mismatch spread over that axis
-    so the gauge closes periodically."""
+def _sweep_and_close(frames: np.ndarray, u0: np.ndarray, batch: int = 0) -> np.ndarray:
+    """The gauge u of `frames` (``batch`` leading axes of independent fields)
+    transported from G_0 u0 along the last grid axis, with the contraction of
+    the wrap mismatch spread over that axis so the gauge closes periodically."""
     n = frames.shape[-3]
     u, mismatch = transport(frames, u0)
-    homotopy = LoopContraction(_dagger(mismatch))
+    homotopy = LoopContraction(_dagger(mismatch), batch)
     for i in range(n):
         u[..., i, :, :] = _mul(u[..., i, :, :], homotopy.at(_smoothstep(i / n)))
     return u
 
 
 def smooth_frames_2d(frames_raw: np.ndarray) -> np.ndarray:
-    """Smooth periodic gauge u (N1, N2, m, m) of a 2D frame field G
-    (N1, N2, n, m): the frames G u are smooth and periodic.
+    """Smooth periodic gauge u (*sheets, N1, N2, m, m) of a 2D frame field
+    G (*sheets, N1, N2, n, m), each sheet gauged on its own: the frames G u
+    are smooth and periodic.
 
-    Requires the total occupied Chern number of the plane to vanish;
+    Requires the total occupied Chern number of each sheet to vanish;
     otherwise the wrap mismatch has a winding determinant and the
     contraction fails loudly.
     """
-    return _sweep_and_close(frames_raw, circle_transport(frames_raw[:, 0]))
+    return _sweep_and_close(frames_raw, circle_transport(frames_raw[..., 0, :, :]),
+                            frames_raw.ndim - 4)
 
 
 def smooth_frames_3d(frames_raw: np.ndarray) -> np.ndarray:

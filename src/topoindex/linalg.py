@@ -6,6 +6,7 @@ of a skew-symmetric matrix (Parlett-Reid tridiagonalization with pivoting).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import ldexp
 
 import numpy as np
 
@@ -16,8 +17,11 @@ PF_MIN = 1e-6  # |pf| at or below this is an accidental gap closing at a fixed p
 
 
 def _tol(a: np.ndarray):
-    """STRUCT_TOL * max(1, |a|_F), per matrix of a stack (..., n, n)."""
-    return STRUCT_TOL * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
+    """STRUCT_TOL * max(1, |a|_F), per matrix of a stack (..., n, n); from
+    max |a| >= 2^480 on, through the exact scaling a / 2^e: no square overflows."""
+    e = max(0, int(np.frexp(np.abs(a).max(initial=0.0))[1]) - 480)
+    a = a * ldexp(1.0, -e) if e else a
+    return STRUCT_TOL * np.maximum(ldexp(1.0, -e), np.linalg.norm(a, axis=(-2, -1))) * ldexp(1.0, e)
 
 
 def hermitian_deviation(a: np.ndarray):

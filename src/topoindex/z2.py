@@ -16,19 +16,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
 from ._gauge import _dagger, _mul, polar_unitary, smooth_frames_2d, unitary_eig
 from .berry import OccupiedFrame, gapped_hamiltonians, occupied_frame, smooth_gauge
-from .errors import BranchTrackingFailed, InvalidParams, PfaffianNearZero
-from .linalg import PF_MIN, check_unitary, eigh, pfaffian
+from .errors import BranchTrackingFailed, GaugeConstructionFailed, InvalidParams, PfaffianNearZero
+from .linalg import PF_MIN, check_unitary, eigh, pfaffian, unitary_deviation
 from .model import BlochFamily, MomentumGrid
 
 
 def _negate_field(arr: np.ndarray, ndim: int) -> np.ndarray:
-    """Value at -k for a grid field: index m goes to (-m) mod n on each axis."""
-    axes = tuple(range(ndim))
+    """Value at -k for a grid field (..., *sizes, a, b) with ``ndim`` grid
+    axes before its two matrix axes: index m goes to (-m) mod n on each."""
+    axes = tuple(range(arr.ndim - 2 - ndim, arr.ndim - 2))
     return np.roll(np.flip(arr, axes), 1, axes)
 
 
@@ -41,7 +43,7 @@ def _sewing_matrices(frames: np.ndarray, theta_u: np.ndarray, ndim: int) -> np.n
 
 def _regauge(w: np.ndarray, u: np.ndarray, ndim: int) -> np.ndarray:
     """u(-k)^dagger w(k) conj(u(k)): the sewing matrices of the frames G u,
-    from those of G and the gauge field u (*sizes, m, m)."""
+    from those of G and the gauge field u (..., *sizes, m, m)."""
     return _mul(_dagger(_negate_field(u, ndim)), _mul(w, np.conj(u)))
 
 
@@ -65,16 +67,21 @@ class SewingField:
                         self.grid.dim)
 
 
-def _sewing_deviations(w: np.ndarray, locate) -> tuple[float, float, float]:
-    """Unitarity (NotUnitary names the worst matrix by locate(index)), the
-    relation w(-k) = -w(k)^T and fixed-point skewness of w (*sizes, m, m)."""
-    ndim = w.ndim - 2
-    unit_dev = check_unitary(w, locate=locate)
+def _sewing_deviations(w: np.ndarray, locates) -> tuple[float, float, float]:
+    """Unitarity, the relation w(-k) = -w(k)^T and fixed-point skewness of
+    a stack of sewing fields w (fields, *sizes, m, m), each the largest over
+    the stack.  NotUnitary names the worst matrix of the first non-unitary
+    field f by locates[f](index)."""
+    ndim = w.ndim - 3
+    unit_dev = unitary_deviation(w)
+    for f, dev in enumerate(unit_dev):
+        if not np.max(dev) <= 1e-8:
+            check_unitary(w[f], locate=locates[f])
     w_neg = _negate_field(w, ndim)
     rel_dev = float(np.max(np.linalg.norm(w_neg + np.swapaxes(w, -1, -2), axis=(-2, -1))))
-    trim_dev = max(float(np.linalg.norm(w[idx] + w[idx].T))
-                   for idx in MomentumGrid(w.shape[:ndim]).trim_indices())
-    return unit_dev, rel_dev, trim_dev
+    trim_dev = max(float(np.linalg.norm(x[idx] + x[idx].T))
+                   for x in w for idx in MomentumGrid(w.shape[1:ndim + 1]).trim_indices())
+    return float(np.max(unit_dev)), rel_dev, trim_dev
 
 
 def sewing_field(model: BlochFamily, grid: MomentumGrid,
@@ -85,7 +92,7 @@ def sewing_field(model: BlochFamily, grid: MomentumGrid,
     if frames is None:
         frames = occupied_frame(model, grid).frames
     w = _sewing_matrices(frames, model.time_reversal.unitary, grid.dim)
-    return SewingField(grid, w, frames, *_sewing_deviations(w, grid.point))
+    return SewingField(grid, w, frames, *_sewing_deviations(w[None], [grid.point]))
 
 
 # --- pf / sqrt(det w) along a tracked branch ---
@@ -125,15 +132,11 @@ def _pf_walk(w: np.ndarray, anchor: tuple[int, ...], legs: list[tuple[int, int]]
 
 
 def _fixed_point_sheets(cube: np.ndarray) -> list[np.ndarray]:
-    """The planes k3 = 0, k3 = pi, k1 = pi and k2 = pi of a 3D grid field: they
-    hold the eight fixed points, and each is closed under k -> -k."""
-    return [cube[:, :, cube.shape[2] // 2], cube[:, :, 0], cube[0], cube[:, 0]]
-
-
-def _nu_sheet(frames2d: np.ndarray, w: np.ndarray) -> int:
-    """Kane-Mele invariant of one 2D frame sheet from its sewing matrices w,
-    re-gauged by the sheet's smooth gauge."""
-    return _nu_smooth_sheet(_regauge(w, smooth_frames_2d(frames2d), 2))
+    """The planes k3 = 0, k3 = pi, k1 = pi and k2 = pi of a 3D grid field, each
+    run of one shape stacked (one stack on a cubic grid): they hold the eight
+    fixed points, and each is closed under k -> -k."""
+    sheets = [cube[:, :, cube.shape[2] // 2], cube[:, :, 0], cube[0], cube[:, 0]]
+    return [np.stack(list(run)) for _, run in groupby(sheets, np.shape)]
 
 
 def _nu_smooth_sheet(w: np.ndarray) -> int:
@@ -159,7 +162,7 @@ def kane_mele_nu(field: SewingField) -> int:
         return _pf_walk(w, (n // 2,), [(0, n // 2)], "half circle")
     if d == 2:
         return _nu_smooth_sheet(w)
-    return int(np.prod([_nu_smooth_sheet(s) for s in _fixed_point_sheets(w)[:2]]))
+    return int(np.prod([_nu_smooth_sheet(s) for s in _fixed_point_sheets(w)[0][:2]]))
 
 
 @dataclass
@@ -171,21 +174,34 @@ class Z2Indices3D:
     trim_skew_deviation: float
 
 
+def _stack_nus(frames: np.ndarray, w: np.ndarray) -> list[int]:
+    """Kane-Mele invariant of each sheet of a frame stack (sheets, N1, N2, n, m)
+    from its sewing matrices w, re-gauged by one stacked smooth gauge.  A
+    failed stacked gauge is replayed sheet by sheet, gauge then walks, so
+    the first sheet to fail in that order raises."""
+    try:
+        smooth = _regauge(w, smooth_frames_2d(frames), 2)
+    except GaugeConstructionFailed:
+        if len(frames) == 1:
+            raise
+        return [_stack_nus(f[None], x[None])[0] for f, x in zip(frames, w)]
+    return [_nu_smooth_sheet(s) for s in smooth]
+
+
 def strong_and_weak_indices_3d(model: BlochFamily, grid: MomentumGrid) -> Z2Indices3D:
     """Strong invariant from all eight fixed points; weak index i from the
     four fixed points on the k_i = pi plane.  Frames and sewing deviations
     come from the four fixed-point sheets alone; the gap guard covers the
-    whole grid."""
+    whole grid.  Each stack of sheets is solved, sewn and gauged at once."""
     if grid.dim != 3:
         raise InvalidParams("need a 3D grid")
     h = gapped_hamiltonians(model, grid)
     if model.time_reversal is None:
         raise InvalidParams("Z2 indices need a time-reversal invariant model")
-    u = model.time_reversal.unitary
     frames = [eigh(hs).vectors[..., : model.occupied] for hs in _fixed_point_sheets(h)]
-    ws = [_sewing_matrices(f, u, 2) for f in frames]
-    nu_0, nu_pi, nu_1, nu_2 = (_nu_sheet(f, w) for f, w in zip(frames, ws))
-    deviations = [_sewing_deviations(w, ks.__getitem__)
+    ws = [_sewing_matrices(f, model.time_reversal.unitary, 2) for f in frames]
+    nu_0, nu_pi, nu_1, nu_2 = (nu for f, w in zip(frames, ws) for nu in _stack_nus(f, w))
+    deviations = [_sewing_deviations(w, [p.__getitem__ for p in ks])
                   for w, ks in zip(ws, _fixed_point_sheets(grid.points()))]
     return Z2Indices3D(nu_0 * nu_pi, (nu_1, nu_2, nu_pi), *map(max, zip(*deviations)))
 

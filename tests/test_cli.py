@@ -536,10 +536,11 @@ def test_3d_commands_build_one_smooth_gauge(monkeypatch, command):
 
 
 @pytest.mark.parametrize("argv,count", [
-    (["z2-3d", "--model", "fu-kane-mele-3d", "--m", "-2.0", "--grid", "8"], 4),
+    (["z2-3d", "--model", "fu-kane-mele-3d", "--m", "-2.0", "--grid", "8"], 1),
     (["cs-index", "--model", "fu-kane-mele-3d", "--m", "-4.0", "--grid", "10"], 1)])
 def test_sewing_matrices_are_built_once_per_frame_field(monkeypatch, argv, count):
-    # the smooth gauge re-gauges w; it never rebuilds it from smooth frames
+    # the smooth gauge re-gauges w; it never rebuilds it from smooth frames.
+    # z2-3d sews its four fixed-point sheets as one stack on a cubic grid
     from topoindex import z2
 
     calls, original = [], z2._sewing_matrices
@@ -574,7 +575,7 @@ def test_help_returns_0_and_main_prints_the_usage(capsys, argv):
     assert capsys.readouterr().out == report.usage
 
 
-def test_ribbon_commands_fuzz_exit_codes():
+def _fuzz_ribbon_commands():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -599,6 +600,10 @@ def test_ribbon_commands_fuzz_exit_codes():
         assert code in (0, 2, 3)
 
     check()
+
+
+def test_ribbon_commands_fuzz_exit_codes():
+    _fuzz_ribbon_commands()
 
 
 @pytest.mark.parametrize("argv", [
@@ -715,7 +720,7 @@ def test_nc_index_near_singular_and_tiny_mass_without_warnings():
         assert code == 0 and inv["pairing_3d"]["rounded"] == -2
 
 
-def test_nc_index_and_sweep_fuzz_exit_codes():
+def _fuzz_nc_index_and_sweep():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -753,6 +758,22 @@ def test_nc_index_and_sweep_fuzz_exit_codes():
 
     check_nc_index()
     check_sweep()
+
+
+def test_nc_index_and_sweep_fuzz_exit_codes():
+    _fuzz_nc_index_and_sweep()
+
+
+def test_fuzz_strategies_raise_no_runtime_warning():
+    # the same derandomized draws with every RuntimeWarning an error: an
+    # overflow or invalid value inside the library fails the run
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _fuzz_ribbon_commands()
+        _fuzz_nc_index_and_sweep()
+        code, _ = run(["audit", "--model", "bhz", "--m", "1e300", "--grid", "8",
+                       "--width", "16"])
+    assert code in (0, 2, 3)
 
 
 @pytest.mark.parametrize("argv", [
@@ -801,8 +822,9 @@ def test_z2_3d_solves_only_the_four_fixed_point_sheets(monkeypatch):
                             "--grid", "8,10,12"])
     assert code == 0 and inv["nu0"] == -1 and inv["weak"] == [1, 1, 1]
     assert built == []
-    # one eigh per sheet: k3 = 0, k3 = pi, k1 = pi, k2 = pi
-    assert solved == [(8, 10), (8, 10), (10, 12), (8, 12)]
+    # one eigh per run of equal sheet shapes, in sheet order k3 = 0, k3 = pi,
+    # k1 = pi, k2 = pi
+    assert solved == [(2, 8, 10), (1, 10, 12), (1, 8, 12)]
     # the gap guard still sees every momentum of the cube, slab by slab
     assert guarded == [(10, 12)] * 8
 

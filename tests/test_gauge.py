@@ -5,7 +5,9 @@ singular value, and stay unitary on singular blocks.  The smooth frames
 G u, for the gauge u of `berry.smooth_gauge`, must agree with the per-step
 Löwdin transport of projected frames kept below as the reference, and raise
 the same overlap guard.  The smooth sewing matrices, re-gauged by u, must
-agree with those rebuilt from the frames G u.
+agree with those rebuilt from the frames G u.  A stack of sheets must get,
+bit for bit, the gauge each sheet gets alone, and the batched phase unwrap
+the values and errors of the row-by-row loop it replaced.
 """
 
 import warnings
@@ -17,7 +19,7 @@ from topoindex import _gauge
 from topoindex.berry import OccupiedFrame, occupied_frame, smooth_gauge
 from topoindex.errors import GaugeConstructionFailed
 from topoindex.model import MomentumGrid, _smoothstep, builtin, direct_sum
-from topoindex.z2 import _sewing_matrices, sewing_field
+from topoindex.z2 import _fixed_point_sheets, _sewing_matrices, sewing_field
 
 
 # --- reference: Löwdin transport of projected frames, one step at a time ---
@@ -203,3 +205,88 @@ def test_gauge_is_stable_at_a_pi_holonomy():
     a = frames @ smooth_gauge(OccupiedFrame(grid, frames))
     b = rephased @ smooth_gauge(OccupiedFrame(grid, rephased))
     assert np.max(np.abs(a - b)) < 1e-10
+
+
+# --- stacks of sheets ---
+
+@pytest.mark.parametrize("sizes", [(8, 8, 8), (8, 10, 12)], ids=["cubic", "three-shapes"])
+@pytest.mark.parametrize("m", [-3.6, -2.0, 0.3, 2.1], ids=list(FKM_PHASES))
+def test_stacked_sheet_gauges_equal_the_gauge_of_each_sheet(m, sizes):
+    frames = occupied_frame(builtin("fu-kane-mele-3d", m=m), MomentumGrid(sizes)).frames
+    stacks = _fixed_point_sheets(frames)
+    assert [len(s) for s in stacks] == ([4] if len(set(sizes)) == 1 else [2, 1, 1])
+    for stack in stacks:
+        got = _gauge.smooth_frames_2d(stack)
+        for sheet, u in zip(stack, got):
+            assert np.array_equal(u, _gauge.smooth_frames_2d(sheet))
+
+
+# --- reference: the phase unwrap one circle, then one torus row, at a time ---
+
+def ref_unwrap_1d(z, label):
+    steps = np.angle(z / np.roll(z, 1))
+    if np.max(np.abs(steps)) > 2.5:
+        raise GaugeConstructionFailed(f"{label}: phase steps too large to unwrap")
+    total = float(np.sum(steps))
+    if abs(total) > np.pi:
+        raise GaugeConstructionFailed(
+            f"{label}: determinant winding {total / (2 * np.pi):+.2f} is nonzero")
+    phi = np.angle(z[0]) + np.concatenate([[0.0], np.cumsum(steps[1:])])
+    phi -= total * np.arange(len(z)) / len(z)
+    return phi
+
+
+def ref_unwrap_torus(z, label):
+    phi = np.empty(z.shape)
+    phi[:, 0] = ref_unwrap_1d(z[:, 0], label + " (edge)")
+    for i in range(z.shape[0]):
+        col = ref_unwrap_1d(z[i, :] / z[i, 0], label + f" (column {i})")
+        phi[i, :] = phi[i, 0] + col - col[0]
+    if np.max(np.abs(phi - np.roll(phi, 1, axis=0))) > 2.5:
+        raise GaugeConstructionFailed(f"{label}: unwrapped sheet is discontinuous")
+    return phi
+
+
+def unwrap_outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except GaugeConstructionFailed as exc:
+        return "GaugeConstructionFailed", str(exc)
+
+
+def _torus_phases(kind):
+    """exp(i phi) on a 12 x 10 torus: smooth, or with one defect."""
+    k1, k2 = np.meshgrid(np.arange(12) * 2 * np.pi / 12, np.arange(10) * 2 * np.pi / 10,
+                         indexing="ij")
+    phi = 0.7 * np.sin(k1) + 0.4 * np.cos(k2 + 2 * k1) + 0.1
+    if kind == "row-winding":     # rows 5 and 8 wind once along k2
+        phi[[5, 8]] += k2[[5, 8]]
+    elif kind == "row-jump":      # a step of 2.8 inside rows 3 and 7
+        phi[[3, 7], 4:] += 2.8
+    elif kind == "edge-winding":  # the k2 = 0 edge winds once along k1
+        phi += k1
+    elif kind == "discontinuous":  # row 6 leaves its neighbours by up to 2.85
+        phi[6] += 3.0 * np.sin(k2[6])
+    return np.exp(1j * phi)
+
+
+@pytest.mark.parametrize("kind", ["smooth", "row-winding", "row-jump", "edge-winding",
+                                  "discontinuous"])
+def test_torus_unwrap_matches_the_row_loop(kind):
+    z = _torus_phases(kind)
+    got = unwrap_outcome(_gauge._unwrap, z, "test")
+    ref = unwrap_outcome(ref_unwrap_torus, z, "test")
+    assert got[0] == ref[0] == ("ok" if kind == "smooth" else "GaugeConstructionFailed")
+    if got[0] == "ok":
+        assert np.array_equal(got[1], ref[1])
+    else:
+        assert got[1] == ref[1]
+    # a stack of circles names its first failing one, as the loop over them does
+    circles = np.concatenate([z, _torus_phases("smooth")])
+    got = unwrap_outcome(_gauge._unwrap_1d, circles, "circle {}")
+    refs = [unwrap_outcome(ref_unwrap_1d, c, f"circle {i}") for i, c in enumerate(circles)]
+    bad = [r for r in refs if r[0] != "ok"]
+    if bad:
+        assert got == bad[0]
+    else:
+        assert got[0] == "ok" and np.array_equal(got[1], np.array([r[1] for r in refs]))

@@ -8,7 +8,13 @@ import pytest
 from topoindex import z2
 from topoindex._gauge import polar_unitary, unitary_eig
 from topoindex.berry import occupied_frame
-from topoindex.errors import BranchTrackingFailed, InvalidParams, NotUnitary, PfaffianNearZero
+from topoindex.errors import (
+    BranchTrackingFailed,
+    GaugeConstructionFailed,
+    InvalidParams,
+    NotUnitary,
+    PfaffianNearZero,
+)
 from topoindex.model import MomentumGrid, builtin, direct_sum
 from topoindex.z2 import (
     _pf_walk,
@@ -302,3 +308,101 @@ def test_pf_walk_follows_a_smooth_phase_winding():
     # pf winds from 1 to -1 in steps of pi/6; sqrt(det) follows, ratio +1
     z = np.exp(1j * np.pi * ((np.arange(12) - 6) % 12) / 6)
     assert _pf_walk(_skew_field(z), (6,), [(0, 6)], "test") == 1
+
+
+# --- the stacked fixed-point sheets against the per-sheet loop they replaced ---
+
+def loop_strong_and_weak(model, grid):
+    """Eigh and sewing per sheet, then gauge and walks sheet by sheet, then
+    the deviations sheet by sheet: the order of the per-sheet loop."""
+    from topoindex.berry import gapped_hamiltonians
+    from topoindex.linalg import eigh
+
+    def sheets(cube):
+        return [cube[:, :, cube.shape[2] // 2], cube[:, :, 0], cube[0], cube[:, 0]]
+
+    frames = [eigh(hs).vectors[..., : model.occupied]
+              for hs in sheets(gapped_hamiltonians(model, grid))]
+    ws = [z2._sewing_matrices(f, model.time_reversal.unitary, 2) for f in frames]
+    nu_0, nu_pi, nu_1, nu_2 = (z2._nu_smooth_sheet(z2._regauge(w, z2.smooth_frames_2d(f), 2))
+                               for f, w in zip(frames, ws))
+    deviations = [z2._sewing_deviations(w[None], [ks.__getitem__])
+                  for w, ks in zip(ws, sheets(grid.points()))]
+    return z2.Z2Indices3D(nu_0 * nu_pi, (nu_1, nu_2, nu_pi), *map(max, zip(*deviations)))
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (BranchTrackingFailed, GaugeConstructionFailed) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _force_sheet_failures(monkeypatch, model, grid, gauge_sheet, walk_sheet):
+    """Make the smooth gauge of sheet `gauge_sheet` and the Pfaffian walks of
+    sheet `walk_sheet` (None: no sheet) fail, recognised by their input
+    whether it comes alone or in a stack.  Returns the stack size of every
+    gauge call."""
+    from topoindex.berry import gapped_hamiltonians
+    from topoindex.linalg import eigh
+
+    h = gapped_hamiltonians(model, grid)
+    cube_sheets = [h[:, :, h.shape[2] // 2], h[:, :, 0], h[0], h[:, 0]]
+    frames = [eigh(hs).vectors[..., : model.occupied] for hs in cube_sheets]
+    smooth = [z2._regauge(z2._sewing_matrices(f, model.time_reversal.unitary, 2),
+                          z2.smooth_frames_2d(f), 2) for f in frames]
+    gauge, walk, sizes = z2.smooth_frames_2d, z2._nu_smooth_sheet, []
+
+    def failing_gauge(stack):
+        sheets = stack if stack.ndim == 5 else stack[None]
+        sizes.append(len(sheets))
+        if gauge_sheet is not None and any(np.array_equal(f, frames[gauge_sheet])
+                                           for f in sheets):
+            raise GaugeConstructionFailed(f"forced in sheet {gauge_sheet}")
+        return gauge(stack)
+
+    def failing_walk(w):
+        if walk_sheet is not None and np.array_equal(w, smooth[walk_sheet]):
+            raise BranchTrackingFailed(f"forced in sheet {walk_sheet}", 1.0)
+        return walk(w)
+
+    monkeypatch.setattr(z2, "smooth_frames_2d", failing_gauge)
+    monkeypatch.setattr(z2, "_nu_smooth_sheet", failing_walk)
+    return sizes
+
+
+@pytest.mark.parametrize("sizes", [(8, 8, 8), (8, 10, 12)], ids=["cubic", "three-shapes"])
+@pytest.mark.parametrize("gauge_sheet,walk_sheet,expected", [
+    (2, 0, "BranchTrackingFailed"),      # a later gauge, an earlier walk: the walk
+    (1, 0, "BranchTrackingFailed"),      # the same, inside the first run of shapes
+    (1, 3, "GaugeConstructionFailed"),   # an earlier gauge, a later walk: the gauge
+    (1, 1, "GaugeConstructionFailed"),   # one sheet: its gauge comes before its walks
+    (3, None, "GaugeConstructionFailed"),
+    (None, 2, "BranchTrackingFailed"),
+    (None, None, "ok")])
+def test_stacked_sheets_raise_what_the_per_sheet_loop_raises(
+        monkeypatch, sizes, gauge_sheet, walk_sheet, expected):
+    model, grid = builtin("fu-kane-mele-3d", m=-2.0), MomentumGrid(sizes)
+    calls = _force_sheet_failures(monkeypatch, model, grid, gauge_sheet, walk_sheet)
+    got = _outcome(strong_and_weak_indices_3d, model, grid)
+    stacked_calls = list(calls)
+    assert got == _outcome(loop_strong_and_weak, model, grid)
+    assert got[0] == expected
+    # the first gauge call holds the first run of equal sheet shapes
+    assert stacked_calls[0] == (4 if len(set(sizes)) == 1 else 2)
+
+
+def test_sewing_deviations_name_the_first_non_unitary_field():
+    w = np.broadcast_to(np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex),
+                        (3, 4, 4, 2, 2)).copy()
+    w[1, 2, 1] *= 1.0 + 1e-6      # the first non-unitary field, mildly
+    w[2, 0, 3] *= 1.5             # a later field, far worse
+    locates = [lambda idx, f=f: (f,) + idx for f in range(3)]
+    with pytest.raises(NotUnitary) as got:
+        z2._sewing_deviations(w, locates)
+    with pytest.raises(NotUnitary) as ref:
+        for f in range(3):
+            z2._sewing_deviations(w[f:f + 1], locates[f:f + 1])
+    assert str(got.value) == str(ref.value) and "(1, 2, 1)" in str(got.value)
+    w[1, 2, 1] = w[2, 0, 3] = w[0, 0, 0]
+    assert z2._sewing_deviations(w, locates) == (0.0, 0.0, 0.0)
