@@ -182,20 +182,42 @@ class PairingResult:
 
 
 def _symbol_1d(coeffs: dict, cutoff: int, caller: str) -> tuple[dict, int]:
-    """Normalize 1D symbol data to {offset: block matrix}; returns the blocks
-    and the band limit, which the cutoff must exceed fourfold."""
-    out = {}
-    band = 0
-    for key, val in coeffs.items():
-        arr = np.atleast_2d(np.asarray(val, dtype=complex))
-        k = key if isinstance(key, tuple) else (int(key),)
-        out[k] = arr
-        band = max(band, max(abs(x) for x in k))
-    if any(len(k) != 1 for k in out):
-        raise InvalidParams(f"{caller} expects 1D Fourier data")
+    """Normalize 1D symbol data to {(offset,): block}; returns the blocks
+    and the band limit, which the cutoff must exceed fourfold.  Offsets
+    are integers and blocks finite square matrices of one size."""
+    keys = [key if isinstance(key, tuple) else (key,) for key in coeffs]
+    if not keys or any(len(k) != 1 or not isinstance(k[0], (int, np.integer)) for k in keys):
+        raise InvalidParams(f"{caller} expects 1D Fourier data keyed by integer offsets")
+    out = {(int(k[0]),): np.atleast_2d(np.asarray(val, dtype=complex))
+           for k, val in zip(keys, coeffs.values())}
+    shape = next(iter(out.values())).shape
+    if len(shape) != 2 or shape[0] != shape[1] or any(
+            arr.shape != shape or not np.all(np.isfinite(arr)) for arr in out.values()):
+        raise InvalidParams(f"{caller} expects finite square blocks of one size")
+    band = max(abs(k[0]) for k in out)
     if cutoff < 4 * max(1, band):
         raise InvalidParams("cutoff must be at least 4x the Fourier support")
     return out, band
+
+
+def _symbol_floor(samples: np.ndarray) -> float:
+    """Half the smallest singular value of the symbol samples (n, b, b);
+    a 1x1 sample's singular value is its modulus."""
+    sv = np.abs(samples) if samples.shape[-1] == 1 else np.linalg.svd(samples, compute_uv=False)
+    return 0.5 * float(np.min(sv))
+
+
+def _class_solve(t: np.ndarray, top_rows: np.ndarray, top_cols: np.ndarray):
+    """Singular values (k, min(r, c)) of a stack of (r, c) classes, and for
+    each right and left singular vector whether over half its weight sits
+    on top_cols (k, c) and top_rows (k, r).  A class of at most one row
+    and one column is its own SVD, s = |t| with unit-modulus vectors."""
+    k, r, c = t.shape
+    if max(r, c) == 1:
+        return np.abs(t.reshape(k, r * c)), top_cols, top_rows
+    u, s, vh = np.linalg.svd(t)
+    return (s, np.sum(np.abs(vh) ** 2 * top_cols[:, None, :], axis=2) > 0.5,
+            np.sum(np.abs(u) ** 2 * top_rows[:, :, None], axis=1) > 0.5)
 
 
 def toeplitz_index(coeffs: dict, cutoff: int) -> int:
@@ -205,14 +227,16 @@ def toeplitz_index(coeffs: dict, cutoff: int) -> int:
     Row i (mode -1-i) meets column j only where j - i is a symbol offset,
     so rows and columns split into decoupled classes, the residues mod the
     gcd g of the offset differences (row/column pairs for a monomial),
-    solved with one stacked SVD per class shape.  dim ker and dim coker
-    count singular values below 1e-8 and unpaired rows or columns whose
-    vectors concentrate at the physical edge (modes near -1), as genuine
-    kernel and cokernel vectors of the half-infinite operator do;
-    truncation artifacts sit at the far end of the mode window.  A
-    singular value in [1e-8, 1e-4], or in [1e-8, s/2) where s is the
-    smallest singular value of the symbol on the circle, is neither null
-    nor bulk and raises.
+    solved with one stacked SVD per class shape.  A 1x1 sample's singular
+    value is its modulus, and a class of at most one row and one column
+    (every class of a scalar monomial) is its own SVD (`_class_solve`), so
+    a scalar monomial takes no LAPACK call.  dim ker and dim coker count
+    singular values below 1e-8 and unpaired rows or columns whose vectors
+    concentrate at the physical edge (modes near -1), as genuine kernel and
+    cokernel vectors of the half-infinite operator do; truncation artifacts
+    sit at the far end of the mode window.  A singular value in [1e-8,
+    1e-4], or in [1e-8, s/2) where s is the smallest singular value of the
+    symbol on the circle, is neither null nor bulk and raises.
     """
     blocks, band = _symbol_1d(coeffs, cutoff, "toeplitz_index")
     offsets = np.array([k[0] for k in blocks])
@@ -221,7 +245,7 @@ def toeplitz_index(coeffs: dict, cutoff: int) -> int:
     table[offsets + band] = list(blocks.values())
     theta = np.pi * np.arange(4 * cutoff) / (2 * cutoff)
     symbol = np.einsum("te,eab->tab", np.exp(1j * np.outer(theta, offsets)), table[offsets + band])
-    floor = 0.5 * float(np.min(np.linalg.svd(symbol, compute_uv=False)))
+    floor = _symbol_floor(symbol)
     g = int(np.gcd.reduce(offsets - offsets[0])) or 2 * cutoff  # 2N keeps monomial pairs apart
     count = np.stack([np.bincount(np.arange(cutoff) % g, minlength=g),
                       np.bincount((np.arange(cutoff) - offsets[0]) % g, minlength=g)], axis=1)
@@ -233,14 +257,12 @@ def toeplitz_index(coeffs: dict, cutoff: int) -> int:
         cols = ((key + offsets[0]) % g)[:, None] + g * np.arange(nc)
         e = cols[:, None, :] - rows[:, :, None]
         t = table[np.where(np.abs(e) <= band, e + band, -1)].transpose(0, 1, 3, 2, 4)
-        u, s, vh = np.linalg.svd(t.reshape(len(key), nr * b, nc * b))
+        top_rows, top_cols = (np.repeat(x < cutoff // 2, b, axis=1) for x in (rows, cols))
+        s, kernel, cokernel = _class_solve(t.reshape(len(key), nr * b, nc * b), top_rows, top_cols)
         ambiguous = s[(s >= 1e-8) & ((s <= 1e-4) | (s < floor))]
         if ambiguous.size:
             raise NumericallySingular(float(ambiguous[0]), max(1e-4, floor))
         null = np.pad(s < 1e-8, ((0, 0), (0, max(nr, nc) * b - s.shape[1])), constant_values=True)
-        top_rows, top_cols = (np.repeat(x < cutoff // 2, b, axis=1) for x in (rows, cols))
-        kernel = np.sum(np.abs(vh) ** 2 * top_cols[:, None, :], axis=2) > 0.5
-        cokernel = np.sum(np.abs(u) ** 2 * top_rows[:, :, None], axis=1) > 0.5
         index += int(np.sum(kernel & null[:, :nc * b]) - np.sum(cokernel & null[:, :nr * b]))
     return index
 

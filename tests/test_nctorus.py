@@ -1,6 +1,7 @@
 """Noncommutative torus algebra and truncated index pairings."""
 
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,8 @@ from topoindex.errors import InvalidParams, NumericallySingular
 from topoindex.nctorus import (
     ClockShiftRep,
     NCElement,
+    _class_solve,
+    _symbol_floor,
     _trace_of_triple,
     clock_shift,
     fixed_point_generators,
@@ -226,6 +229,93 @@ def test_toeplitz_index_unresolved_split_raises(const, cutoff):
     # 1e-4 but far below half the symbol's smallest singular value
     with pytest.raises(NumericallySingular):
         toeplitz_index({(0,): [[const]], (1,): [[1.0]]}, cutoff)
+
+
+# scalar symbols for the closed forms: zero samples and classes, extreme
+# magnitudes, and a sample of modulus 1e-4 (1.0001 + z at theta = pi)
+_SCALAR_SYMBOLS = {
+    "zero": {(0,): [[0.0]]},
+    "zero monomial": {(3,): [[0.0]]},
+    "1e300 monomial": {(2,): [[1e300 * (0.6 - 0.8j)]]},
+    "1e-300 monomial": {(-2,): [[1e-300j]]},
+    "1e300 band": {(-1,): [[1e300]], (0,): [[-3e299j]], (2,): [[2e299]]},
+    "1e-300 band": {(0,): [[3e-301]], (1,): [[1e-300]]},
+    "1.0001 + z": {(0,): [[1.0001]], (1,): [[1.0]]},
+}
+_RTOL = 8 * np.finfo(float).eps  # LAPACK's 1x1 singular value is |t| to a few ulps
+
+
+def _samples(coeffs, cutoff):
+    theta = np.pi * np.arange(4 * cutoff) / (2 * cutoff)
+    return sum(np.exp(1j * k[0] * theta)[:, None, None] * np.asarray(c, dtype=complex)
+               for k, c in coeffs.items())
+
+
+@pytest.mark.parametrize("cutoff", [16, 64])
+@pytest.mark.parametrize("coeffs", _SCALAR_SYMBOLS.values(), ids=_SCALAR_SYMBOLS)
+def test_scalar_floor_is_the_svd_floor(coeffs, cutoff):
+    samples = _samples(coeffs, cutoff)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        floor = _symbol_floor(samples)
+        reference = 0.5 * np.min(np.linalg.svd(samples, compute_uv=False))
+    assert floor == pytest.approx(reference, rel=_RTOL, abs=0.0)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 0), (0, 1)])
+def test_scalar_class_solve_is_the_svd(shape):
+    rng = np.random.default_rng(7)
+    t = np.array([0.0, 1e300, -1e-300j, 1e-4, 3e-9, 0.6 - 0.8j, 1e300 + 1e300j, 5e-324])
+    t = (t[:, None, None] * np.ones(shape)).reshape(len(t), *shape)
+    top_rows, top_cols = (rng.random((len(t), n)) < 0.5 for n in shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        s, kernel, cokernel = _class_solve(t, top_rows, top_cols)
+        u, s_ref, vh = np.linalg.svd(t)
+    np.testing.assert_allclose(s, s_ref, rtol=_RTOL, atol=0.0)
+    assert np.array_equal(kernel, np.sum(np.abs(vh) ** 2 * top_cols[:, None, :], axis=2) > 0.5)
+    assert np.array_equal(cokernel, np.sum(np.abs(u) ** 2 * top_rows[:, :, None], axis=1) > 0.5)
+
+
+@pytest.mark.parametrize("coeffs", _SCALAR_SYMBOLS.values(), ids=_SCALAR_SYMBOLS)
+def test_scalar_symbols_match_dense_reference(coeffs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _toeplitz_outcome(coeffs, 16) == _dense_toeplitz_index(coeffs, 16)[0]
+
+
+def test_block_symbol_keeps_the_svd(monkeypatch):
+    # the CLI's scalar monomials make no SVD call (test_cli), 2x2 blocks do
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert toeplitz_index({(1,): _BLOCK}, 16) == 2
+    assert (64, 2, 2) in calls and (15, 2, 2) in calls  # the floor and the 2x2 classes
+
+
+# one malformed input per case; the CLI builds none of them
+_MALFORMED = {
+    "empty": {},
+    "empty key": {(): [[1.0]]},
+    "float offset": {(1.5,): [[1.0]]},
+    "blocks of two sizes": {(0,): [[1.0]], (1,): np.eye(2)},
+    "non-square block": {(1,): np.ones((2, 3))},
+    "three-axis block": {(1,): np.ones((2, 1, 2))},
+    "nan entry": {(1,): [[np.nan]]},
+    "inf entry": {(0,): [[0.3]], (1,): [[np.inf]]},
+}
+
+
+@pytest.mark.parametrize("coeffs", _MALFORMED.values(), ids=_MALFORMED)
+@pytest.mark.parametrize("solver", [toeplitz_index, nc_index_pairing_1d])
+def test_malformed_1d_symbol_raises_invalid_params(solver, coeffs):
+    with pytest.raises(InvalidParams):
+        solver(coeffs, 16)
 
 
 @pytest.mark.parametrize("winding", range(-3, 4))
