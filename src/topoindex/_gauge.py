@@ -21,8 +21,10 @@ supported when the mismatch loop is close to constant, which covers
 atomic-limit-like inputs.
 
 `smooth_frames_2d` gauges a stack of sheets on leading axes in one pass,
-each exactly as it is gauged alone; a guard fires if any sheet fails it, so
-a caller that must name the first failing sheet replays them one by one.
+each exactly as it is gauged alone: one stacked `unitary_eig` for all circle
+holonomies, one homotopy call for all sweep positions.  A guard fires if any
+sheet fails it, so a caller that must name the first failing sheet replays
+them one by one.
 """
 
 from __future__ import annotations
@@ -75,21 +77,28 @@ def polar_unitary(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenphases and an orthonormal eigenbasis of a unitary matrix.
+    """Eigenphases (..., m) and orthonormal eigenbases (..., m, m) of a
+    stack of unitary matrices (..., m, m).
 
     Diagonalizes Hermitian combinations of the real and imaginary parts,
     which is stable under the exact degeneracies that Kramers pairs
-    produce (np.linalg.eig is not).
+    produce (np.linalg.eig is not).  Each trial is one eigh over the matrices
+    still undiagonalized: every matrix gets the basis it would get alone.
     """
-    a = 0.5 * (u + u.conj().T)
-    b = (u - u.conj().T) / 2j
-    norm = max(1.0, float(np.linalg.norm(u)))
+    flat = u.reshape((-1,) + u.shape[-2:])
+    a, b = 0.5 * (flat + _dagger(flat)), (flat - _dagger(flat)) / 2j
+    tol = 1e-9 * np.maximum(1.0, np.linalg.norm(flat, axis=(-2, -1)))
+    angles, q = np.empty(flat.shape[:-1]), np.empty(flat.shape, dtype=complex)
+    todo = np.arange(len(flat))
     for mu in (0.7390851332151607, 0.3183098861837907, 1.2020569031595943, 0.0):
-        _, q = np.linalg.eigh(a + mu * b)
-        d = q.conj().T @ u @ q
-        off = d - np.diag(np.diag(d))
-        if np.linalg.norm(off) < 1e-9 * norm:
-            return np.angle(np.diag(d)), q
+        _, qs = np.linalg.eigh(a[todo] + mu * b[todo])
+        d = _dagger(qs) @ flat[todo] @ qs
+        diag = np.diagonal(d, axis1=-2, axis2=-1)
+        done = np.linalg.norm(d - diag[..., None] * np.eye(u.shape[-1]), axis=(-2, -1)) < tol[todo]
+        angles[todo[done]], q[todo[done]] = np.angle(diag[done]), qs[done]
+        todo = todo[~done]
+        if not todo.size:
+            return angles.reshape(u.shape[:-1]), q.reshape(u.shape)
     raise GaugeConstructionFailed("could not diagonalize a unitary holonomy")
 
 
@@ -130,7 +139,8 @@ def transport(frames: np.ndarray, u0: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def circle_transport(frames: np.ndarray) -> np.ndarray:
     """Smooth gauge u (..., N, m, m) of each circle of frames (..., N, n, m),
-    transported from its first frame: the smooth frames are frames @ u.
+    transported from its first frame: the smooth frames are frames @ u.  The
+    holonomies of all circles are diagonalized in one `unitary_eig` call.
 
     The loop holonomy is spread as Hol^{-t/N} so the gauge closes
     periodically; the eigenphase branch is immaterial for the invariants
@@ -140,9 +150,7 @@ def circle_transport(frames: np.ndarray) -> np.ndarray:
     """
     n_pts, m = frames.shape[-3], frames.shape[-1]
     u, mismatch = transport(frames, np.eye(m, dtype=complex))
-    angles, q = np.empty(mismatch.shape[:-1]), np.empty(mismatch.shape, dtype=complex)
-    for idx in np.ndindex(mismatch.shape[:-2]):
-        angles[idx], q[idx] = unitary_eig(mismatch[idx])
+    angles, q = unitary_eig(mismatch)
     angles = np.where(angles <= -np.pi + 1e-8, angles + 2.0 * np.pi, angles)
     spread = np.exp(-1j * (np.arange(n_pts)[:, None] * angles[..., None, :]) / n_pts)
     return u @ (q[..., None, :, :] * spread[..., None, :]) @ _dagger(q)[..., None, :, :]
@@ -390,37 +398,34 @@ class LoopContraction:
             self.general = [_GeneralContraction(v[idx]) for idx in np.ndindex(sheets)]
             self.mode = "general"
 
-    def at(self, t: float) -> np.ndarray:
-        """The homotopy evaluated at t in [0, 1], shaped like V."""
-        if t <= 0.0:
-            eye = np.zeros(self.shape, dtype=complex)
-            eye[...] = np.eye(self.m)
-            return eye
-        if t >= 1.0:
-            return self.v.copy()
+    def at(self, t) -> np.ndarray:
+        """The homotopy at t in [0, 1], shaped like V, or at each entry of a
+        1D array t, stacked on an axis before the matrix axes; each entry is
+        exactly what it is alone, I at t <= 0 and V at t >= 1."""
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
         if self.mode == "phase":
-            return np.exp(1j * t * self.phi)[..., None, None] * np.ones_like(self.v)
-        if self.mode == "quaternion":
-            if t <= 0.5:
-                q = _chord(self.identity_q, self.rho, 2.0 * t)
-                q = np.broadcast_to(q, self.q.shape)
-            else:
-                rho = np.broadcast_to(self.rho, self.q.shape)
-                q = _chord(rho, self.q, 2.0 * t - 1.0)
-            return _quat_to_su2(q) * np.exp(0.5j * t * self.phi)[..., None, None]
-        return np.stack([g.at(t) for g in self.general]).reshape(self.shape)
+            h = np.exp(1j * ts * self.phi[..., None])[..., None, None] * np.ones((1, 1))
+        elif self.mode == "quaternion":
+            # the chord 1 -> rho up to t = 1/2, then rho -> q
+            low, rho, t2 = (ts <= 0.5)[:, None], self.rho[..., None, :], 2.0 * ts[:, None]
+            q = _chord(np.where(low, self.identity_q, rho),
+                       np.where(low, rho, self.q[..., None, :]), np.where(low, t2, t2 - 1.0))
+            h = _quat_to_su2(q) * np.exp(0.5j * ts * self.phi[..., None])[..., None, None]
+        else:
+            h = np.stack([np.stack([g.at(x) for g in self.general]).reshape(self.shape)
+                          for x in ts], axis=-3)
+        h[..., ts <= 0.0, :, :] = np.eye(self.m)
+        h[..., ts >= 1.0, :, :] = self.v[..., None, :, :]
+        return h if np.ndim(t) else h[..., 0, :, :]
 
 
 def _sweep_and_close(frames: np.ndarray, u0: np.ndarray, batch: int = 0) -> np.ndarray:
     """The gauge u of `frames` (``batch`` leading axes of independent fields)
-    transported from G_0 u0 along the last grid axis, with the contraction of
-    the wrap mismatch spread over that axis so the gauge closes periodically."""
+    transported from G_0 u0 along the last grid axis, times the contraction of
+    the wrap mismatch at all n sweep positions, so the gauge closes periodically."""
     n = frames.shape[-3]
     u, mismatch = transport(frames, u0)
-    homotopy = LoopContraction(_dagger(mismatch), batch)
-    for i in range(n):
-        u[..., i, :, :] = _mul(u[..., i, :, :], homotopy.at(_smoothstep(i / n)))
-    return u
+    return _mul(u, LoopContraction(_dagger(mismatch), batch).at(_smoothstep(np.arange(n) / n)))
 
 
 def smooth_frames_2d(frames_raw: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from ._gauge import circle_transport, smooth_frames_2d, smooth_frames_3d, smooth
 from ._stencil import central_diff, levi_civita_sum, neighbour_overlaps, one_forms
 from .errors import GapClosed, GridTooCoarse, InvalidParams, NonHermitian
 from .linalg import eigh, eigvalsh
-from .model import GAP_TOL, BlochFamily, MomentumGrid
+from .model import GAP_TOL, BlochFamily, MomentumGrid, _grid_chunks
 
 LINK_DET_MIN = 1e-8
 PLAQUETTE_SAFE = 0.95 * np.pi
@@ -48,30 +48,31 @@ def _solve_gapped(solve, h: np.ndarray, ks: np.ndarray):
     return solved
 
 
-def occupied_frame(model: BlochFamily, grid: MomentumGrid) -> OccupiedFrame:
-    """Occupied frames from eigh with its deterministic phase convention.
-
-    Evaluated one slab of the leading grid axis at a time (a 1D grid is one
-    slab); errors name the first failing momentum in C order.
-    """
+def _chunks(model: BlochFamily, grid: MomentumGrid, out: np.ndarray):
+    """Each flat C-order chunk of grid momenta with its rows of out (*sizes, ...)."""
     if grid.dim != model.dim:
         raise InvalidParams("grid dimension does not match the model")
+    rows, start = out.reshape((-1,) + out.shape[grid.dim:]), 0
+    for ks in _grid_chunks(model, grid):
+        yield ks, rows[start:start + len(ks)]
+        start += len(ks)
+
+
+def occupied_frame(model: BlochFamily, grid: MomentumGrid) -> OccupiedFrame:
+    """Occupied frames from eigh with its deterministic phase convention, one
+    eigh per flat C-order grid chunk; errors name the first failing momentum
+    in C order."""
     frames = np.empty(grid.sizes + (model.bands, model.occupied), dtype=complex)
-    slabs, out = grid.points(), frames
-    if grid.dim == 1:
-        slabs, out = slabs[None], frames[None]
-    for ks, dest in zip(slabs, out):
+    for ks, dest in _chunks(model, grid, frames):
         dest[...] = _solve_gapped(eigh, model.h(ks), ks).vectors[..., : model.occupied]
     return OccupiedFrame(grid=grid, frames=frames)
 
 
 def gapped_hamiltonians(model: BlochFamily, grid: MomentumGrid) -> np.ndarray:
-    """Every grid Hamiltonian (*sizes, n, n), evaluated slab by slab under the
-    guard of occupied_frame, with its errors, checked by eigenvalues alone."""
-    if grid.dim != model.dim:
-        raise InvalidParams("grid dimension does not match the model")
+    """Every grid Hamiltonian (*sizes, n, n), evaluated chunk by chunk under
+    the guard of occupied_frame, with its errors, checked by eigenvalues alone."""
     h = np.empty(grid.sizes + (model.bands,) * 2, dtype=complex)
-    for ks, dest in zip(grid.points(), h):
+    for ks, dest in _chunks(model, grid, h):
         dest[...] = model.h(ks)
         _solve_gapped(eigvalsh, dest, ks)
     return h

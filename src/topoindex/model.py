@@ -36,6 +36,7 @@ GAP_TOL = 1e-6
 MAX_MATRIX_ROWS = 1024
 # Caps the CLI's --grid: prod(sizes) * bands^2 Hamiltonian entries, 256 MB.
 MAX_GRID_ENTRIES = 1 << 24
+GRID_CHUNK_ENTRIES = 1 << 13  # Hamiltonian entries per chunk of a grid-wide pass: 128 KB
 
 
 @dataclass(frozen=True)
@@ -151,10 +152,10 @@ class BlochFamily:
 
 
 def _grid_chunks(model: BlochFamily, grid: MomentumGrid):
-    """The grid momenta in flat C-order chunks of at most 2^16 Hamiltonian
-    entries, so a grid-wide check holds one chunk's matrices at a time."""
+    """The grid momenta in flat C-order chunks of at most GRID_CHUNK_ENTRIES
+    Hamiltonian entries, so a grid-wide pass holds one chunk's matrices at a time."""
     k = grid.points().reshape(-1, grid.dim)
-    step = max(1, (1 << 16) // model.bands ** 2)
+    step = max(1, GRID_CHUNK_ENTRIES // model.bands ** 2)
     return (k[i:i + step] for i in range(0, len(k), step))
 
 

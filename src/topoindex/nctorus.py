@@ -184,10 +184,11 @@ class PairingResult:
 def _symbol_1d(coeffs: dict, cutoff: int, caller: str) -> tuple[dict, int]:
     """Normalize 1D symbol data to {(offset,): block}; returns the blocks
     and the band limit, which the cutoff must exceed fourfold.  Offsets
-    are integers and blocks finite square matrices of one size."""
+    are distinct integers and blocks finite square matrices of one size."""
     keys = [key if isinstance(key, tuple) else (key,) for key in coeffs]
-    if not keys or any(len(k) != 1 or not isinstance(k[0], (int, np.integer)) for k in keys):
-        raise InvalidParams(f"{caller} expects 1D Fourier data keyed by integer offsets")
+    if not keys or len(set(keys)) < len(keys) or any(  # 1 and (1,) name one offset
+            len(k) != 1 or not isinstance(k[0], (int, np.integer)) for k in keys):
+        raise InvalidParams(f"{caller} expects 1D Fourier data keyed by distinct integer offsets")
     out = {(int(k[0]),): np.atleast_2d(np.asarray(val, dtype=complex))
            for k, val in zip(keys, coeffs.values())}
     shape = next(iter(out.values())).shape
@@ -401,17 +402,19 @@ def _trace_of_triple(offsets: np.ndarray, norms: np.ndarray, fields: np.ndarray,
 
 
 def _blocks_3d(coeffs: dict) -> tuple[dict, int]:
+    """3D symbol data as {offset: 2x2 block} and its band limit; an offset
+    is three integers (1.5 is refused, not truncated onto 1)."""
     blocks = {}
     band = 0
     for key, val in coeffs.items():
         arr = np.asarray(val, dtype=complex)
         if arr.shape != (2, 2):
             raise InvalidParams("3D pairing expects 2x2 spinor blocks")
-        k = tuple(int(x) for x in key)
-        if len(k) != 3:
-            raise InvalidParams("3D pairing expects 3-component offsets")
-        blocks[k] = arr
-        band = max(band, max(abs(x) for x in k))
+        if not (isinstance(key, tuple) and len(key) == 3
+                and all(isinstance(x, (int, np.integer)) for x in key)):
+            raise InvalidParams("3D pairing expects offsets of three integers")
+        blocks[tuple(int(x) for x in key)] = arr
+        band = max(band, max(abs(int(x)) for x in key))
     return blocks, band
 
 

@@ -233,7 +233,7 @@ def _wilson_loop_phases(frames: np.ndarray) -> np.ndarray:
     loop = np.broadcast_to(np.eye(links.shape[-1], dtype=complex), links[:, 0].shape)
     for t in range(links.shape[1]):
         loop = loop @ links[:, t]
-    return np.sort([unitary_eig(u)[0] for u in loop], axis=-1)
+    return np.sort(unitary_eig(loop)[0], axis=-1)
 
 
 def wannier_center_flow(model: BlochFamily, grid: MomentumGrid,

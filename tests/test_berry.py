@@ -246,8 +246,8 @@ def test_occupied_frame_non_hermitian_load_model_input():
 
 
 def test_occupied_frame_gap_closing_before_non_hermitian_in_one_slab():
-    # first slab k1 = -pi: the gap closes at k = (pi, 0, 0), flat index 36 of
-    # the slab; the perturbation starts later in the same slab
+    # one chunk holds the whole 8^3 grid: the gap closes at k = (pi, 0, 0),
+    # flat index 36; the perturbation starts later in the same chunk
     fkm = builtin("fu-kane-mele-3d", m=-1.0)
     model = _perturbed(fkm, lambda k: k[..., 1] > 0.5)
     grid = MomentumGrid((8, 8, 8))
@@ -294,6 +294,58 @@ def test_gapped_hamiltonians_are_the_grid_hamiltonians():
     fkm = builtin("fu-kane-mele-3d", m=-2.0)
     grid = MomentumGrid((6, 8, 10))
     assert np.array_equal(gapped_hamiltonians(fkm, grid), fkm.h(grid.points()))
+
+
+# --- chunks: 16 momenta of four bands each, so an 8^3 grid takes 32 ---
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    from topoindex import model as model_module
+
+    monkeypatch.setattr(model_module, "GRID_CHUNK_ENTRIES", 16 * 4 ** 2)
+
+
+def _chunk_case(case):
+    if case == "gap-later-chunk":    # first closing at flat index 36, chunk 2
+        return builtin("fu-kane-mele-3d", m=-1.0), MomentumGrid((8, 8, 8))
+    if case == "non-hermitian-later-chunk":   # from flat index 144, chunk 9
+        loaded = load_model(to_json(builtin("fu-kane-mele-3d", m=-2.0)))
+        return _perturbed(loaded, lambda k: k[..., 0] > 0.5), MomentumGrid((6, 6, 6))
+    # the gap closes at flat index 36 (chunk 2), the perturbation starts at 48 (chunk 3)
+    return (_perturbed(builtin("fu-kane-mele-3d", m=-1.0), lambda k: k[..., 1] > 1.0),
+            MomentumGrid((8, 8, 8)))
+
+
+@pytest.mark.parametrize("solve", [occupied_frame, gapped_hamiltonians])
+@pytest.mark.parametrize("case", ["gap-later-chunk", "non-hermitian-later-chunk",
+                                  "gap-then-non-hermitian-in-the-next-chunk"])
+def test_chunked_guards_name_the_first_failure_in_c_order(small_chunks, case, solve):
+    model, grid = _chunk_case(case)
+    kind, k, value = _first_failure_per_point(model, grid)
+    assert kind == ("NonHermitian" if case == "non-hermitian-later-chunk" else "GapClosed")
+    ks = grid.points().reshape(-1, 3)
+    first = {"gap-later-chunk": 36, "non-hermitian-later-chunk": 144}.get(case, 36)
+    assert np.flatnonzero(np.all(ks == k, axis=1))[0] == first
+    if case == "gap-then-non-hermitian-in-the-next-chunk":
+        assert np.flatnonzero(ks[:, 1] > 1.0)[0] == 48
+    with pytest.raises((GapClosed, NonHermitian)) as info:
+        solve(model, grid)
+    assert type(info.value).__name__ == kind
+    if kind == "GapClosed":
+        assert np.array_equal(info.value.k, k)
+    else:
+        assert info.value.deviation == pytest.approx(value, rel=1e-12)
+
+
+@pytest.mark.parametrize("sizes", [(10,), (8, 6), (6, 8, 10)])
+def test_chunked_fields_equal_one_whole_grid_solve(small_chunks, sizes):
+    model = {1: builtin("kitaev-chain"), 2: builtin("kane-mele"),
+             3: builtin("fu-kane-mele-3d", m=-2.0)}[len(sizes)]
+    grid = MomentumGrid(sizes)
+    h = model.h(grid.points())
+    frames = occupied_frame(model, grid).frames
+    assert frames.tobytes() == eigh(h).vectors[..., : model.occupied].tobytes()
+    assert gapped_hamiltonians(model, grid).tobytes() == h.tobytes()
 
 
 def _two_band(q, m):

@@ -802,6 +802,7 @@ def test_kgroup_dim_range(dim, code):
 
 def test_z2_3d_solves_only_the_four_fixed_point_sheets(monkeypatch):
     from topoindex import berry, z2
+    from topoindex.model import MomentumGrid, builtin
 
     built, solved, guarded = [], [], []
 
@@ -816,8 +817,7 @@ def test_z2_3d_solves_only_the_four_fixed_point_sheets(monkeypatch):
                             counted(berry.occupied_frame, built, lambda *a: "frame"))
     monkeypatch.setattr(z2, "sewing_field", counted(z2.sewing_field, built, lambda *a: "sewing"))
     monkeypatch.setattr(z2, "eigh", counted(z2.eigh, solved, lambda h: h.shape[:-2]))
-    monkeypatch.setattr(berry, "eigvalsh",
-                        counted(berry.eigvalsh, guarded, lambda h: h.shape[:-2]))
+    monkeypatch.setattr(berry, "eigvalsh", counted(berry.eigvalsh, guarded, lambda h: h.copy()))
     code, inv = invariants(["z2-3d", "--model", "fu-kane-mele-3d", "--m", "-2.0",
                             "--grid", "8,10,12"])
     assert code == 0 and inv["nu0"] == -1 and inv["weak"] == [1, 1, 1]
@@ -825,8 +825,27 @@ def test_z2_3d_solves_only_the_four_fixed_point_sheets(monkeypatch):
     # one eigh per run of equal sheet shapes, in sheet order k3 = 0, k3 = pi,
     # k1 = pi, k2 = pi
     assert solved == [(2, 8, 10), (1, 10, 12), (1, 8, 12)]
-    # the gap guard still sees every momentum of the cube, slab by slab
-    assert guarded == [(10, 12)] * 8
+    # the gap guard still sees every momentum of the cube once, in flat C-order chunks
+    cube = builtin("fu-kane-mele-3d", m=-2.0).h(MomentumGrid((8, 10, 12)).points())
+    assert all(h.ndim == 3 for h in guarded)
+    assert np.array_equal(np.concatenate(guarded), cube.reshape(960, 4, 4))
+
+
+def test_z2_solves_its_frames_in_one_eigh_per_chunk(monkeypatch):
+    from topoindex import berry
+    from topoindex.model import MomentumGrid, _grid_chunks, builtin
+
+    shapes, original = [], berry.eigh
+
+    def counted(h):
+        shapes.append(h.shape[:-2])
+        return original(h)
+
+    monkeypatch.setattr(berry, "eigh", counted)
+    code, inv = invariants(["z2", "--model", "kane-mele", "--grid", "24"])
+    assert code == 0 and inv["nu"] == -1
+    chunks = [(len(k),) for k in _grid_chunks(builtin("kane-mele"), MomentumGrid((24, 24)))]
+    assert shapes == chunks and sum(n for n, in chunks) == 576 and len(chunks) < 24
 
 
 def _gapless_off_the_sheets_doc():

@@ -7,7 +7,9 @@ Löwdin transport of projected frames kept below as the reference, and raise
 the same overlap guard.  The smooth sewing matrices, re-gauged by u, must
 agree with those rebuilt from the frames G u.  A stack of sheets must get,
 bit for bit, the gauge each sheet gets alone, and the batched phase unwrap
-the values and errors of the row-by-row loop it replaced.
+the values and errors of the row-by-row loop it replaced.  The stacked
+holonomy eigenbases and homotopy evaluations must equal, bit for bit, the
+per-matrix and per-t calls kept below as references.
 """
 
 import warnings
@@ -290,3 +292,135 @@ def test_torus_unwrap_matches_the_row_loop(kind):
         assert got == bad[0]
     else:
         assert got[0] == "ok" and np.array_equal(got[1], np.array([r[1] for r in refs]))
+
+
+# --- reference: unitary_eig one matrix, and the homotopy one t, at a time ---
+
+REF_MUS = (0.7390851332151607, 0.3183098861837907, 1.2020569031595943, 0.0)
+
+
+def ref_unitary_eig(u):
+    a = 0.5 * (u + u.conj().T)
+    b = (u - u.conj().T) / 2j
+    norm = max(1.0, float(np.linalg.norm(u)))
+    for mu in REF_MUS:
+        _, q = np.linalg.eigh(a + mu * b)
+        d = q.conj().T @ u @ q
+        off = d - np.diag(np.diag(d))
+        if np.linalg.norm(off) < 1e-9 * norm:
+            return np.angle(np.diag(d)), q
+    raise GaugeConstructionFailed("could not diagonalize a unitary holonomy")
+
+
+def eig_outcome(fn, u):
+    try:
+        return fn(u)
+    except GaugeConstructionFailed as exc:
+        return str(exc)
+
+
+def _late_mu_unitary(rng):
+    """A 3 x 3 unitary with two eigenphases that a + mu b, at the first trial
+    mu, maps to one eigenvalue: its eigenbasis there mixes them."""
+    phi = np.arctan(REF_MUS[0])
+    phases = np.array([0.3, 2.0 * phi - 0.3, -1.9])
+    q = _unitaries(rng, 1, 3)[0]
+    return q @ np.diag(np.exp(1j * phases)) @ np.conj(q).T
+
+
+@pytest.mark.parametrize("case", ["random", "kramers", "late-mu", "one-fails"])
+def test_stacked_unitary_eig_matches_the_per_matrix_call(case):
+    rng = np.random.default_rng(31)
+    m = 2 if case == "kramers" else 3
+    stack = _unitaries(rng, 12, m).reshape(3, 4, m, m)
+    if case == "kramers":     # exact degeneracies: +-1, a scalar phase, -1 twice
+        stack[0, :2] = [np.eye(2), -np.eye(2)]
+        stack[1, 3] = np.exp(0.4j) * np.eye(2)
+    elif case == "late-mu":
+        u = stack[1, 2] = stack[2, 0] = _late_mu_unitary(rng)
+        _, q = np.linalg.eigh(0.5 * (u + u.conj().T) + REF_MUS[0] * (u - u.conj().T) / 2j)
+        d = q.conj().T @ u @ q
+        assert np.linalg.norm(d - np.diag(np.diag(d))) > 1e-3   # the first trial fails
+    elif case == "one-fails":  # not normal: no unitary basis diagonalizes it
+        stack[2, 1] = [[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    refs = [eig_outcome(ref_unitary_eig, u) for u in stack.reshape(-1, m, m)]
+    got = eig_outcome(_gauge.unitary_eig, stack)
+    if case == "one-fails":
+        assert isinstance(refs[9], str) and "could not diagonalize" in refs[9]
+        assert got == refs[9] and not any(isinstance(r, str) for r in refs[:9] + refs[10:])
+        return
+    angles, q = got
+    assert angles.shape == (3, 4, m) and q.shape == (3, 4, m, m)
+    assert angles.reshape(-1, m).tobytes() == np.array([r[0] for r in refs]).tobytes()
+    assert q.reshape(-1, m, m).tobytes() == np.array([r[1] for r in refs]).tobytes()
+    one = _gauge.unitary_eig(stack[1, 2])    # a single matrix is a stack of one
+    assert one[0].tobytes() == refs[6][0].tobytes() and one[1].tobytes() == refs[6][1].tobytes()
+
+
+def ref_at(homotopy, t):
+    """LoopContraction.at for one t, as it was evaluated before the stack."""
+    h = homotopy
+    if t <= 0.0:
+        eye = np.zeros(h.shape, dtype=complex)
+        eye[...] = np.eye(h.m)
+        return eye
+    if t >= 1.0:
+        return h.v.copy()
+    if h.mode == "phase":
+        return np.exp(1j * t * h.phi)[..., None, None] * np.ones_like(h.v)
+    if h.mode == "quaternion":
+        if t <= 0.5:
+            q = np.broadcast_to(_gauge._chord(h.identity_q, h.rho, 2.0 * t), h.q.shape)
+        else:
+            q = _gauge._chord(np.broadcast_to(h.rho, h.q.shape), h.q, 2.0 * t - 1.0)
+        return _gauge._quat_to_su2(q) * np.exp(0.5j * t * h.phi)[..., None, None]
+    return np.stack([g.at(t) for g in h.general]).reshape(h.shape)
+
+
+def _unitary_family(m, sheets, n, seed):
+    """A smooth periodic unitary family (sheets, n, m, m) over a circle,
+    exp(i H(theta)) with zero determinant winding."""
+    rng = np.random.default_rng(seed)
+    theta = 2.0 * np.pi * np.arange(n) / n
+    herm = rng.normal(size=(3, m, m)) + 1j * rng.normal(size=(3, m, m))
+    herm = 0.25 * (herm + np.conj(np.swapaxes(herm, -1, -2)))
+    out = []
+    for s in range(sheets):
+        coeff = np.stack([np.ones(n), np.cos(theta + s), np.sin(2 * theta - s)], axis=-1)
+        h = np.einsum("nc,cij->nij", coeff, herm)
+        w, v = np.linalg.eigh(h)
+        out.append(v @ (np.exp(1j * w)[..., None] * np.conj(np.swapaxes(v, -1, -2))))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("m, sheets, mode", [(1, 3, "phase"), (2, 3, "quaternion"),
+                                              (3, 2, "general")])
+def test_homotopy_at_an_array_of_t_matches_the_scalar_calls(m, sheets, mode):
+    homotopy = _gauge.LoopContraction(_unitary_family(m, sheets, 10, 40 + m), batch=1)
+    assert homotopy.mode == mode
+    ts = np.concatenate([_smoothstep(np.arange(12) / 12), [0.25, 0.5, 0.75, 1.0, 1.3, -0.2, 0.0]])
+    got = homotopy.at(ts)
+    assert got.shape == (sheets, 10, len(ts), m, m)
+    ref = np.stack([ref_at(homotopy, t) for t in ts], axis=-3)
+    assert got.tobytes() == ref.tobytes()
+    for t in (0.0, 0.3, 0.5, 0.9, 1.0):
+        assert homotopy.at(t).tobytes() == ref_at(homotopy, t).tobytes()
+
+
+def test_one_stacked_eigenbasis_call_per_circle_stack(monkeypatch):
+    from topoindex import z2
+
+    calls, original = [], _gauge.unitary_eig
+
+    def counted(u):
+        calls.append(u.shape)
+        return original(u)
+
+    frames = occupied_frame(builtin("kane-mele"), MomentumGrid((12, 12))).frames
+    for module in (_gauge, z2):
+        monkeypatch.setattr(module, "unitary_eig", counted)
+    _gauge.circle_transport(frames)
+    assert calls == [(12, 2, 2)]
+    calls.clear()
+    z2.wannier_center_flow(builtin("kane-mele"), MomentumGrid((12, 12)), frames)
+    assert calls == [(7, 2, 2)]

@@ -389,7 +389,7 @@ def _whole_grid_min_gap(model, grid):
     (lambda: builtin("bhz", m=1.0), (32, 32)),
     (lambda: builtin("fu-kane-mele-3d", m=-1.5), (12, 12, 12)),
     (lambda: builtin("atomic-limit", n=8), (8, 8)),
-    # several chunks of 2^16 Hamiltonian entries each
+    # several chunks of GRID_CHUNK_ENTRIES Hamiltonian entries each
     (lambda: builtin("kane-mele", lv=0.3), (96, 64)),
     (lambda: builtin("atomic-limit", n=8), (40, 40)),
 ], ids=["kane-mele", "bhz", "fkm3d", "atomic-limit", "kane-mele-chunks", "atomic-limit-chunks"])
@@ -409,7 +409,7 @@ def test_chunked_trs_check_keeps_a_non_finite_entry_of_a_later_chunk():
         return h
 
     model.evaluate = poisoned
-    grid = MomentumGrid((128, 128))  # k = 0 sits in the third of four chunks
+    grid = MomentumGrid((128, 128))  # k = 0 sits in the 17th of 32 chunks
     report = check_trs(model, grid)
     assert np.isnan(report.max_deviation) and not report.passed
 

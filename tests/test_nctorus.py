@@ -308,6 +308,7 @@ _MALFORMED = {
     "three-axis block": {(1,): np.ones((2, 1, 2))},
     "nan entry": {(1,): [[np.nan]]},
     "inf entry": {(0,): [[0.3]], (1,): [[np.inf]]},
+    "offset named twice": {1: [[1.0]], (1,): [[0.0]]},
 }
 
 
@@ -464,6 +465,33 @@ def test_pairing_3d_band_limit_guard():
             (0, 0, 0): np.eye(2, dtype=complex)}
     with pytest.raises(InvalidParams):
         nc_index_pairing_3d(wide, 4)
+
+
+# keys that name no lattice vector of three integers; the CLI builds none of them
+_MALFORMED_3D_KEYS = {"float": (1.5, 0, 0), "integral float": (1.0, 0, 0),
+                      "string": ("1", 0, 0), "two components": (1, 0),
+                      "four components": (1, 0, 0, 0), "integer": 1}
+
+
+@pytest.mark.parametrize("key", _MALFORMED_3D_KEYS.values(), ids=_MALFORMED_3D_KEYS)
+def test_pairing_3d_rejects_offsets_that_are_not_three_integers(key):
+    coeffs = dict(lattice_degree_one_coeffs(-2.0))
+    coeffs[key] = coeffs.pop((1, 0, 0))
+    with pytest.raises(InvalidParams, match="offsets of three integers"):
+        nc_index_pairing_3d(coeffs, 4)
+
+
+def test_pairing_3d_rejects_a_float_offset_beside_an_integer_one():
+    # (1.5, 0, 0) was truncated onto (1, 0, 0) and silently overwrote its block
+    coeffs = {**lattice_degree_one_coeffs(-2.0), (1.5, 0, 0): np.eye(2)}
+    with pytest.raises(InvalidParams, match="offsets of three integers"):
+        nc_index_pairing_3d(coeffs, 4)
+
+
+def test_pairing_3d_reads_numpy_integer_offsets():
+    coeffs = lattice_degree_one_coeffs(-2.0)
+    numpy_keys = {tuple(np.int64(x) for x in key): block for key, block in coeffs.items()}
+    assert nc_index_pairing_3d(numpy_keys, 2).raw == nc_index_pairing_3d(coeffs, 2).raw
 
 
 def test_pairing_3d_singular_symbol_rejected():
