@@ -17,7 +17,6 @@ from .berry import (
     chern_number,
     delta_p3,
     occupied_frame,
-    polarization_p3,
 )
 from .ktable import AbelianGroupExpr
 from .linalg import eigh, pfaffian
@@ -31,20 +30,16 @@ from .model import (
     load_model,
     ribbonize,
     to_json,
-    trim_points,
 )
 from .spectral import (
     SpectralPath,
     edge_crossing_parity,
-    mod2_analytical_index,
     spectral_flow,
 )
 from .windex import (
     UnitaryField,
     boundary_index_2d,
     degree_one_field,
-    field_from_map,
-    winding1d,
     winding3d,
 )
 from .z2 import (
@@ -73,21 +68,16 @@ __all__ = [
     "delta_p3",
     "edge_crossing_parity",
     "eigh",
-    "field_from_map",
     "kane_mele_nu",
     "load_model",
-    "mod2_analytical_index",
     "occupied_frame",
     "pfaffian",
-    "polarization_p3",
     "ribbonize",
     "sewing_field",
     "spectral_flow",
     "strong_and_weak_indices_3d",
     "to_json",
-    "trim_points",
     "wannier_center_flow",
-    "winding1d",
     "winding3d",
 ]
 

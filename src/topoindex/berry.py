@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._gauge import circle_transport, smooth_frames_2d, smooth_frames_3d, smoothness_report
+from ._gauge import smooth_frames_2d, smooth_frames_3d, smoothness_report
 from ._stencil import central_diff, levi_civita_sum, neighbour_overlaps, one_forms
 from .errors import GapClosed, GridTooCoarse, InvalidParams, NonHermitian
 from .linalg import eigh, eigvalsh
@@ -195,32 +195,12 @@ def chern_simons_integral(frames: np.ndarray, grid: MomentumGrid) -> float:
 
 def smooth_gauge(frame: OccupiedFrame) -> np.ndarray:
     """The unitary field u (*sizes, m, m) that makes the frames G u smooth
-    and periodic.  A circle is transported from k = 0 (grid index n // 2)
-    and returned in grid order."""
-    if frame.grid.dim == 1:
-        n = frame.grid.sizes[0]
-        rows = (np.arange(n) + n // 2) % n
-        return np.roll(circle_transport(frame.frames[rows]), n // 2, axis=0)
+    and periodic."""
     if frame.grid.dim == 2:
         return smooth_frames_2d(frame.frames)
     if frame.grid.dim == 3:
         return smooth_frames_3d(frame.frames)
-    raise InvalidParams("smooth gauges are built on 1D, 2D and 3D grids")
-
-
-def polarization_p3(frame: OccupiedFrame) -> float:
-    """Magneto-electric polarization P3 mod 1, representative in [0, 1).
-
-    Evaluates the Chern-Simons integral of the Berry connection in the
-    constructed smooth gauge; the gauge ambiguity is exactly an integer.
-    """
-    if frame.grid.dim != 3:
-        raise InvalidParams("P3 is defined on 3D grids")
-    frames_s = frame.frames @ smooth_gauge(frame)
-    rough = smoothness_report(frames_s)
-    if rough > 1.5:
-        raise GridTooCoarse(f"smooth gauge still varies by {rough:.2f} per step")
-    return float(chern_simons_integral(frames_s, frame.grid) % 1.0)
+    raise InvalidParams("smooth gauges are built on 2D and 3D grids")
 
 
 def delta_p3(frame: OccupiedFrame, gauge: np.ndarray) -> float:

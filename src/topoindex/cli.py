@@ -302,9 +302,6 @@ def _cmd_audit(args, report):
         if name is not None:
             pt_params[name] = value
         model = _build_model(args, pt_params)
-        if model.dim not in (2, 3):
-            raise InvalidParams(f"audit cross-checks 2D and 3D models; {model.name} is"
-                                f" {model.dim}D")
         ribbon_width = _ribbon_width(args.width, model.bands) if model.dim == 2 else None
         grid = _grid_from_arg(args.grid, model.dim, model.bands)
         entry: dict = {"params": {k: float(v) for k, v in sorted(pt_params.items())}}

@@ -97,8 +97,3 @@ def reduced(space: str, j: int, d: int) -> AbelianGroupExpr:
     base = ko_point(j)
     return AbelianGroupExpr(full.free - base.free, full.torsion2 - base.torsion2)
 
-
-def strong_summand(j: int, d: int) -> AbelianGroupExpr:
-    """The top-codimension (k = d) summand KO^{d-j}(pt) of the torus
-    decomposition, the receptacle of the strong invariant."""
-    return ko_point(j - d)

@@ -74,10 +74,6 @@ class MomentumGrid:
     def indices(self):
         return itertools.product(*(range(n) for n in self.sizes))
 
-    def negate_index(self, idx: tuple[int, ...]) -> tuple[int, ...]:
-        """Exact index of -k (mod 2*pi); integer arithmetic only."""
-        return tuple((-m) % n for m, n in zip(idx, self.sizes))
-
     def trim_indices(self) -> list[tuple[int, ...]]:
         """Indices of the 2^d time-reversal fixed points, lexicographic in
         (0, pi) coordinates; the top-codimension point (pi,..,pi) is last."""
@@ -86,14 +82,6 @@ class MomentumGrid:
         for choice in itertools.product((0, 1), repeat=self.dim):
             out.append(tuple(per_axis[i][c] for i, c in enumerate(choice)))
         return out
-
-
-def trim_points(grid: MomentumGrid) -> np.ndarray:
-    """The 2^d fixed points with coordinates in {0, pi}, (pi,..,pi) last."""
-    pts = []
-    for choice in itertools.product((0.0, np.pi), repeat=grid.dim):
-        pts.append(list(choice))
-    return np.array(pts)
 
 
 @dataclass
@@ -280,27 +268,12 @@ def _fkm3d(t, m) -> BlochFamily:
     return BlochFamily(dim=3, bands=4, occupied=2, evaluate=ev, time_reversal=standard_theta(4))
 
 
-def _kitaev_chain(t, mu, delta) -> BlochFamily:
-    if delta == 0.0:
-        raise InvalidParams("kitaev-chain needs a nonzero pairing delta")
-
-    def ev(k):
-        k1 = k[..., 0]
-        h = _pauli(0.0, 2.0 * delta * np.sin(k1), -2.0 * t * np.cos(k1) - mu)
-        out = np.zeros(k.shape[:-1] + (4, 4), dtype=complex)
-        out[..., :2, :2] = h  # time-reversal-doubled BdG chain
-        out[..., 2:, 2:] = h
-        return out
-
-    return BlochFamily(dim=1, bands=4, occupied=2, evaluate=ev, time_reversal=standard_theta(4))
-
-
 def _atomic_limit(n, dim) -> BlochFamily:
     if n % 4 or not 4 <= n <= MAX_MATRIX_ROWS:
         raise InvalidParams(
             f"atomic-limit band count must be a multiple of 4 in [4, {MAX_MATRIX_ROWS}]")
-    if dim not in (1, 2, 3):
-        raise InvalidParams("atomic-limit dim must be 1, 2 or 3")
+    if dim not in (2, 3):
+        raise InvalidParams("atomic-limit dim must be 2 or 3")
     n, dim = int(n), int(dim)
     orbitals = n // 2
     energies = np.array([-1.0] * (orbitals // 2) + [1.0] * (orbitals - orbitals // 2))
@@ -319,7 +292,6 @@ _BUILTINS = {
     "kane-mele": (_kane_mele, {"t": 1.0, "lso": 0.06, "lv": 0.1}),
     "bhz": (_bhz, {"a": 1.0, "b": 1.0, "m": 2.0}),
     "fu-kane-mele-3d": (_fkm3d, {"t": 1.0, "m": -2.0}),
-    "kitaev-chain": (_kitaev_chain, {"t": 1.0, "mu": 1.0, "delta": 1.0}),
     "atomic-limit": (_atomic_limit, {"n": 4.0, "dim": 2.0}),
 }
 
@@ -373,7 +345,7 @@ class RibbonFamily:
             if periodic:
                 i, j = sites, (sites + d) % L
             else:
-                i = sites[max(0, -d):L - max(0, d)]
+                i = sites[max(0, -d):max(0, L - d)]  # no bond for |d| >= L
                 j = i + d
             # i -> j is one-to-one for a fixed d, so += never hits a pair twice
             out[..., i, :, j, :] += blocks[..., d + R, :, :]
@@ -457,7 +429,8 @@ def load_model(doc: dict) -> BlochFamily:
     """Build a BlochFamily from the documented JSON schema.
 
     H(k) = sum_R term(R) e^{i k.R} plus the conjugate transpose of every
-    term with R != 0; the R = 0 block must be Hermitian.
+    term with R != 0; the R = 0 block must be Hermitian.  A key outside
+    the schema raises SchemaError at its path.
     """
     if not isinstance(doc, dict):
         raise SchemaError("$", "document must be an object")
@@ -465,8 +438,8 @@ def load_model(doc: dict) -> BlochFamily:
         if key not in doc:
             raise SchemaError(f"$.{key}", "missing required field")
     dim, bands, occupied = doc["dim"], doc["bands"], doc["occupied"]
-    if dim not in (1, 2, 3) or type(dim) is not int:
-        raise SchemaError("$.dim", "dim must be 1, 2 or 3")
+    if dim not in (2, 3) or type(dim) is not int:
+        raise SchemaError("$.dim", "dim must be 2 or 3")
     for key, lo in (("bands", 1), ("occupied", 0)):
         if type(doc[key]) is not int or not lo <= doc[key] <= MAX_MATRIX_ROWS:
             raise SchemaError(f"$.{key}", f"{key} must be an integer in [{lo}, {MAX_MATRIX_ROWS}]")
@@ -502,6 +475,13 @@ def load_model(doc: dict) -> BlochFamily:
         if u.shape != (bands, bands):
             raise SchemaError("$.time_reversal", f"expected {bands}x{bands}")
         tr = TimeReversal(u)
+    # after the other schema checks, so a document failing one keeps its error
+    keys = [("$", doc, {"name", "dim", "bands", "occupied", "terms", "time_reversal"})]
+    for path, obj, known in keys + [(f"$.terms[{i}]", t, {"R", "matrix"})
+                                    for i, t in enumerate(doc["terms"])]:
+        unknown = min(set(obj) - known, default=None)
+        if unknown is not None:
+            raise SchemaError(f"{path}.{unknown}", "unknown key")
 
     # hopping R carries e^{i k.R} term(R); its conjugate partner e^{-i k.R} term(R)^dagger
     hops = [R for R in terms if R != zero]

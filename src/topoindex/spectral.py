@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EdgeBandIsolationFailed, EndpointGapless, InvalidParams
 from .linalg import eigvalsh
-from .model import BlochFamily, MomentumGrid, RibbonFamily, ribbonize
+from .model import RibbonFamily
 
 _STACK_BYTES = 1 << 19  # the sector matrices of one ribbon solve, about 512 KB
 _PIVOT_FLOOR = 1e-6  # times the largest hopping entry: a smaller screen pivot flags its matrix
@@ -243,17 +243,6 @@ def _crossing_parity_on_path(ribbon: RibbonFamily, path: np.ndarray) -> int:
     return int(counts[0] % 2)
 
 
-def _staircase(target: np.ndarray, samples: int) -> np.ndarray:
-    """Ribbon momenta from the origin to target (coordinates 0 or pi): one
-    leg of `samples` points, sharing its first with the previous leg's
-    last, per pi coordinate in axis order."""
-    s = np.linspace(0.0, np.pi, samples)
-    legs = np.eye(len(target))[target >= 1e-12]  # (legs, dim) unit rows
-    done = np.cumsum(legs, axis=0) - legs        # the axes already at pi
-    path = np.pi * done[:, None] + s[1:, None] * legs[:, None]
-    return np.concatenate([np.zeros((1, len(target))), *path])
-
-
 def ribbon_spectrum_csv(ribbon: RibbonFamily, samples: int = 81) -> str:
     """Ribbon band structure as CSV rows (momentum, eigenvalue,
     edge weight on the outer quarter), ready for plotting."""
@@ -275,30 +264,5 @@ def edge_crossing_parity(ribbon: RibbonFamily) -> int:
     between the projected fixed points 0 and pi, on 161 momenta."""
     if ribbon.dim != 1:
         raise InvalidParams("edge_crossing_parity expects a 1D-momentum ribbon")
-    return _crossing_parity_on_path(ribbon, _staircase(np.array([np.pi]), 161))
+    return _crossing_parity_on_path(ribbon, np.linspace(0.0, np.pi, 161)[:, None])
 
-
-def mod2_analytical_index(model: BlochFamily, grid: MomentumGrid, trim,
-                          open_axis: int = 0, width: int = 24,
-                          samples_per_leg: int | None = None) -> int:
-    """Parity of Kramers zero crossings of the open-boundary spectrum
-    along the staircase path from the surface origin to the projection
-    of the given fixed point.
-
-    Kernel dimensions of the skew-adjoint effective Hamiltonian are empty
-    away from criticality; their mod-2 count is carried by this spectral
-    flow, which is what gets computed.
-    """
-    trim = np.atleast_1d(np.asarray(trim, dtype=float))
-    if trim.shape != (model.dim,):
-        raise InvalidParams("trim must be a bulk fixed point (one coordinate per axis)")
-    for x in trim:
-        if min(abs(x), abs(abs(x) - np.pi)) > 1e-12:
-            raise InvalidParams("trim coordinates must be 0 or pi")
-    if samples_per_leg is None:
-        samples_per_leg = max(161, 8 * max(grid.sizes) + 1)
-    ribbon = ribbonize(model, open_axis=open_axis, width=width)
-    path = _staircase(np.abs(np.delete(trim, open_axis)), samples_per_leg)
-    if len(path) < 2:
-        return 0
-    return _crossing_parity_on_path(ribbon, path)

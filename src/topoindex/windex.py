@@ -1,6 +1,6 @@
 """Odd topological indices of unitary fields.
 
-Winding numbers over the circle and 3-torus, the boundary-circle product
+The winding number over the 3-torus, the boundary-circle product
 index of a 2D sewing field, and the periodized degree-one SU(2) reference
 map.
 """
@@ -18,7 +18,6 @@ from .model import MomentumGrid, _smoothstep
 from .z2 import SewingField, _pf_walk
 
 BRANCH_SAFE_DISTANCE = 1.9
-STEP_ARG_SAFE = 0.95 * np.pi
 
 
 @dataclass
@@ -53,28 +52,6 @@ class UnitaryField:
                 worst = int(np.flatnonzero(dist >= dist.max() - 1e-12)[0])
                 where = tuple(int(i) for i in np.unravel_index(rough[worst], frob.shape))
                 raise BranchUnsafe(where, f"(axis {axis}, distance {dist[worst]:.2f})")
-
-
-def field_from_map(grid: MomentumGrid, fn) -> UnitaryField:
-    """The field of ``fn``, which maps the momenta (*sizes, d) of
-    ``grid.points()`` to unitary matrices (*sizes, n, n) in one call."""
-    return UnitaryField(grid, fn(grid.points()))
-
-
-def winding1d(field: UnitaryField) -> int:
-    """Winding number of det g around a circle; exact by telescoping."""
-    if field.grid.dim != 1:
-        raise InvalidParams("winding1d needs a 1D field")
-    field.check_branch_safety()
-    args = np.angle(np.linalg.det(neighbour_overlaps(field.values, 0)))
-    worst = float(np.max(np.abs(args)))
-    if worst > STEP_ARG_SAFE:
-        raise BranchUnsafe(int(np.argmax(np.abs(args))), f"(det step {worst:.2f})")
-    total = float(np.sum(args)) / (2.0 * np.pi)
-    n = int(np.rint(total))
-    if abs(total - n) > 1e-6:
-        raise BranchUnsafe("global", f"(winding sum {total:.6f} not integral)")
-    return n
 
 
 @dataclass

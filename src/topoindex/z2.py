@@ -153,14 +153,8 @@ def kane_mele_nu(field: SewingField) -> int:
     """Product over all 2^d fixed points of pf(w)/sqrt(det w), exactly
     +1 or -1, walked on ``field.smooth_w``.  In 3D this is the strong
     invariant (the product of the k3 = 0 and k3 = pi sheet invariants)."""
-    d = field.grid.dim
-    if d not in (1, 2, 3):
-        raise InvalidParams("kane_mele_nu supports dimensions 1-3")
     w = field.smooth_w
-    if d == 1:
-        n = w.shape[0]
-        return _pf_walk(w, (n // 2,), [(0, n // 2)], "half circle")
-    if d == 2:
+    if field.grid.dim == 2:
         return _nu_smooth_sheet(w)
     return int(np.prod([_nu_smooth_sheet(s) for s in _fixed_point_sheets(w)[0][:2]]))
 

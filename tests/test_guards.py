@@ -21,7 +21,6 @@ from topoindex.windex import (
     BRANCH_SAFE_DISTANCE,
     UnitaryField,
     degree_one_field,
-    winding1d,
     winding3d,
 )
 
@@ -221,14 +220,6 @@ def test_branch_guard_sends_nan_overlaps_to_the_svd():
             check(field)
 
 
-def _fields_1d():
-    grid = MomentumGrid((16,))
-    yield UnitaryField(MomentumGrid((8,)), phase_checkerboard((8,)))
-    yield UnitaryField(grid, np.exp(1j * grid.axis(0))[:, None, None] * np.eye(2))
-    for n, scale in [(1, 0.3), (2, 0.3), (1, 1.3), (2, 1.3)]:
-        yield _rough_field((16,), n, scale)
-
-
 def _fields_3d():
     yield UnitaryField(MomentumGrid((4, 6, 8)), phase_checkerboard((4, 6, 8)))
     yield degree_one_field(MomentumGrid((8, 8, 8)))
@@ -236,10 +227,7 @@ def _fields_3d():
         yield _rough_field((6, 6, 6), n, scale)
 
 
-@pytest.mark.parametrize("fn,fields", [
-    (winding1d, _fields_1d),
-    (winding3d, _fields_3d),
-], ids=["winding1d", "winding3d"])
+@pytest.mark.parametrize("fn,fields", [(winding3d, _fields_3d)], ids=["winding3d"])
 def test_windings_match_under_svd_guard(monkeypatch, fn, fields):
     fast = [outcome(fn, f) for f in fields()]
     monkeypatch.setattr(UnitaryField, "check_branch_safety", svd_check_branch_safety)

@@ -13,7 +13,6 @@ from topoindex.ktable import (
     kr_sphere,
     kr_torus,
     reduced,
-    strong_summand,
 )
 
 KO_ROW = [Z, Z2, Z2, ZERO, Z, ZERO, ZERO, ZERO]
@@ -89,12 +88,6 @@ def test_kr_torus_bott_periodicity():
     for j in range(0, 8):
         for d in range(0, 5):
             assert kr_torus(j, d) == kr_torus(j + 8, d)
-
-
-def test_strong_summand_values():
-    assert strong_summand(4, 2) == Z2
-    assert strong_summand(5, 3) == Z2
-    assert strong_summand(0, 0) == Z
 
 
 def test_nc_torus_kr2_receptacle_constant():

@@ -14,6 +14,7 @@ from topoindex.errors import (
 )
 from topoindex.model import (
     MomentumGrid,
+    RibbonFamily,
     TimeReversal,
     builtin,
     check_trs,
@@ -22,26 +23,24 @@ from topoindex.model import (
     ribbonize,
     standard_theta,
     to_json,
-    trim_points,
 )
+from topoindex.z2 import _negate_field
 
 TRS_BUILTINS = [
     ("kane-mele", {"t": 1.0, "lso": 0.06, "lv": 0.1}, 2),
     ("bhz", {"m": 2.0}, 2),
     ("fu-kane-mele-3d", {"m": -2.0}, 3),
-    ("kitaev-chain", {"mu": 1.0}, 1),
+    ("atomic-limit", {"n": 8, "dim": 3}, 3),
     ("atomic-limit", {"n": 4, "dim": 2}, 2),
 ]
 
 
 def test_grid_negation_closure_exact():
     grid = MomentumGrid((8, 6))
-    for idx in grid.indices():
-        neg = grid.negate_index(idx)
-        total = grid.point(idx) + grid.point(neg)
-        # sums are exact multiples of 2*pi
-        assert np.allclose(np.round(total / (2 * np.pi)), total / (2 * np.pi),
-                           atol=1e-14)
+    pts = grid.points()[..., None]  # one 2x1 "matrix" per grid point
+    total = pts + _negate_field(pts, grid.dim)
+    # sums are exact multiples of 2*pi
+    assert np.allclose(np.round(total / (2 * np.pi)), total / (2 * np.pi), atol=1e-14)
 
 
 def test_grid_rejects_odd_sizes():
@@ -49,27 +48,12 @@ def test_grid_rejects_odd_sizes():
         MomentumGrid((7, 8))
 
 
-def test_trim_points_1d():
-    assert trim_points(MomentumGrid((8,))).tolist() == [[0.0], [np.pi]]
-
-
-def test_trim_points_2d_matches_fixed_point_set():
-    pts = trim_points(MomentumGrid((8, 8)))
-    expected = [[0.0, 0.0], [0.0, np.pi], [np.pi, 0.0], [np.pi, np.pi]]
-    assert pts.tolist() == expected
-    assert pts[-1].tolist() == [np.pi, np.pi]  # top codimension last
-
-
-def test_trim_points_3d_count():
-    pts = trim_points(MomentumGrid((6, 6, 6)))
-    assert pts.shape == (8, 3)
-    assert pts[-1].tolist() == [np.pi, np.pi, np.pi]
-
-
 def test_trim_indices_are_self_negating():
     grid = MomentumGrid((10, 8))
-    for idx in grid.trim_indices():
-        assert grid.negate_index(idx) == idx
+    idx = np.moveaxis(np.indices(grid.sizes), 0, -1)[..., None]
+    neg = _negate_field(idx, grid.dim)
+    for trim in grid.trim_indices():
+        assert np.array_equal(neg[trim], idx[trim])
 
 
 def test_time_reversal_squares_to_minus_one():
@@ -271,6 +255,19 @@ def test_ribbon_blocks_sit_on_their_offsets():
             assert np.array_equal(hp[i, :, j, :], np.broadcast_to(ring_block, (4, 4)))
 
 
+@pytest.mark.parametrize("sites,reach", [(8, 8), (8, 9), (8, 30), (16, 100)])
+def test_ribbon_assemble_drops_bonds_beyond_the_width(sites, reach):
+    rng = np.random.default_rng(reach)
+    blocks = rng.normal(size=(2 * reach + 1, 2, 2)) + 1j * rng.normal(size=(2 * reach + 1, 2, 2))
+    ref = np.zeros((sites, 2, sites, 2), dtype=complex)
+    for i in range(sites):
+        for j in range(sites):  # site i couples to site j through offset j - i
+            if abs(j - i) <= reach:
+                ref[i, :, j, :] = blocks[j - i + reach]
+    got = RibbonFamily(sites, 2, 1, None, reach).assemble(blocks)
+    assert np.array_equal(got, ref.reshape(2 * sites, 2 * sites))
+
+
 def test_ribbon_stack_rejects_undeclared_long_hopping():
     km = builtin("kane-mele")
     km.hopping_range = 0  # misdeclared on purpose
@@ -283,27 +280,27 @@ def test_ribbon_stack_rejects_undeclared_long_hopping():
 
 def test_load_constant_gapped_model():
     doc = {
-        "dim": 1, "bands": 2, "occupied": 1,
-        "terms": [{"R": [0], "matrix": [[[-1.0, 0.0], [0.0, 0.0]],
-                                        [[0.0, 0.0], [1.0, 0.0]]]}],
+        "dim": 2, "bands": 2, "occupied": 1,
+        "terms": [{"R": [0, 0], "matrix": [[[-1.0, 0.0], [0.0, 0.0]],
+                                           [[0.0, 0.0], [1.0, 0.0]]]}],
         "time_reversal": None,
     }
     model = load_model(doc)
-    assert np.allclose(model.h([0.3]), np.diag([-1.0, 1.0]))
+    assert np.allclose(model.h([0.3, -1.1]), np.diag([-1.0, 1.0]))
 
 
 def test_load_nearest_neighbor_chain_closed_form():
-    # sigma_1 hopping at R = 1 gives H(k) = 2 cos(k) sigma_1 exactly
+    # sigma_1 hopping at R = (1, 0) gives H(k) = 2 cos(k1) sigma_1 exactly
     doc = {
-        "dim": 1, "bands": 2, "occupied": 1,
-        "terms": [{"R": [1], "matrix": [[[0.0, 0.0], [1.0, 0.0]],
-                                        [[1.0, 0.0], [0.0, 0.0]]]}],
+        "dim": 2, "bands": 2, "occupied": 1,
+        "terms": [{"R": [1, 0], "matrix": [[[0.0, 0.0], [1.0, 0.0]],
+                                           [[1.0, 0.0], [0.0, 0.0]]]}],
         "time_reversal": None,
     }
     model = load_model(doc)
     sigma1 = np.array([[0.0, 1.0], [1.0, 0.0]])
     for k in (0.1, 0.4, 2.2):
-        assert np.allclose(model.h([k]), 2.0 * np.cos(k) * sigma1, atol=1e-14)
+        assert np.allclose(model.h([k, 0.7]), 2.0 * np.cos(k) * sigma1, atol=1e-14)
 
 
 def test_json_round_trip_reproduces_kane_mele_spectra():
@@ -323,10 +320,21 @@ def test_load_model_schema_errors():
                     "terms": [{"R": [1], "matrix": [[[0, 0]]]}]})
     with pytest.raises(NonHermitianInput):
         load_model({
-            "dim": 1, "bands": 2, "occupied": 1,
-            "terms": [{"R": [0], "matrix": [[[0.0, 0.0], [1.0, 0.0]],
-                                            [[0.0, 0.0], [0.0, 0.0]]]}],
+            "dim": 2, "bands": 2, "occupied": 1,
+            "terms": [{"R": [0, 0], "matrix": [[[0.0, 0.0], [1.0, 0.0]],
+                                               [[0.0, 0.0], [0.0, 0.0]]]}],
         })
+    with pytest.raises(SchemaError, match=re.escape("at $.dim: dim must be 2 or 3")):
+        load_model({"dim": 1, "bands": 2, "occupied": 1,
+                    "terms": [{"R": [0], "matrix": [[[1.0, 0.0], [0.0, 0.0]],
+                                                    [[0.0, 0.0], [-1.0, 0.0]]]}]})
+    # a key outside the schema is never silently ignored
+    for edit, path in [(lambda d: d.update(time_reversl=d.pop("time_reversal")), "$.time_reversl"),
+                       (lambda d: d["terms"][1].update(weight=2.0), "$.terms[1].weight")]:
+        doc = to_json(builtin("kane-mele"))
+        edit(doc)
+        with pytest.raises(SchemaError, match=re.escape(f"at {path}: unknown key")):
+            load_model(doc)
 
 
 def test_direct_sum_keeps_trs():

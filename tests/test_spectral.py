@@ -8,8 +8,8 @@ import pytest
 
 from test_model import _rashba_kane_mele_doc
 from topoindex import spectral
-from topoindex.errors import EdgeBandIsolationFailed, EndpointGapless, InvalidParams
-from topoindex.model import MomentumGrid, RibbonFamily, builtin, direct_sum, load_model, ribbonize
+from topoindex.errors import EdgeBandIsolationFailed, EndpointGapless
+from topoindex.model import RibbonFamily, builtin, direct_sum, load_model, ribbonize
 from topoindex.spectral import (
     SpectralPath,
     _ribbon_bulk_gap,
@@ -17,7 +17,6 @@ from topoindex.spectral import (
     _sector_eigenpairs,
     _window_flags,
     edge_crossing_parity,
-    mod2_analytical_index,
     ribbon_spectrum_csv,
     spectral_flow,
 )
@@ -105,42 +104,6 @@ def test_doubling_kills_edge_parity():
     km = builtin("kane-mele", t=1.0, lso=0.06, lv=0.1)
     doubled = direct_sum(km, km)
     assert edge_crossing_parity(ribbonize(doubled, 0, 24)) == 0
-
-
-def test_mod2_index_kane_mele_path():
-    km = builtin("kane-mele", t=1.0, lso=0.06, lv=0.1)
-    grid = MomentumGrid((12, 12))
-    assert mod2_analytical_index(km, grid, (np.pi, np.pi), width=24,
-                                 samples_per_leg=161) == 1
-
-
-def test_mod2_index_bhz_trivial():
-    bhz = builtin("bhz", m=-1.0)
-    grid = MomentumGrid((12, 12))
-    assert mod2_analytical_index(bhz, grid, (np.pi, np.pi), width=24,
-                                 samples_per_leg=161) == 0
-
-
-def test_mod2_index_atomic_zero():
-    atom = builtin("atomic-limit", n=4, dim=2)
-    grid = MomentumGrid((8, 8))
-    assert mod2_analytical_index(atom, grid, (np.pi, np.pi), width=16,
-                                 samples_per_leg=81) == 0
-
-
-@pytest.mark.parametrize("mass,expected", [(-2.0, 1), (-4.0, 0)])
-def test_mod2_index_3d_matches_strong_phase(mass, expected):
-    fkm = builtin("fu-kane-mele-3d", m=mass)
-    grid = MomentumGrid((8, 8, 8))
-    got = mod2_analytical_index(fkm, grid, (np.pi, np.pi, np.pi), width=16,
-                                samples_per_leg=121)
-    assert got == expected
-
-
-def test_mod2_index_validates_trim():
-    km = builtin("kane-mele")
-    with pytest.raises(InvalidParams):
-        mod2_analytical_index(km, MomentumGrid((8, 8)), (0.5, 0.5))
 
 
 def test_ribbon_spectrum_csv_export():
@@ -265,21 +228,10 @@ def test_edge_parity_matches_per_point_reference(monkeypatch, name, params, widt
     assert _against_reference(monkeypatch, edge_crossing_parity, ribbon) == (expected, expected)
 
 
-@pytest.mark.parametrize("mass,trim,expected", [
-    (-2.0, (np.pi, np.pi, np.pi), 1),
-    (-2.0, (np.pi, 0.0, 0.0), 0),
-    (-4.0, (0.0, np.pi, np.pi), 0),
-])
-def test_mod2_staircase_matches_per_point_reference(monkeypatch, mass, trim, expected, width=16):
-    got = _against_reference(monkeypatch, mod2_analytical_index,
-                             builtin("fu-kane-mele-3d", m=mass), MomentumGrid((8, 8, 8)),
-                             trim, width=width, samples_per_leg=81)
-    assert got == (expected, expected)
-
-
-def test_mod2_staircase_at_an_odd_width_matches_per_point_reference(monkeypatch):
+def test_edge_parity_at_an_odd_width_matches_per_point_reference(monkeypatch):
     # 11 sites of one 4-orbital sector: the screen's window holds 8 rows
-    test_mod2_staircase_matches_per_point_reference(monkeypatch, -2.0, (np.pi,) * 3, 1, width=11)
+    ribbon = ribbonize(load_model(_rashba_kane_mele_doc()), 0, 11)
+    assert _against_reference(monkeypatch, edge_crossing_parity, ribbon) == (1, 1)
 
 
 @pytest.mark.parametrize("name,params,width,samples", [
@@ -368,7 +320,7 @@ def test_huge_spin_orbit_ribbon_screen_warns_nothing_and_misses_nothing(monkeypa
     # lso = 1e300: its parity is not pinned here, only its agreement with eigh
     ribbon = ribbonize(builtin("kane-mele", lso=1e300), 0, 16)
     window = 0.9 * _ribbon_bulk_gap(ribbon)
-    blocks = ribbon.hoppings(spectral._staircase(np.array([np.pi]), 161))
+    blocks = ribbon.hoppings(np.linspace(0.0, np.pi, 161)[:, None])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for orbs in _ribbon_sectors(blocks):

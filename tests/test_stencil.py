@@ -1,8 +1,8 @@
 """The shared grid kernels against the inline expressions they replaced.
 
 Each helper must give bit for bit what its copies computed in place: the
-link-variable overlap of `berry.link_dets`, `_gauge.smoothness_report`,
-`UnitaryField.check_branch_safety` and `winding1d`; the F^dagger dF
+link-variable overlap of `berry.link_dets`, `_gauge.smoothness_report`
+and `UnitaryField.check_branch_safety`; the F^dagger dF
 one-forms of the Chern-Simons and winding quadratures.  The winding's
 signed sum over the 3! axis orderings, which `_cubic_trace_sum` takes as
 two triple traces, must agree to rounding.
@@ -32,7 +32,7 @@ def ref_overlaps_branch_guard(values, axis):
     return np.einsum("...ij,...ik->...jk", np.conj(values), ahead)
 
 
-def ref_overlaps_winding1d(g):
+def ref_overlaps_smoothness_report(g):
     return np.einsum("tij,tik->tjk", np.conj(g), np.roll(g, -1, axis=0))
 
 
@@ -94,7 +94,7 @@ def test_neighbour_overlaps_match_the_inline_copies(sizes, n, m):
         assert np.array_equal(got, ref_overlaps_berry(f, axis))
         assert np.array_equal(got, ref_overlaps_branch_guard(f, axis))
     if len(sizes) == 1:
-        assert np.array_equal(neighbour_overlaps(f, 0), ref_overlaps_winding1d(f))
+        assert np.array_equal(neighbour_overlaps(f, 0), ref_overlaps_smoothness_report(f))
 
 
 @pytest.mark.parametrize("sizes,n,m", FIELDS)

@@ -10,69 +10,13 @@ from topoindex.windex import (
     boundary_index_2d,
     degree_one_field,
     degree_one_map,
-    field_from_map,
-    winding1d,
     winding3d,
 )
 from topoindex.z2 import sewing_field
 
 
-def _diag(*entries):
-    """Stacked diagonal matrices (..., n, n) from n per-momentum entries."""
-    d = np.stack(np.broadcast_arrays(*entries), axis=-1).astype(complex)
-    return d[..., None] * np.eye(d.shape[-1])
-
-
-def _loop(k, w=1):
-    """The 1x1 loop exp(i w k_0) over momenta (..., d)."""
-    return np.exp(1j * w * k[..., 0])[..., None, None]
-
-
 def _identity(k):
     return np.broadcast_to(np.eye(2, dtype=complex), k.shape[:-1] + (2, 2))
-
-
-def test_winding1d_unit_loop():
-    grid = MomentumGrid((32,))
-    fld = field_from_map(grid, _loop)
-    assert winding1d(fld) == 1
-
-
-def test_winding1d_constant_is_zero():
-    grid = MomentumGrid((16,))
-    fld = field_from_map(grid, _identity)
-    assert winding1d(fld) == 0
-
-
-def test_winding1d_diagonal_mixed_windings():
-    grid = MomentumGrid((48,))
-    fld = field_from_map(grid, lambda k: _diag(np.exp(1j * k[..., 0]), np.exp(-2j * k[..., 0])))
-    assert winding1d(fld) == -1
-
-
-def test_winding1d_additive_for_diagonal_products():
-    grid = MomentumGrid((48,))
-    g = field_from_map(grid, lambda k: _diag(np.exp(1j * k[..., 0]), 1.0))
-    h = field_from_map(grid, lambda k: _diag(np.exp(2j * k[..., 0]), np.exp(1j * k[..., 0])))
-    prod = UnitaryField(grid, np.einsum("...ij,...jk->...ik", g.values, h.values))
-    assert winding1d(prod) == winding1d(g) + winding1d(h) == 4
-
-
-def test_winding1d_invariant_under_constant_conjugation():
-    grid = MomentumGrid((32,))
-    rng = np.random.default_rng(8)
-    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, _ = np.linalg.qr(m)
-    g = field_from_map(grid, lambda k: _diag(np.exp(1j * k[..., 0]), np.exp(1j * k[..., 0])))
-    conj = UnitaryField(grid, np.einsum("ij,...jk,kl->...il", q, g.values, q.conj().T))
-    assert winding1d(conj) == winding1d(g) == 2
-
-
-def test_winding1d_branch_safety():
-    # winding 2 on a 4-point grid steps by pi per link: unsafe and caught
-    grid = MomentumGrid((4,))
-    with pytest.raises(BranchUnsafe):
-        winding1d(field_from_map(grid, lambda k: _loop(k, 2)))
 
 
 def _phase_field(distances):
@@ -103,7 +47,7 @@ def test_unitary_field_rejects_non_unitary():
 
 def test_winding3d_identity():
     grid = MomentumGrid((8, 8, 8))
-    fld = field_from_map(grid, _identity)
+    fld = UnitaryField(grid, _identity(grid.points()))
     res = winding3d(fld)
     assert res.rounded == 0 and res.residue < 1e-12
 

@@ -107,12 +107,6 @@ def test_nu_grid_size_stability():
     assert values[0] == values[1] == -1
 
 
-def test_nu_1d_circle_runs():
-    kc = builtin("kitaev-chain", mu=1.0)
-    sf = sewing_field(kc, MomentumGrid((16,)))
-    assert kane_mele_nu(sf) in (-1, 1)
-
-
 def test_wannier_flow_flat_for_atomic_limit():
     atom = builtin("atomic-limit", n=4, dim=2)
     flow = wannier_center_flow(atom, MomentumGrid((12, 12)))
@@ -247,7 +241,7 @@ def test_smooth_sewing_field_is_smooth():
     from topoindex._gauge import smoothness_report
     from topoindex.linalg import check_unitary
 
-    for name, params, sizes in (("kitaev-chain", {}, (16,)), ("kane-mele", KM_TOPO, (16, 16)),
+    for name, params, sizes in (("kane-mele", KM_TOPO, (16, 16)),
                                 ("fu-kane-mele-3d", {"m": -2.0}, (16, 16, 16))):
         sf = sewing_field(builtin(name, **params), MomentumGrid(sizes))
         assert sf.smooth_w is sf.smooth_w        # built once per field
