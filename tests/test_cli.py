@@ -554,20 +554,27 @@ def test_sewing_matrices_are_built_once_per_frame_field(monkeypatch, argv, count
     assert code == 0 and len(calls) == count
 
 
-def test_audit_rejects_a_1d_model(tmp_path):
+@pytest.mark.parametrize("model,dim", [(["--model", "kitaev-chain"], 1),
+                                       (["--model", "atomic-limit", "--dim", "1"], 1)])
+def test_audit_rejects_a_1d_model(model, dim):
+    # no builtin is dim-D: the chain is not a builtin and atomic-limit takes dim 2 or 3
+    assert dim not in (2, 3)
+    error = {"kitaev-chain": {"type": "UnknownModel", "message": (
+                 "unknown model 'kitaev-chain'; known: atomic-limit, bhz, fu-kane-mele-3d,"
+                 " hopf-two-band, kane-mele")},
+             "atomic-limit": {"type": "InvalidParams",
+                              "message": "atomic-limit dim must be 2 or 3"}}[model[1]]
+    code, inv = invariants(["audit"] + model + ["--grid", "16"])
+    assert code == 2 and inv["error"] == error
+
+
+def test_audit_rejects_a_1d_model_document(tmp_path):
     cfg = tmp_path / "chain.json"
     cfg.write_text(json.dumps({"dim": 1, "bands": 2, "occupied": 1, "terms": [
         {"R": [1], "matrix": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}]}))
-    for model, error in [
-            (["--model", "kitaev-chain"], {"type": "UnknownModel", "message": (
-                "unknown model 'kitaev-chain'; known: atomic-limit, bhz, fu-kane-mele-3d,"
-                " hopf-two-band, kane-mele")}),
-            (["--model", "atomic-limit", "--dim", "1"], {
-                "type": "InvalidParams", "message": "atomic-limit dim must be 2 or 3"}),
-            (["--config", str(cfg)], {"type": "SchemaError", "message": (
-                "model document error at $.dim: dim must be 2 or 3")})]:
-        code, inv = invariants(["audit"] + model + ["--grid", "16"])
-        assert code == 2 and inv["error"] == error
+    code, inv = invariants(["audit", "--config", str(cfg), "--grid", "16"])
+    assert code == 2 and inv["error"] == {"type": "SchemaError", "message": (
+        "model document error at $.dim: dim must be 2 or 3")}
 
 
 def _long_bond_doc(reach):
