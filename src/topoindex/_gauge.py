@@ -9,11 +9,12 @@ kernel (a closed form for m = 2, the SVD otherwise), and the product scan
 u_i = polar(O_i) u_{i-1}.  A smooth gauge is returned as that m x m unitary
 field u, not as the smooth frames G u: the sewing matrices of `z2` are
 re-gauged by u, and only the Chern-Simons integral of `berry` forms G u.
-The transport equals Löwdin transport of projected frames step by step,
-and the Wilson links of `z2` use the same kernel.  All the obstructions vanish for the families
-handled here (every 2D slice Chern number is zero for time-reversal
-invariant models), so the construction either succeeds or fails loudly
-with GaugeConstructionFailed.
+The transport equals Löwdin transport of projected frames step by step.
+The Wilson loops of `z2` are its wrap holonomies of lines walked
+backwards, and no other module forms polar links.  All the obstructions
+vanish for the families handled here (every 2D slice Chern number is
+zero for time-reversal invariant models), so the construction either
+succeeds or fails loudly with GaugeConstructionFailed.
 
 Rank-2 blocks (the generic Kramers case) are contracted through the
 quaternion 3-sphere; rank-1 through the circle.  Higher ranks are only

@@ -9,7 +9,6 @@ the frames G into the smooth frames G u.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,22 +146,12 @@ class BerryCurvatureField:
     k2: np.ndarray
     values: np.ndarray  # (N1, N2) phases; sum/(2 pi) = Chern number
 
-    def chern(self) -> int:
-        return plaquette_chern(self.values)[0]
-
     def to_csv(self) -> str:
         lines = ["k1,k2,curvature"]
         for i, a in enumerate(self.k1):
             for j, b in enumerate(self.k2):
                 lines.append(f"{a:.12g},{b:.12g},{self.values[i, j]:.12g}")
         return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "k1": [float(x) for x in self.k1],
-            "k2": [float(x) for x in self.k2],
-            "curvature": [[float(x) for x in row] for row in self.values],
-        }, sort_keys=True)
 
 
 def berry_curvature_field(frame: OccupiedFrame, axes: tuple[int, int] = (0, 1),

@@ -71,9 +71,6 @@ class MomentumGrid:
         axes = np.meshgrid(*(self.axis(i) for i in range(self.dim)), indexing="ij")
         return np.stack(axes, axis=-1)
 
-    def indices(self):
-        return itertools.product(*(range(n) for n in self.sizes))
-
     def trim_indices(self) -> list[tuple[int, ...]]:
         """Indices of the 2^d time-reversal fixed points, lexicographic in
         (0, pi) coordinates; the top-codimension point (pi,..,pi) is last."""

@@ -137,9 +137,12 @@ def _sector_eigenpairs(ribbon: RibbonFamily, ks: np.ndarray, window: float = np.
     blocks = ribbon.hoppings(ks)
     sectors = _ribbon_sectors(blocks)
     flags = np.ones((len(sectors), len(ks)), dtype=bool)
+    R = ribbon.hopping_range
+    reach = min(R, ribbon.transverse_sites - 1)  # a bond |d| >= L acts on no open-ribbon site
+    near = blocks[..., R - reach:R + reach + 1, :, :]
     for m in {len(orbs) for orbs in sectors} if np.isfinite(window) else ():
         same = [i for i, orbs in enumerate(sectors) if len(orbs) == m]
-        sub = np.stack([blocks[..., sectors[i][:, None], sectors[i]] for i in same])
+        sub = np.stack([near[..., sectors[i][:, None], sectors[i]] for i in same])
         flags[same] = _window_flags(sub, ribbon.transverse_sites, window)
     stack = 16 * ribbon.transverse_sites ** 2 * np.array([len(o) ** 2 for o in sectors]) @ flags
     cuts = np.flatnonzero(np.diff((np.cumsum(stack) - stack) // _STACK_BYTES)) + 1

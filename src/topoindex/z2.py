@@ -20,7 +20,7 @@ from itertools import groupby
 
 import numpy as np
 
-from ._gauge import _dagger, _mul, polar_unitary, smooth_frames_2d, unitary_eig
+from ._gauge import _dagger, _mul, smooth_frames_2d, transport, unitary_eig
 from .berry import OccupiedFrame, gapped_hamiltonians, occupied_frame, smooth_gauge
 from .errors import BranchTrackingFailed, GaugeConstructionFailed, InvalidParams, PfaffianNearZero
 from .linalg import PF_MIN, check_unitary, eigh, pfaffian, unitary_deviation
@@ -219,14 +219,14 @@ class WannierFlow:
         return "\n".join(lines) + "\n"
 
 
-def _wilson_loop_phases(frames: np.ndarray) -> np.ndarray:
+def _wilson_loop_phases(lines: np.ndarray) -> np.ndarray:
     """Sorted Wilson-loop eigenphases of every line of a stack
-    (lines, steps, n, m), each loop running over its steps."""
-    ov = np.conj(np.swapaxes(frames, -1, -2)) @ np.roll(frames, -1, axis=1)
-    links, _ = polar_unitary(ov)
-    loop = np.broadcast_to(np.eye(links.shape[-1], dtype=complex), links[:, 0].shape)
-    for t in range(links.shape[1]):
-        loop = loop @ links[:, t]
+    (lines, steps, n, m).  The loop polar(L_0 L_1 ... L_{N-1}) of the links
+    L_t = polar(F_t^dagger F_{t+1}) is the wrap mismatch of `transport`
+    along the line walked backwards from F_0 (F_0, F_{N-1}, ..., F_1),
+    under its overlap guard."""
+    backwards = lines[:, -np.arange(lines.shape[1])]
+    _, loop = transport(backwards, np.eye(lines.shape[-1], dtype=complex))
     return np.sort(unitary_eig(loop)[0], axis=-1)
 
 

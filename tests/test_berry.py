@@ -11,6 +11,7 @@ from topoindex.berry import (
     delta_p3,
     gapped_hamiltonians,
     occupied_frame,
+    plaquette_chern,
     smooth_gauge,
 )
 from topoindex.cli import run
@@ -60,7 +61,7 @@ def test_hopf_chern_number_is_one(hopf_frame):
 def test_hopf_curvature_sums_to_2pi(hopf_frame):
     field = berry_curvature_field(hopf_frame)
     assert float(np.sum(field.values)) == pytest.approx(2.0 * np.pi, abs=1e-9)
-    assert field.chern() == 1
+    assert plaquette_chern(field.values)[0] == 1
 
 
 def test_chern_grid_refinement_stable():
@@ -90,7 +91,7 @@ def test_chern_gauge_invariance_under_column_mixing():
     frame = occupied_frame(km, grid)
     rng = np.random.default_rng(4)
     dressed = frame.frames.copy()
-    for idx in grid.indices():
+    for idx in np.ndindex(grid.sizes):
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         q, _ = np.linalg.qr(m)
         dressed[idx] = dressed[idx] @ q
@@ -114,7 +115,7 @@ def test_kane_mele_spin_blocks_have_opposite_curvature():
 
     up = berry_curvature_field(occupied_frame(block(0), grid))
     dn = berry_curvature_field(occupied_frame(block(2), grid))
-    assert up.chern() == -dn.chern() != 0
+    assert plaquette_chern(up.values)[0] == -plaquette_chern(dn.values)[0] != 0
     assert np.max(np.abs(up.values + dn.values)) < 1e-9
 
 
@@ -129,9 +130,6 @@ def test_curvature_export_formats(hopf_frame):
     csv = field.to_csv()
     assert csv.splitlines()[0] == "k1,k2,curvature"
     assert len(csv.splitlines()) == 1 + 20 * 20
-    import json
-    doc = json.loads(field.to_json())
-    assert len(doc["curvature"]) == 20
 
 
 def circle_distance_mod1(a: float, b: float) -> float:
@@ -196,7 +194,7 @@ def test_delta_p3_degree_one_gauge_matches_winding():
 def _first_failure_per_point(model, grid):
     """Reference per-point loop: the first momentum (C order) whose matrix
     is not Hermitian or whose min |E| is at most GAP_TOL."""
-    for idx in grid.indices():
+    for idx in np.ndindex(grid.sizes):
         k = grid.point(idx)
         h = model.h(k)
         dev = hermitian_deviation(h)
@@ -358,7 +356,7 @@ def test_chern_number_on_too_coarse_grids(m, n, detail):
 
 def test_chern_number_rejects_a_non_integer_plaquette_sum(monkeypatch, hopf_frame):
     monkeypatch.setattr(berry, "plaquette_field", lambda *args: np.full((20, 20), 0.01))
-    for chern in (chern_number, lambda frame: berry_curvature_field(frame).chern()):
+    for chern in (chern_number, lambda frame: plaquette_chern(berry_curvature_field(frame).values)[0]):
         with pytest.raises(GridTooCoarse, match="plaquette sum 0.636620 is not an integer"):
             chern(hopf_frame)
     code, report = run(["chern", "--model", "hopf-two-band", "--grid", "20"])

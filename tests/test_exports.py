@@ -7,6 +7,10 @@ reference outside the name's own definition: a name or attribute in
 `tests/test_acceptance.py`, or a string naming it in `perfbench/tracer.py`,
 which wraps its targets by name.  A mention inside its own function, such
 as an error message, does not count.
+
+Polar link factors have one home: no module but `_gauge` reads
+`polar_unitary`, so the Wilson loops of `z2`, like every smooth gauge, take
+their links from `_gauge.transport`.
 """
 
 import ast
@@ -55,3 +59,11 @@ def test_public_name_has_a_reader(name):
     if _reads(ROOT / "perfbench" / "tracer.py", name, strings=True):
         readers.append("perfbench/tracer.py")
     assert readers, f"{name} is exported but only tests read it"
+
+
+@pytest.mark.parametrize("path", [p for p in sorted((ROOT / "src" / "topoindex").glob("*.py"))
+                                  if p.name != "_gauge.py"], ids=lambda p: p.name)
+def test_only_the_gauge_module_forms_polar_links(path):
+    names = {alias.name for node in ast.walk(_tree(path)) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    assert "polar_unitary" not in names and not _reads(path, "polar_unitary", strings=False)

@@ -348,7 +348,7 @@ def test_grid_points_match_point():
     grid = MomentumGrid((4, 6, 8))
     pts = grid.points()
     assert pts.shape == (4, 6, 8, 3)
-    for idx in grid.indices():
+    for idx in np.ndindex(grid.sizes):
         assert np.array_equal(pts[idx], grid.point(idx))
 
 

@@ -112,7 +112,7 @@ def _degree_one_point(k):
 def test_degree_one_field_matches_per_point_powers(power):
     grid = MomentumGrid((6, 8, 10))
     want = np.empty(grid.sizes + (2, 2), dtype=complex)
-    for idx in grid.indices():
+    for idx in np.ndindex(grid.sizes):
         g = _degree_one_point(grid.point(idx))
         step = g if power > 0 else g.conj().T
         want[idx] = np.eye(2)

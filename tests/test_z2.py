@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from topoindex import z2
-from topoindex._gauge import polar_unitary, unitary_eig
+from topoindex._gauge import _dagger, _mul, polar_unitary, unitary_eig
 from topoindex.berry import occupied_frame
 from topoindex.errors import (
     BranchTrackingFailed,
@@ -92,7 +92,7 @@ def test_nu_invariant_under_random_frame_dressing(grid16):
     rng = np.random.default_rng(12)
     for _ in range(10):
         dressed = base.copy()
-        for idx in grid16.indices():
+        for idx in np.ndindex(grid16.sizes):
             m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             q, _ = np.linalg.qr(m)
             dressed[idx] = dressed[idx] @ q
@@ -126,17 +126,42 @@ def test_wannier_flow_matches_nu(name, params, expected, grid16):
     assert flow.verdict == kane_mele_nu(sewing_field(model, grid16))
 
 
+def _wannier_lines(frames):
+    """The lines of the oracle's half-zone slices, one per pumping momentum."""
+    n2 = frames.shape[1]
+    return [frames[:, (n2 // 2 + t) % n2] for t in range(n2 // 2 + 1)]
+
+
+def _backward_walk_loop(line):
+    """Wilson loop of one line (steps, n, m) as transport walks it: the links
+    L_t = polar(F_t^dagger F_{t+1}) multiplied one at a time from L_{N-1}
+    down to L_1, then L_0 in front and one last polar factor."""
+    n, eye = len(line), np.eye(line.shape[-1], dtype=complex)
+
+    def link(t):
+        return polar_unitary(_mul(_dagger(line[t]), line[(t + 1) % n]))[0]
+
+    loop = eye
+    for t in range(n - 1, 0, -1):
+        loop = _mul(link(t), loop)
+    return polar_unitary(_dagger(eye) @ link(0) @ loop)[0]
+
+
+def _forward_product_loop(line):
+    """Wilson loop of one line (steps, n, m) as the product L_0 L_1 ... L_{N-1}
+    of the links L_t = polar(F_t^dagger F_{t+1}), left to right."""
+    n, loop = len(line), np.eye(line.shape[-1], dtype=complex)
+    for t in range(n):
+        loop = loop @ polar_unitary(np.conj(line[t]).T @ line[(t + 1) % n])[0]
+    return loop
+
+
 def _reference_wannier_flow(frames):
-    """Per-line, per-step Wilson loops and largest-gap tracking, one slice
-    at a time: the loop form the stacked oracle must reproduce exactly."""
-    n1, n2 = frames.shape[:2]
+    """Per-line Wilson loops and largest-gap tracking, one slice at a time:
+    the loop form the stacked oracle must reproduce exactly."""
     centers, gap_centers, crossings, prev = [], [], 0, None
-    for t in range(n2 // 2 + 1):
-        line = frames[:, (n2 // 2 + t) % n2]
-        loop = np.eye(line.shape[-1], dtype=complex)
-        for s in range(n1):
-            loop = loop @ polar_unitary(np.conj(line[s]).T @ line[(s + 1) % n1])[0]
-        angles = np.sort(unitary_eig(loop)[0])
+    for line in _wannier_lines(frames):
+        angles = np.sort(unitary_eig(_backward_walk_loop(line))[0])
         ext = np.concatenate([angles, [angles[0] + 2.0 * np.pi]])
         gaps = np.diff(ext)
         i = int(np.argmax(gaps))
@@ -151,11 +176,14 @@ def _reference_wannier_flow(frames):
     return np.array(centers), np.array(gap_centers), crossings
 
 
-@pytest.mark.parametrize("n", [8, 16, 32])
-@pytest.mark.parametrize("name,params", [
+WANNIER_CASES = [
     ("kane-mele", KM_TOPO), ("kane-mele", KM_TRIV),
     ("bhz", {"m": 2.0}), ("bhz", {"m": -1.0}), ("atomic-limit", {"n": 8, "dim": 2}),
-])
+]
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("name,params", WANNIER_CASES)
 def test_stacked_wannier_flow_equals_the_per_line_loops(name, params, n):
     model = builtin(name, **params)
     grid = MomentumGrid((n, n))
@@ -167,11 +195,36 @@ def test_stacked_wannier_flow_equals_the_per_line_loops(name, params, n):
     assert flow.crossings == crossings
 
 
-def test_wannier_flow_makes_one_polar_call(monkeypatch, grid16):
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("name,params", WANNIER_CASES)
+def test_wannier_centers_equal_the_forward_link_product(name, params, n):
+    # the backward walk reassociates the product: the centres agree to
+    # rounding on the circle, a centre at +-pi may change branch
+    model = builtin(name, **params)
+    grid = MomentumGrid((n, n))
+    frames = occupied_frame(model, grid).frames
+    flow = wannier_center_flow(model, grid, frames=frames)
+    forward = np.array([unitary_eig(_forward_product_loop(line))[0]
+                        for line in _wannier_lines(frames)])
+    dist = np.abs(np.angle(np.exp(1j * (flow.centers[:, :, None] - forward[:, None, :]))))
+    assert np.max(np.min(dist, axis=2)) < 1e-12
+    assert np.max(np.min(dist, axis=1)) < 1e-12
+
+
+def test_wannier_flow_makes_one_transport_call(monkeypatch, grid16):
     calls = []
-    monkeypatch.setattr(z2, "polar_unitary", lambda m: calls.append(m.shape) or polar_unitary(m))
+    transport = z2.transport
+    monkeypatch.setattr(z2, "transport", lambda f, u0: calls.append(f.shape) or transport(f, u0))
     wannier_center_flow(builtin("kane-mele", **KM_TOPO), grid16)
-    assert calls == [(9, 16, 2, 2)]
+    assert calls == [(9, 16, 4, 2)]
+
+
+def test_wannier_flow_guards_a_vanishing_link(grid16):
+    km = builtin("kane-mele", **KM_TOPO)
+    frames = occupied_frame(km, grid16).frames.copy()
+    frames[3, 8] = frames[3, 8] @ np.array([[1.0, 0.0], [0.0, 0.0]])  # a rank-1 frame: s_min 0
+    with pytest.raises(GaugeConstructionFailed, match=r"transport overlap .* below 1e-03"):
+        wannier_center_flow(km, grid16, frames=frames)
 
 
 def test_sewing_field_rejects_a_nan_frame(grid16):
